@@ -89,6 +89,12 @@ def _pair(scn: Scenario) -> BialgebroidPair:
     return scn.cache[key]
 
 
+def _double(scn: Scenario):
+    if "double" not in scn.cache:
+        scn.cache["double"] = double(_pair(scn), verify=False)
+    return scn.cache["double"]
+
+
 def _task_check_axioms(scn):
     return check_axioms(scn.algebroid, scn.probe_degree)
 
@@ -164,12 +170,12 @@ def _task_check_bialgebroid(scn):
 
 
 def _task_check_courant_axioms(scn):
-    E = double(_pair(scn), verify=False)
+    E = _double(scn)
     return check_courant_axioms(E, min(scn.probe_degree, 2))
 
 
 def _task_jacobiator(scn):
-    E = double(_pair(scn), verify=False)
+    E = _double(scn)
     frames = E.frame_sections()
     try:
         for i in range(len(frames)):
@@ -186,7 +192,7 @@ def _task_jacobiator(scn):
 
 
 def _dirac_subbundle(scn) -> Subbundle:
-    E = double(_pair(scn), verify=False)
+    E = _double(scn)
     spec = scn.dirac_spec
     if spec is None:
         pi = _need_pi(scn)
@@ -244,9 +250,11 @@ TASKS = {
 }
 
 
-def _expand_tasks(scn: Scenario):
+def _expand_tasks(scn: Scenario, tasks=None):
+    """The task list (the scenario's own by default) with "full"
+    replaced by every task the scenario's data supports."""
     out = []
-    for t in scn.tasks:
+    for t in scn.tasks if tasks is None else tasks:
         if t != "full":
             out.append(t)
             continue
@@ -347,20 +355,15 @@ def cmd_check(args) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.probe_degree is not None:
+        if args.probe_degree < 0:
+            print("scenario error: --probe-degree: expected a non-negative integer", file=sys.stderr)
+            return 2
         scn.probe_degree = args.probe_degree
     for t in args.task or []:
         if t not in TASKS and t != "full":
             print(f"scenario error: $.tasks: unknown task {t!r}", file=sys.stderr)
             return 2
-    tasks = None
-    if args.task:
-        expanded = []
-        for t in args.task:
-            if t == "full":
-                expanded.extend(_expand_tasks(scn))
-            else:
-                expanded.append(t)
-        tasks = expanded
+    tasks = _expand_tasks(scn, args.task) if args.task else None
     report = run_scenario(scn, tasks, timings=args.timings)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))

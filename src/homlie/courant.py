@@ -209,6 +209,10 @@ class CourantDouble:
                     raise StructureError(f"product table index ({a},{b}) out of range")
                 table[(a, b)] = sec if isinstance(sec, ESection) else ESection(list(sec), self.n)
             self.product_table = table
+        self._frames = [self.frame_section(a) for a in range(2 * self.r)]
+        self._phiE_frames = None
+        self._rho_frames = None
+        self._gram_inverse = None
 
     # -- structure maps -------------------------------------------------
 
@@ -218,7 +222,36 @@ class CourantDouble:
         return ESection(coeffs, self.n)
 
     def frame_sections(self):
-        return [self.frame_section(a) for a in range(2 * self.r)]
+        return list(self._frames)
+
+    def phiE_frame(self, a: int) -> ESection:
+        """phiE of the a-th frame section: the section twist on the
+        primal block and its dual on the other, computed once."""
+        if self._phiE_frames is None:
+            images = []
+            for u in self._frames:
+                X, xi = self.split(u)
+                images.append(self.join(self.pair.A.phiA.apply(X), self.pair.ctx.dagger.apply(xi)))
+            self._phiE_frames = images
+        return self._phiE_frames[a]
+
+    def rho_frame(self, a: int) -> PullbackVectorField:
+        """The anchor field of the a-th frame section, computed once."""
+        if self._rho_frames is None:
+            self._rho_frames = [self.rho_field(u) for u in self._frames]
+        return self._rho_frames[a]
+
+    def gram_inverse(self):
+        """Inverse of the constant Gram matrix of the pairing on the
+        frame, computed once."""
+        if self._gram_inverse is None:
+            frames = self._frames
+            gram = [
+                [self.pairing(frames[a], frames[b]).constant_value() for b in range(2 * self.r)]
+                for a in range(2 * self.r)
+            ]
+            self._gram_inverse = _mat_inverse(gram)
+        return self._gram_inverse
 
     def split(self, u: ESection):
         X = MultiVector.from_vector(self.r, self.n, list(u.coeffs[: self.r]))
@@ -229,16 +262,28 @@ class CourantDouble:
         return ESection(list(X.vector()) + list(xi.vector()), self.n)
 
     def phiE(self, u: ESection) -> ESection:
-        X, xi = self.split(u)
-        return self.join(self.pair.A.phiA.apply(X), self.pair.ctx.dagger.apply(xi))
+        """The twist of the double.  It is phi*-linear, so it is fixed
+        by its frame images: phiE(sum f_a E_a) = sum phi*(f_a) phiE(E_a)."""
+        pb = self.phi.pullback
+        out = [Poly.zero(self.n)] * (2 * self.r)
+        for a, f in enumerate(u.coeffs):
+            if f.is_zero():
+                continue
+            pf = pb(f)
+            for b, c in enumerate(self.phiE_frame(a).coeffs):
+                if not c.is_zero():
+                    out[b] = out[b] + c * pf
+        return ESection(out, self.n)
 
     def pairing(self, u: ESection, v: ESection) -> Poly:
-        X, xi = self.split(u)
-        Y, eta = self.split(v)
-        from .exterior import pair as duality
-
-        half = Poly.const(self.n, Fraction(1, 2))
-        return half * (duality(xi, Y) + duality(eta, X))
+        """Half the sum of the two cross pairings <xi, Y> + <eta, X>."""
+        r = self.r
+        total = Poly.zero(self.n)
+        for i in range(r):
+            for a, b in ((u.coeffs[r + i], v.coeffs[i]), (v.coeffs[r + i], u.coeffs[i])):
+                if not a.is_zero() and not b.is_zero():
+                    total = total + a * b
+        return total * Fraction(1, 2)
 
     def rho_field(self, u: ESection) -> PullbackVectorField:
         X, xi = self.split(u)
@@ -273,7 +318,7 @@ class CourantDouble:
 
     def _product_from_table(self, u, v):
         out = ESection([Poly.zero(self.n)] * (2 * self.r), self.n)
-        frames = self.frame_sections()
+        frames = self._frames
         pb = self.phi.pullback
         for a in range(2 * self.r):
             f = u.coeffs[a]
@@ -286,12 +331,12 @@ class CourantDouble:
                 base = self.product_table.get((a, b))
                 if base is None:
                     base = ESection([Poly.zero(self.n)] * (2 * self.r), self.n)
-                inner = base.scale(pb(g)) + self.phiE(frames[b]).scale(
-                    self.rho_apply(self.phiE(frames[a]), g)
+                inner = base.scale(pb(g)) + self.phiE_frame(b).scale(
+                    self.rho_apply(self.phiE_frame(a), g)
                 )
                 term = inner.scale(pb(f))
-                term = term - self.phiE(frames[a]).scale(
-                    pb(g) * self.rho_apply(self.phiE(frames[b]), f)
+                term = term - self.phiE_frame(a).scale(
+                    pb(g) * self.rho_apply(self.phiE_frame(b), f)
                 )
                 pairing_ab = self.pairing(frames[a], frames[b])
                 # the gradient term carries a factor 2 against the
@@ -308,18 +353,16 @@ class CourantDouble:
     def script_D(self, f: Poly) -> ESection:
         """Metric dual of half the anchor action, found by solving the
         pairing system against the frame."""
-        frames = self.frame_sections()
-        gram = [
-            [self.pairing(frames[a], frames[b]).constant_value() for b in range(2 * self.r)]
-            for a in range(2 * self.r)
-        ]
-        inv = _mat_inverse(gram)
-        half = Poly.const(self.n, Fraction(1, 2))
-        rhs = [half * self.rho_apply(frames[b], f) for b in range(2 * self.r)]
-        coeffs = [
-            sum((Poly.const(self.n, inv[a][b]) * rhs[b] for b in range(2 * self.r)), Poly.zero(self.n))
-            for a in range(2 * self.r)
-        ]
+        inv = self.gram_inverse()
+        half = Fraction(1, 2)
+        rhs = [self.rho_frame(b).apply(f) * half for b in range(2 * self.r)]
+        coeffs = []
+        for a in range(2 * self.r):
+            c = Poly.zero(self.n)
+            for b in range(2 * self.r):
+                if inv[a][b] and not rhs[b].is_zero():
+                    c = c + rhs[b] * inv[a][b]
+            coeffs.append(c)
         return ESection(coeffs, self.n)
 
 

@@ -26,6 +26,16 @@ def _merge_sign(I: tuple, J: tuple):
     return merged, -1 if inversions % 2 else 1
 
 
+def _accumulate(out: dict, K: tuple, term: Poly):
+    """Add term to out[K], keeping the table free of zero values."""
+    prev = out.get(K)
+    total = term if prev is None else prev + term
+    if total.is_zero():
+        out.pop(K, None)
+    else:
+        out[K] = total
+
+
 class GradedElement:
     """Shared container for multivectors and forms.
 
@@ -51,11 +61,22 @@ class GradedElement:
                 clean[k] = v
         self.coeffs = clean
 
+    @classmethod
+    def _raw(cls, rank: int, n: int, degree: int, coeffs: dict):
+        """Unchecked constructor for internal results: coeffs must
+        already be canonical (valid index tuples, nonzero Poly values)."""
+        out = object.__new__(cls)
+        out.rank = rank
+        out.n = n
+        out.degree = degree
+        out.coeffs = coeffs
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, rank: int, n: int, degree: int):
-        return cls(rank, n, degree)
+        return cls._raw(rank, n, degree, {})
 
     @classmethod
     def basis(cls, rank: int, n: int, indices):
@@ -63,7 +84,15 @@ class GradedElement:
 
     @classmethod
     def from_vector(cls, rank: int, n: int, coeffs):
-        return cls(rank, n, 1, {(i,): c for i, c in enumerate(coeffs)})
+        if len(coeffs) > rank:
+            raise StructureError(f"bad index tuple {(rank,)} for degree 1, rank {rank}")
+        out = {}
+        for i, c in enumerate(coeffs):
+            if not isinstance(c, Poly):
+                c = Poly.const(n, c)
+            if not c.is_zero():
+                out[(i,)] = c
+        return cls._raw(rank, n, 1, out)
 
     @classmethod
     def scalar(cls, rank: int, n: int, f: Poly):
@@ -97,16 +126,11 @@ class GradedElement:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return type(self)(self.rank, self.n, self.degree, out)
+            _accumulate(out, k, v)
+        return self._raw(self.rank, self.n, self.degree, out)
 
     def __neg__(self):
-        return type(self)(self.rank, self.n, self.degree, {k: -v for k, v in self.coeffs.items()})
+        return self._raw(self.rank, self.n, self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -114,29 +138,24 @@ class GradedElement:
     def scale(self, f):
         if not isinstance(f, Poly):
             f = Poly.const(self.n, f)
-        return type(self)(
-            self.rank, self.n, self.degree, {k: f * v for k, v in self.coeffs.items()}
-        )
+        if f.is_zero():
+            return self.zero(self.rank, self.n, self.degree)
+        # the coefficient ring has no zero divisors, so no product vanishes
+        return self._raw(self.rank, self.n, self.degree, {k: f * v for k, v in self.coeffs.items()})
 
     def wedge(self, other):
         self._check_compatible_kind(other)
         deg = self.degree + other.degree
         if deg > self.rank:
-            return type(self)(self.rank, self.n, deg)
+            return self.zero(self.rank, self.n, deg)
         out = {}
         for I, f in self.coeffs.items():
             for J, g in other.coeffs.items():
                 K, sign = _merge_sign(I, J)
                 if K is None:
                     continue
-                term = f * g if sign > 0 else -(f * g)
-                s = out.get(K)
-                s = term if s is None else s + term
-                if s.is_zero():
-                    out.pop(K, None)
-                else:
-                    out[K] = s
-        return type(self)(self.rank, self.n, deg, out)
+                _accumulate(out, K, f * g if sign > 0 else -(f * g))
+        return self._raw(self.rank, self.n, deg, out)
 
     def _check_compatible_kind(self, other):
         if type(self) is not type(other) or self.rank != other.rank:
@@ -424,7 +443,7 @@ class SectionTwist:
     the inverse matrix stays polynomial.
     """
 
-    __slots__ = ("rank", "n", "matrix", "base", "kind", "det")
+    __slots__ = ("rank", "n", "matrix", "base", "kind", "det", "_minors")
 
     def __init__(self, matrix, base: AffineTwist, kind: str = "multivector"):
         self.rank = len(matrix)
@@ -440,6 +459,7 @@ class SectionTwist:
         self.matrix = tuple(rows)
         self.kind = kind
         self.det = poly_mat_det([list(r) for r in self.matrix]) if self.rank else Poly.const(self.n, 1)
+        self._minors = {}
 
     @classmethod
     def identity(cls, rank: int, base: AffineTwist, kind: str = "multivector") -> "SectionTwist":
@@ -477,33 +497,25 @@ class SectionTwist:
         cls = type(T)
         if k == 0:
             return cls.scalar(self.rank, self.n, self.base.pullback(T.scalar_value()))
-        if k == 1:
-            out = cls.zero(self.rank, self.n, 1)
-            for (j,), v in T.coeffs.items():
-                pv = self.base.pullback(v)
-                for i in range(self.rank):
-                    m = self.matrix[i][j]
-                    if m.is_zero():
-                        continue
-                    prev = out.coeffs.get((i,))
-                    total = m * pv if prev is None else prev + m * pv
-                    if total.is_zero():
-                        out.coeffs.pop((i,), None)
-                    else:
-                        out.coeffs[(i,)] = total
-            return out
-        pulled = {J: self.base.pullback(v) for J, v in T.coeffs.items()}
-        out = cls.zero(self.rank, self.n, k)
-        for I in combinations(range(self.rank), k):
-            acc = Poly.zero(self.n)
-            for J, v in pulled.items():
-                sub = [[self.matrix[a][b] for b in J] for a in I]
-                d = poly_mat_det(sub)
+        out = {}
+        for J, v in T.coeffs.items():
+            pv = self.base.pullback(v)
+            for I, d in self._minor_column(J):
+                _accumulate(out, I, d * pv)
+        return cls._raw(self.rank, self.n, k, out)
+
+    def _minor_column(self, J: tuple):
+        """The nonzero minors det(P[I, J]) over row tuples I, computed on
+        first use: column J of the k-th compound matrix."""
+        col = self._minors.get(J)
+        if col is None:
+            col = []
+            for I in combinations(range(self.rank), len(J)):
+                d = poly_mat_det([[self.matrix[a][b] for b in J] for a in I])
                 if not d.is_zero():
-                    acc = acc + d * v
-            if not acc.is_zero():
-                out.coeffs[I] = acc
-        return out
+                    col.append((I, d))
+            self._minors[J] = col
+        return col
 
     def apply_poly(self, f: Poly) -> Poly:
         return self.base.pullback(f)
@@ -570,4 +582,4 @@ def twist_tensor(T, Phi: SectionTwist):
 def reinterpret(x: GradedElement, cls) -> GradedElement:
     """Reuse a coefficient table under the other kind tag (the bridge
     used when a dual algebroid treats covectors as its own sections)."""
-    return cls(x.rank, x.n, x.degree, dict(x.coeffs))
+    return cls._raw(x.rank, x.n, x.degree, dict(x.coeffs))

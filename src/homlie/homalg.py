@@ -136,12 +136,16 @@ class HomAlgebroid:
         )
         if len(self.anchor) != self.n or any(len(row) != self.rank for row in self.anchor):
             raise StructureError("anchor matrix must be n x rank")
+        # nonzero anchor entries by frame index: anchor_columns[j] lists
+        # (i, anchor[i][j]), the coefficients of the vector field rho(e_j)
+        self.anchor_columns = tuple(
+            tuple((i, self.anchor[i][j]) for i in range(self.n) if not self.anchor[i][j].is_zero())
+            for j in range(self.rank)
+        )
         self.structure = self._normalize_structure(structure)
         self._phiA_frame = None
         self._anchor_phiA_frame = None
-        self.is_zero_structure = not self.structure and all(
-            x.is_zero() for row in self.anchor for x in row
-        )
+        self.is_zero_structure = not self.structure and not any(self.anchor_columns)
 
     def _normalize_structure(self, structure) -> dict:
         table = {}
@@ -208,11 +212,12 @@ class HomAlgebroid:
         return self._phiA_frame[i]
 
     def anchor_field(self, X: MultiVector) -> PullbackVectorField:
-        coeffs = X.vector()
-        out = [
-            sum((self.anchor[i][j] * coeffs[j] for j in range(self.rank)), Poly.zero(self.n))
-            for i in range(self.n)
-        ]
+        if X.degree != 1:
+            raise StructureError("anchor_field needs a degree-1 section")
+        out = [Poly.zero(self.n)] * self.n
+        for (j,), c in X.coeffs.items():
+            for i, a in self.anchor_columns[j]:
+                out[i] = out[i] + a * c
         return PullbackVectorField(self.phi, out)
 
     def anchor_apply(self, X: MultiVector, f: Poly) -> Poly:

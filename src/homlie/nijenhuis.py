@@ -251,6 +251,10 @@ def _deformed_data(ctx: CartanContext, N) -> HomAlgebroid:
     return HomAlgebroid(A.phi, A.phiA, anchor, structure)
 
 
+def _deformed_context(ctx: CartanContext, N: EndoMap) -> CartanContext:
+    return ctx.derived(("deformed", N), lambda: _deformed_data(ctx, N))
+
+
 def deformed_algebroid(ctx: CartanContext, N, probe_degree: int = 2) -> HomAlgebroid:
     """The deformed structure; refuses candidates that are not
     torsion-free and invariant."""
@@ -349,7 +353,7 @@ def bracket_Npi(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
     sharp map."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
-    ctxN = CartanContext(_deformed_data(ctx, N))
+    ctxN = _deformed_context(ctx, N)
     s_alpha = pi.sharp_apply(alpha)
     s_beta = pi.sharp_apply(beta)
     out = lie_derivative_form(ctxN, s_alpha, beta) - lie_derivative_form(ctxN, s_beta, alpha)
@@ -523,9 +527,10 @@ def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2, dual=None) -> Form:
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
     if dual is None:
-        dual = dual_algebroid(ctx, pi)
-    dual_ctx = CartanContext(dual)
-    ctxN = CartanContext(_deformed_data(ctx, N))
+        dual_ctx = ctx.derived(("dual of", pi.table), lambda: dual_algebroid(ctx, pi))
+    else:
+        dual_ctx = ctx.derived(("dual", dual), lambda: dual)
+    ctxN = _deformed_context(ctx, N)
     xi1 = ctx.as_form(xi1)
     xi2 = ctx.as_form(xi2)
 

@@ -181,6 +181,11 @@ def parse_scenario(data: dict) -> Scenario:
     phiA = SectionTwist(
         _parse_matrix(n, rank, rank, data["phiA_matrix"], "$.phiA_matrix"), phi, "multivector"
     )
+    if not phiA.is_invertible():
+        raise ScenarioError(
+            "$.phiA_matrix",
+            f"determinant {phiA.det.render(vars_)} is not a nonzero rational constant",
+        )
     anchor = _parse_matrix(n, n, rank, data["anchor_matrix"], "$.anchor_matrix")
 
     structure = {}

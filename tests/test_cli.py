@@ -61,6 +61,13 @@ class TestScenarioParsing:
             parse_scenario(s1_scenario_dict(pi=[{"i": 2, "j": 1, "coeff": "1"}]))
         assert "$.pi[0]" in str(err.value)
 
+    def test_polynomial_twist_determinant_rejected(self):
+        data = s1_scenario_dict()
+        data["phiA_matrix"] = [[[{"exp": [1, 0], "coeff": "1"}], "0"], ["0", "1"]]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert "$.phiA_matrix" in str(err.value)
+
     def test_singular_base_map_rejected(self):
         data = s1_scenario_dict()
         data["phi"]["matrix"] = [["1", "1"], ["1", "1"]]
@@ -143,6 +150,43 @@ class TestCliProcess:
         b = self.run_cli("check", "scenarios/s1_bad_pi.json", "--format", "json")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 1
+
+    def test_task_full_expands_every_supported_task(self):
+        out = self.run_cli("check", "scenarios/s0_axioms.json", "--task", "full", "--format", "json")
+        assert out.returncode == 0
+        tasks = [e["task"] for e in json.loads(out.stdout)["tasks"]]
+        assert tasks == [
+            "check_axioms",
+            "check_differential_props",
+            "check_bialgebroid",
+            "check_courant_axioms",
+            "jacobiator",
+        ]
+
+    def test_exit_two_on_singular_twist(self, tmp_path):
+        data = s1_scenario_dict(n=1, vars=["x"], rank=1)
+        data.update(
+            phi={"matrix": [["1"]]}, phiA_matrix=[["0"]], anchor_matrix=[["0"]]
+        )
+        p = tmp_path / "singular.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert "$.phiA_matrix" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_exit_two_on_negative_probe_degree(self):
+        out = self.run_cli("check", "scenarios/s0_axioms.json", "--probe-degree", "-1")
+        assert out.returncode == 2
+        assert "--probe-degree" in out.stderr
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize("name", ["s0_axioms", "s1_bad_pi", "s1_full"])
+    def test_json_report_matches_golden(self, name):
+        out = self.run_cli("check", f"scenarios/{name}.json", "--format", "json")
+        golden = (ROOT / "tests" / "golden" / f"{name}.json").read_text()
+        assert out.stdout == golden
+        assert out.returncode == (1 if name == "s1_bad_pi" else 0)
 
     def test_json_format_is_valid(self):
         out = self.run_cli("check", "scenarios/s0_axioms.json", "--format", "json")
