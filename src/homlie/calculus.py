@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import probes
 from .exterior import (
     EndoMap,
     Form,
@@ -25,7 +26,7 @@ from .exterior import (
     wedge_all,
 )
 from .homalg import HomAlgebroid
-from .polyring import Poly, monomials
+from .polyring import Poly
 from .report import CheckResult, StructureError, Witness, first_failure
 
 
@@ -341,40 +342,14 @@ def _twisted_basis(ctx, J: tuple) -> MultiVector:
     return got
 
 
-def _form_probes(ctx: CartanContext, probe_degree: int, scaled: bool = True):
-    """Labelled probe forms of every degree up to the rank."""
-    probes = []
-    funcs = [f for f in monomials(ctx.n, probe_degree) if not f.is_constant()]
-    for k in range(ctx.rank + 1):
-        for I in combinations(range(ctx.rank), k):
-            base = Form.basis(ctx.rank, ctx.n, I)
-            label = "eps[" + ",".join(str(i + 1) for i in I) + "]"
-            probes.append((label or "1", base))
-            if scaled:
-                for f in funcs:
-                    probes.append((f"({f.render()})*{label}", base.scale(f)))
-    return probes
-
-
-def _section_probes(ctx: CartanContext, probe_degree: int):
-    A = ctx.algebroid
-    probes = [(f"e{i + 1}", A.frame(i)) for i in range(ctx.rank)]
-    for f in monomials(ctx.n, probe_degree):
-        if f.is_constant():
-            continue
-        for i in range(ctx.rank):
-            probes.append((f"({f.render()})*e{i + 1}", A.frame(i).scale(f)))
-    return probes
-
-
 def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> CheckResult:
     """Square-zero, twist commutation, graded Leibniz, tensoriality of
     the coefficient extraction, and the Lie-derivative pairing identity,
     all as exact residuals on probe forms up to top degree."""
     A = ctx.algebroid
-    forms = _form_probes(ctx, probe_degree)
-    small_forms = _form_probes(ctx, min(probe_degree, 1))
-    sections = _section_probes(ctx, min(probe_degree, 2))
+    forms = probes.forms(A, probe_degree)
+    small_forms = probes.forms(A, min(probe_degree, 1))
+    sections = probes.sections(A, min(probe_degree, 2))
     results = []
 
     def fail(identity, inputs, residual):
@@ -382,7 +357,7 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
 
     def check_tensorial():
         name = "differential-multilinearity"
-        funcs = [f for f in monomials(ctx.n, min(probe_degree, 2)) if not f.is_constant()]
+        funcs = probes.nonconstant_monomials(ctx.n, min(probe_degree, 2))
         for label, om in small_forms:
             if om.degree >= ctx.rank:
                 continue
@@ -438,12 +413,7 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
 
     def check_pairing_identity():
         name = "lie-derivative-pairing"
-        coforms = [(f"eps{i + 1}", A.coframe(i)) for i in range(ctx.rank)]
-        funcs = [f for f in monomials(ctx.n, min(probe_degree, 2)) if not f.is_constant()]
-        for i in range(ctx.rank):
-            for f in funcs:
-                coforms.append((f"({f.render()})*eps{i + 1}", A.coframe(i).scale(f)))
-        for la, alpha in coforms:
+        for la, alpha in probes.coframes(A, min(probe_degree, 2)):
             for lx, X in sections:
                 L_alpha = lie_derivative_form(ctx, X, alpha)
                 dag_alpha = ctx.dagger.apply_graded(alpha)

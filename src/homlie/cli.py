@@ -2,14 +2,15 @@
 file, or list the built-in fixture catalog.
 
 Exit status: 0 when every task passes, 1 when any identity fails (or a
-task errors), 2 on malformed input.  Output is deterministic; wall
-times are only included behind --timings.
+task errors, or the reader closes stdout early), 2 on malformed input.
+Output is deterministic; wall times are only included behind --timings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -418,7 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (e.g. `| head`); Python flushes
+        # stdout again at exit, so point it at devnull to exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

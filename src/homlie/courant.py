@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import probes
 from .calculus import (
     CartanContext,
     differential,
@@ -92,26 +93,17 @@ class BialgebroidPair:
         return self.Astar.anchor_apply(reinterpret(xi, MultiVector), f)
 
 
-def _section_probes(A, probe_degree):
-    probes = [(f"e{i + 1}", A.frame(i)) for i in range(A.rank)]
-    for f in monomials(A.n, probe_degree):
-        if f.is_constant():
-            continue
-        for i in range(A.rank):
-            probes.append((f"({f.render()})*e{i + 1}", A.frame(i).scale(f)))
-    return probes
-
-
 def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
     """The dual differential is a twisted derivation of the primal
     bracket, and symmetrically with the roles exchanged."""
     A, ctx = P.A, P.ctx
+    sections = probes.sections(A, probe_degree)
     results = []
 
     def direction_primal():
         name = "dual-derivation-of-bracket"
-        for lx, X in _section_probes(A, probe_degree):
-            for ly, Y in _section_probes(A, probe_degree):
+        for lx, X in sections:
+            for ly, Y in sections:
                 lhs = P.dual_differential(A.bracket(X, Y))
                 rhs = schouten(ctx, P.dual_differential(X), A.phiA.apply(Y)) + schouten(
                     ctx, A.phiA.apply(X), P.dual_differential(Y)
@@ -125,10 +117,7 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
 
     def direction_dual():
         name = "primal-derivation-of-dual-bracket"
-        co = [
-            (label.replace("e", "eps", 1), reinterpret(S, Form))
-            for label, S in _section_probes(P.Astar, probe_degree)
-        ]
+        co = probes.coframes(A, probe_degree)
         for lx, xi in co:
             for ly, eta in co:
                 lhs = P.primal_differential(P.dual_bracket(xi, eta))
@@ -397,8 +386,9 @@ def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> Che
     half = Fraction(1, 2)
     from .exterior import pair as duality
 
-    for lu, u in _e_probes(E, probe_degree):
-        for lv, v in _e_probes(E, probe_degree):
+    sections = probes.double_sections(E, probe_degree)
+    for lu, u in sections:
+        for lv, v in sections:
             X, xi = E.split(u)
             Y, eta = E.split(v)
             cross = duality(eta, X) - duality(xi, Y)
@@ -420,32 +410,11 @@ def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> Che
     return CheckResult(name, True)
 
 
-def _e_probes(E: CourantDouble, probe_degree: int, mixed: bool = False):
-    probes = []
-    frames = E.frame_sections()
-    for a, u in enumerate(frames):
-        probes.append((f"E{a + 1}", u))
-    funcs = [f for f in monomials(E.n, probe_degree) if not f.is_constant()]
-    for f in funcs:
-        for a, u in enumerate(frames):
-            probes.append((f"({f.render()})*E{a + 1}", u.scale(f)))
-    if mixed:
-        for a in range(2 * E.r):
-            for b in range(a + 1, 2 * E.r):
-                probes.append((f"E{a + 1}+E{b + 1}", frames[a] + frames[b]))
-                if funcs:
-                    f = funcs[0]
-                    probes.append(
-                        (f"E{a + 1}+({f.render()})*E{b + 1}", frames[a] + frames[b].scale(f))
-                    )
-    return probes
-
-
 def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult:
     """All six axioms plus the two function-multiplication rules, on
     frame sections, scaled frames and mixed sums."""
-    probes = _e_probes(E, min(probe_degree, 1), mixed=True)
-    pair_probes = _e_probes(E, min(probe_degree, 1))
+    mixed_probes = probes.double_sections(E, min(probe_degree, 1), mixed=True)
+    pair_probes = probes.double_sections(E, min(probe_degree, 1))
     funcs = monomials(E.n, probe_degree)
     pb = E.phi.pullback
     inv_pb = E.phi.inverse_pullback
@@ -465,8 +434,8 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
 
     def axiom_i_b():
         name = "product-hom-leibniz"
-        frames = [(f"E{a + 1}", u) for a, u in enumerate(E.frame_sections())]
-        funcs1 = [f for f in monomials(E.n, 1) if not f.is_constant()]
+        frames = probes.double_sections(E, 0)
+        funcs1 = probes.nonconstant_monomials(E.n, 1)
         triples = [(x, y, z) for x in frames for y in frames for z in frames]
         for pos in range(3):
             for f in funcs1:
@@ -521,7 +490,7 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
 
     def axiom_iv():
         name = "square-is-metric-gradient"
-        for lu, u in probes:
+        for lu, u in mixed_probes:
             res = E.product(u, u) - E.script_D(E.pairing(u, u))
             if not res.is_zero():
                 return fail(name, {"u": lu}, res.render())
@@ -529,8 +498,8 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
 
     def axiom_v():
         name = "pairing-twist-compatibility"
-        for lu, u in probes:
-            for lv, v in probes:
+        for lu, u in mixed_probes:
+            for lv, v in mixed_probes:
                 res = E.pairing(E.phiE(u), E.phiE(v)) - pb(E.pairing(u, v))
                 if not res.is_zero():
                     return fail(name, {"u": lu, "v": lv}, res.render())
@@ -553,13 +522,12 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
     def function_rules():
         name = "function-multiplication-rules"
         frames = E.frame_sections()
+        scalars = probes.nonconstant_monomials(E.n, probe_degree)
         for a in range(2 * E.r):
             for b in range(2 * E.r):
                 u, v = frames[a], frames[b]
                 base = E.product(u, v)
-                for f in funcs:
-                    if f.is_constant():
-                        continue
+                for f in scalars:
                     left = E.product(u, v.scale(f))
                     right1 = base.scale(pb(f)) + E.phiE(v).scale(E.rho_apply(E.phiE(u), f))
                     res = left - right1

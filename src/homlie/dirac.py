@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import probes
 from .calculus import schouten
 from .courant import BialgebroidPair, CourantDouble, ESection
 from .exterior import (
@@ -198,8 +199,6 @@ def is_integrable(L: Subbundle, probe_degree: int = 1) -> CheckResult:
     name = "is_integrable"
     if not L.is_full_rank():
         raise PreconditionError("generators are rank-deficient at the generic point")
-    from .polyring import monomials
-
     for i in range(len(L.generators)):
         for j in range(i + 1, len(L.generators)):
             br = L.host.bracket(L.generators[i], L.generators[j])
@@ -215,7 +214,7 @@ def is_integrable(L: Subbundle, probe_degree: int = 1) -> CheckResult:
                     False,
                     Witness(name, {"pair": f"(g{i + 1},g{j + 1})", "status": status}, reason),
                 )
-    spot = [f for f in monomials(L.host.n, probe_degree) if not f.is_constant()][:2]
+    spot = probes.nonconstant_monomials(L.host.n, probe_degree)[:2]
     for f in spot:
         for i in range(min(2, len(L.generators))):
             for j in range(len(L.generators)):

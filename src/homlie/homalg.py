@@ -6,6 +6,7 @@ trivial-line extension).
 
 from __future__ import annotations
 
+from . import probes
 from .exterior import Form, MultiVector, SectionTwist
 from .polyring import AffineTwist, Poly, monomials
 from .report import CheckResult, StructureError, Witness, first_failure
@@ -259,19 +260,6 @@ class HomAlgebroid:
         return f"HomAlgebroid(n={self.n}, rank={self.rank})"
 
 
-def _section_probes(A: HomAlgebroid, probe_degree: int):
-    """Frame sections plus monomial-scaled frame sections, labelled for
-    witness reporting."""
-    probes = [(f"e{i + 1}", A.frame(i)) for i in range(A.rank)]
-    scaled = []
-    for f in monomials(A.n, probe_degree):
-        if f.is_constant():
-            continue
-        for i in range(A.rank):
-            scaled.append((f"({f.render()})*e{i + 1}", A.frame(i).scale(f)))
-    return probes, scaled
-
-
 def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     """Verify every Hom-Lie algebroid axiom as an exact polynomial
     identity on frame sections and monomial-scaled frame sections.
@@ -279,11 +267,10 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     Returns a passing report or the first violated identity together
     with a concrete witness.
     """
-    frame, scaled = _section_probes(A, probe_degree)
-    pair_deg = min(probe_degree, PAIRWISE_PROBE_DEGREE)
-    _, scaled_small = _section_probes(A, pair_deg)
+    singles = probes.sections(A, probe_degree)
+    frame, scaled = singles[: A.rank], singles[A.rank :]
+    scaled_small = probes.sections(A, min(probe_degree, PAIRWISE_PROBE_DEGREE))[A.rank :]
     funcs = monomials(A.n, probe_degree)
-    singles = frame + scaled
     pairs = (
         [(x, y) for x in frame for y in frame]
         + [(x, y) for x in frame for y in scaled]

@@ -6,6 +6,7 @@ its graded defect.
 
 from __future__ import annotations
 
+from . import probes
 from .calculus import (
     CartanContext,
     differential,
@@ -76,22 +77,12 @@ def torsion(ctx: CartanContext, N) -> dict:
     }
 
 
-def _endo_probe_sections(ctx: CartanContext, probe_degree: int):
-    A = ctx.algebroid
-    probes = [(f"e{i + 1}", A.frame(i)) for i in range(ctx.rank)]
-    for f in monomials(ctx.n, probe_degree):
-        if f.is_constant():
-            continue
-        for i in range(ctx.rank):
-            probes.append((f"({f.render()})*e{i + 1}", A.frame(i).scale(f)))
-    return probes
-
-
 def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResult:
     """Vanishing torsion plus twist invariance; the invariance verdict
     is cross-checked against twist commutation on probe sections."""
     N = _as_endo(ctx, N)
     A = ctx.algebroid
+    sections = probes.sections(A, min(probe_degree, 1))
     results = []
     wit = None
     for (i, j), val in sorted(torsion(ctx, N).items()):
@@ -99,9 +90,8 @@ def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResul
             wit = Witness("torsion", {"X": f"e{i + 1}", "Y": f"e{j + 1}"}, val.render())
             break
     if wit is None:
-        probes = _endo_probe_sections(ctx, min(probe_degree, 1))
-        for lx, X in probes:
-            for ly, Y in probes:
+        for lx, X in sections:
+            for ly, Y in sections:
                 val = torsion_value(ctx, N, X, Y)
                 if not val.is_zero():
                     wit = Witness("torsion", {"X": lx, "Y": ly}, val.render())
@@ -121,7 +111,7 @@ def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResul
         )
     )
     commutes = True
-    for label, X in _endo_probe_sections(ctx, min(probe_degree, 1)):
+    for label, X in sections:
         res = N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))
         if not res.is_zero():
             commutes = False
@@ -144,10 +134,8 @@ def lemma_checks(ctx: CartanContext, N, Nprime, probe_degree: int = 2) -> CheckR
     twN = A.phiA.apply_endo(N)
     results = []
 
-    sections = _endo_probe_sections(ctx, probe_degree)
-    coforms = [
-        (label.replace("e", "eps", 1), reinterpret(S, Form)) for label, S in sections
-    ]
+    sections = probes.sections(A, probe_degree)
+    coforms = probes.coframes(A, probe_degree)
 
     wit = None
     for label, X in sections:
@@ -360,17 +348,6 @@ def bracket_Npi(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
     return out - differential(ctxN, pair(beta, s_alpha))
 
 
-def _coform_probes(ctx, probe_degree):
-    A = ctx.algebroid
-    probes = [(f"eps{i + 1}", A.coframe(i)) for i in range(ctx.rank)]
-    for f in monomials(ctx.n, probe_degree):
-        if f.is_constant():
-            continue
-        for i in range(ctx.rank):
-            probes.append((f"({f.render()})*eps{i + 1}", A.coframe(i).scale(f)))
-    return probes
-
-
 def is_hpn(
     ctx: CartanContext, pi, N, probe_degree: int = 2, check_equivalence: bool = True
 ) -> CheckResult:
@@ -405,10 +382,10 @@ def is_hpn(
             ),
         )
     )
-    probes = _coform_probes(ctx, min(probe_degree, 1))
+    coforms = probes.coframes(ctx.algebroid, min(probe_degree, 1))
     wit = None
-    for la, alpha in probes:
-        for lb, beta in probes:
+    for la, alpha in coforms:
+        for lb, beta in coforms:
             val = compat_C(ctx, pi, N, alpha, beta)
             if not val.is_zero():
                 wit = Witness("compatibility-tensor", {"alpha": la, "beta": lb}, val.render())
@@ -432,7 +409,7 @@ def is_hpn(
 def _prop_conditions(ctx, pi, N, probe_degree):
     """The four equivalent compatibility formulations, each evaluated on
     probe covector pairs."""
-    probes = _coform_probes(ctx, probe_degree)
+    coforms = probes.coframes(ctx.algebroid, probe_degree)
     from .poisson import bracket_pi
 
     Nt = _as_endo(ctx, N).transpose()
@@ -443,8 +420,8 @@ def _prop_conditions(ctx, pi, N, probe_degree):
         "cond-deformed-vs-transposed": True,
         "cond-derivative-tensor": True,
     }
-    for la, alpha in probes:
-        for lb, beta in probes:
+    for la, alpha in coforms:
+        for lb, beta in coforms:
             base = bracket_Npi(ctx, pi, N, alpha, beta)
             if cond["cond-compat-tensor"] and not compat_C(ctx, pi, N, alpha, beta).is_zero():
                 cond["cond-compat-tensor"] = False
@@ -566,7 +543,7 @@ def bialgebroid_defect_checks(
     dual = dual_algebroid(ctx, pi)
     A = ctx.algebroid
     Nt = N.transpose()
-    funcs = [f for f in monomials(ctx.n, probe_degree)]
+    funcs = monomials(ctx.n, probe_degree)
     results = []
 
     def sharp_defect(form):
@@ -636,7 +613,7 @@ def bialgebroid_defect_checks(
             break
     results.append(CheckResult("defect-on-exact-pairs", wit is None, wit))
 
-    coforms = _coform_probes(ctx, probe_degree)
+    coforms = probes.coframes(ctx.algebroid, probe_degree)
     dagger2 = lambda w: ctx.dagger.apply_graded(ctx.dagger.apply_graded(w))
     wit = None
     for la, alpha in coforms:

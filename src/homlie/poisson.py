@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import classical
+from . import classical, probes
 from .calculus import (
     CartanContext,
     differential,
@@ -26,7 +26,7 @@ from .exterior import (
     wedge_all,
 )
 from .homalg import HomAlgebroid, make_pullback_tangent
-from .polyring import AffineTwist, Poly, monomials
+from .polyring import AffineTwist, Poly
 from .report import (
     CheckResult,
     PreconditionError,
@@ -104,17 +104,6 @@ def _as_bivector(ctx: CartanContext, pi) -> Bivector:
     return Bivector(pi)
 
 
-def _coform_probes(ctx: CartanContext, probe_degree: int):
-    A = ctx.algebroid
-    probes = [(f"eps{i + 1}", A.coframe(i)) for i in range(ctx.rank)]
-    for f in monomials(ctx.n, probe_degree):
-        if f.is_constant():
-            continue
-        for i in range(ctx.rank):
-            probes.append((f"({f.render()})*eps{i + 1}", A.coframe(i).scale(f)))
-    return probes
-
-
 def is_hom_poisson(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult:
     """Vanishing self-bracket plus twist invariance, both as exact
     residuals."""
@@ -148,7 +137,7 @@ def sharp_commutes(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult
     A = ctx.algebroid
     commutes = True
     wit = None
-    for label, alpha in _coform_probes(ctx, probe_degree):
+    for label, alpha in probes.coframes(A, probe_degree):
         lhs = A.phiA.apply(pi.sharp_apply(alpha))
         rhs = pi.sharp_apply(ctx.dagger.apply(alpha))
         res = lhs - rhs

@@ -188,6 +188,22 @@ class TestCliProcess:
         assert out.stdout == golden
         assert out.returncode == (1 if name == "s1_bad_pi" else 0)
 
+    def test_closed_stdout_exits_without_traceback(self):
+        # the read end is closed before the child writes, so every write
+        # meets a broken pipe, as after `| head -c 100`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "homlie", "fixtures", "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=str(ROOT),
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
+
     def test_json_format_is_valid(self):
         out = self.run_cli("check", "scenarios/s0_axioms.json", "--format", "json")
         payload = json.loads(out.stdout)
