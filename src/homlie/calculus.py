@@ -27,7 +27,7 @@ from .exterior import (
 )
 from .homalg import HomAlgebroid
 from .polyring import Poly
-from .report import CheckResult, StructureError, Witness, first_failure
+from .report import CheckResult, StructureError, until_first_failure
 
 
 class CartanContext:
@@ -350,13 +350,8 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
     forms = probes.forms(A, probe_degree)
     small_forms = probes.forms(A, min(probe_degree, 1))
     sections = probes.sections(A, min(probe_degree, 2))
-    results = []
 
-    def fail(identity, inputs, residual):
-        return CheckResult(identity, False, Witness(identity, inputs, residual.render()))
-
-    def check_tensorial():
-        name = "differential-multilinearity"
+    def tensorial():
         funcs = probes.nonconstant_monomials(ctx.n, min(probe_degree, 2))
         for label, om in small_forms:
             if om.degree >= ctx.rank:
@@ -369,50 +364,34 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
                         args[pos] = args[pos].scale(f)
                         direct = differential_at(ctx, om, args)
                         tens = pair(d_om, wedge_all(ctx.rank, ctx.n, args, MultiVector))
-                        res = direct - tens
-                        if not res.is_zero():
-                            inputs = {
-                                "omega": label,
-                                "slots": "e[" + ",".join(str(i + 1) for i in I) + "]",
-                                "scaled_slot": str(pos),
-                                "f": f.render(),
-                            }
-                            return fail(name, inputs, res)
-        return CheckResult(name, True)
+                        inputs = {
+                            "omega": label,
+                            "slots": "e[" + ",".join(str(i + 1) for i in I) + "]",
+                            "scaled_slot": str(pos),
+                            "f": f,
+                        }
+                        yield inputs, direct - tens
 
-    def check_square_zero():
-        name = "differential-square-zero"
+    def square_zero():
         for label, om in forms:
-            res = differential(ctx, differential(ctx, om))
-            if not res.is_zero():
-                return fail(name, {"omega": label}, res)
-        return CheckResult(name, True)
+            yield {"omega": label}, differential(ctx, differential(ctx, om))
 
-    def check_twist_commutes():
-        name = "differential-twist-commutation"
+    def twist_commutes():
         for label, om in forms:
             lhs = differential(ctx, ctx.dagger.apply_graded(om))
             rhs = ctx.dagger.apply_graded(differential(ctx, om))
-            res = lhs - rhs
-            if not res.is_zero():
-                return fail(name, {"omega": label}, res)
-        return CheckResult(name, True)
+            yield {"omega": label}, lhs - rhs
 
-    def check_leibniz():
-        name = "differential-graded-leibniz"
+    def leibniz():
         for lw, om in small_forms:
             for le, eta in small_forms:
                 lhs = differential(ctx, om.wedge(eta))
                 rhs = differential(ctx, om).wedge(ctx.dagger.apply_graded(eta))
                 tail = ctx.dagger.apply_graded(om).wedge(differential(ctx, eta))
                 rhs = rhs + tail if om.degree % 2 == 0 else rhs - tail
-                res = lhs - rhs
-                if not res.is_zero():
-                    return fail(name, {"omega": lw, "eta": le}, res)
-        return CheckResult(name, True)
+                yield {"omega": lw, "eta": le}, lhs - rhs
 
-    def check_pairing_identity():
-        name = "lie-derivative-pairing"
+    def pairing_identity():
         for la, alpha in probes.coframes(A, min(probe_degree, 2)):
             for lx, X in sections:
                 L_alpha = lie_derivative_form(ctx, X, alpha)
@@ -423,19 +402,15 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
                     rhs = A.anchor_apply(A.phiA.apply(X), pair(alpha, invY)) - pair(
                         dag_alpha, schouten(ctx, X, invY)
                     )
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        return fail(name, {"alpha": la, "X": lx, "Y": ly}, res)
-        return CheckResult(name, True)
+                    yield {"alpha": la, "X": lx, "Y": ly}, lhs - rhs
 
-    for chk in (
-        check_tensorial,
-        check_square_zero,
-        check_twist_commutes,
-        check_leibniz,
-        check_pairing_identity,
-    ):
-        results.append(chk())
-        if not results[-1].passed:
-            break
-    return first_failure("check_differential_props", results)
+    return until_first_failure(
+        "check_differential_props",
+        [
+            ("differential-multilinearity", tensorial()),
+            ("differential-square-zero", square_zero()),
+            ("differential-twist-commutation", twist_commutes()),
+            ("differential-graded-leibniz", leibniz()),
+            ("lie-derivative-pairing", pairing_identity()),
+        ],
+    )

@@ -23,7 +23,7 @@ from .courant import (
 )
 from .dirac import Subbundle, dirac_checks, graph, graph_theorem_check, maurer_cartan_defect
 from .fixtures import list_fixtures
-from .homalg import HomAlgebroid, check_axioms
+from .homalg import check_axioms
 from .nijenhuis import (
     bialgebroid_defect_checks,
     d_n_props,
@@ -37,11 +37,11 @@ from .poisson import (
     check_bialgebroid_pair,
     dual_algebroid,
     is_hom_poisson,
-    pi_pi_identity,
+    pi_pi_residual,
     sharp_commutes,
 )
 from .courant import check_bialgebroid
-from .report import CheckResult, PreconditionError, TheoremViolation, Witness
+from .report import CheckResult, PreconditionError, TheoremViolation, Witness, first_nonzero
 from .scenario import Scenario, ScenarioError, load_scenario
 
 
@@ -78,14 +78,7 @@ def _pair(scn: Scenario) -> BialgebroidPair:
                 scn.algebroid, dual_algebroid(_ctx(scn), _need_pi(scn), scn.probe_degree)
             )
         else:
-            from .exterior import SectionTwist
-
-            ctx = _ctx(scn)
-            twist = SectionTwist(
-                [list(r) for r in ctx.dagger.matrix], scn.algebroid.phi, "multivector"
-            )
-            dual = HomAlgebroid(scn.algebroid.phi, twist, spec["anchor"], spec["structure"])
-            pair = BialgebroidPair(scn.algebroid, dual)
+            pair = BialgebroidPair(scn.algebroid, spec)
         scn.cache[key] = pair
     return scn.cache[key]
 
@@ -115,13 +108,12 @@ def _task_sharp_commutes(scn):
 def _task_pi_pi_identity(scn):
     ctx = _ctx(scn)
     pi = _need_pi(scn)
-    A = scn.algebroid
-    for i in range(A.rank):
-        for j in range(A.rank):
-            res = pi_pi_identity(ctx, pi, A.coframe(i), A.coframe(j))
-            if not res.passed:
-                return res
-    return CheckResult("pi_pi_identity", True)
+    co = [scn.algebroid.coframe(i) for i in range(scn.algebroid.rank)]
+    cases = (
+        ({"alpha": a, "beta": b}, pi_pi_residual(ctx, pi, a, b)) for a in co for b in co
+    )
+    found = first_nonzero("pi-pi-contraction", cases)
+    return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 
 def _task_check_dual_algebroid(scn):
@@ -218,13 +210,8 @@ def _task_graph_theorem_check(scn):
 
 def _task_maurer_cartan(scn):
     defect = maurer_cartan_defect(_pair(scn), _need_pi(scn))
-    if defect.is_zero():
-        return CheckResult("maurer_cartan", True)
-    return CheckResult(
-        "maurer_cartan",
-        False,
-        Witness("maurer-cartan-equation", {"pi": _need_pi(scn).render()}, defect.render()),
-    )
+    found = first_nonzero("maurer-cartan-equation", [({"pi": scn.pi}, defect)])
+    return CheckResult("maurer_cartan", found.passed, found.witness)
 
 
 TASKS = {

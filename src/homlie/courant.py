@@ -27,8 +27,9 @@ from .report import (
     PreconditionError,
     StructureError,
     TheoremViolation,
-    Witness,
     first_failure,
+    first_nonzero,
+    until_first_failure,
 )
 
 
@@ -98,25 +99,17 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
     bracket, and symmetrically with the roles exchanged."""
     A, ctx = P.A, P.ctx
     sections = probes.sections(A, probe_degree)
-    results = []
 
     def direction_primal():
-        name = "dual-derivation-of-bracket"
         for lx, X in sections:
             for ly, Y in sections:
                 lhs = P.dual_differential(A.bracket(X, Y))
                 rhs = schouten(ctx, P.dual_differential(X), A.phiA.apply(Y)) + schouten(
                     ctx, A.phiA.apply(X), P.dual_differential(Y)
                 )
-                res = lhs - rhs
-                if not res.is_zero():
-                    return CheckResult(
-                        name, False, Witness(name, {"X": lx, "Y": ly}, res.render())
-                    )
-        return CheckResult(name, True)
+                yield {"X": lx, "Y": ly}, lhs - rhs
 
     def direction_dual():
-        name = "primal-derivation-of-dual-bracket"
         co = probes.coframes(A, probe_degree)
         for lx, xi in co:
             for ly, eta in co:
@@ -124,15 +117,12 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
                 rhs = P.dual_schouten(
                     P.primal_differential(xi), ctx.dagger.apply_graded(eta)
                 ) + P.dual_schouten(ctx.dagger.apply_graded(xi), P.primal_differential(eta))
-                res = lhs - rhs
-                if not res.is_zero():
-                    return CheckResult(
-                        name, False, Witness(name, {"xi": lx, "eta": ly}, res.render())
-                    )
-        return CheckResult(name, True)
+                yield {"xi": lx, "eta": ly}, lhs - rhs
 
-    for chk in (direction_primal, direction_dual):
-        results.append(chk())
+    results = [
+        first_nonzero("dual-derivation-of-bracket", direction_primal()),
+        first_nonzero("primal-derivation-of-dual-bracket", direction_dual()),
+    ]
     return first_failure("check_bialgebroid", results)
 
 
@@ -378,7 +368,6 @@ def script_D(E: CourantDouble, f: Poly) -> ESection:
 def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> CheckResult:
     """The antisymmetrized product agrees with the closed bracket
     formula on probe sections (doubles only)."""
-    name = "closed-bracket-formula"
     if E.product_table is not None:
         raise PreconditionError("closed formula applies to doubles built from a pair")
     P = E.pair
@@ -387,27 +376,28 @@ def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> Che
     from .exterior import pair as duality
 
     sections = probes.double_sections(E, probe_degree)
-    for lu, u in sections:
-        for lv, v in sections:
-            X, xi = E.split(u)
-            Y, eta = E.split(v)
-            cross = duality(eta, X) - duality(xi, Y)
-            a_part = (
-                P.A.bracket(X, Y)
-                + P.dual_lie_on_section(xi, Y)
-                - P.dual_lie_on_section(eta, X)
-                + P.dual_differential(MultiVector.scalar(E.r, E.n, cross)).scale(half)
-            )
-            b_part = (
-                P.dual_bracket(xi, eta)
-                + lie_derivative_form(ctx, X, eta)
-                - lie_derivative_form(ctx, Y, xi)
-                - differential(ctx, cross).scale(half)
-            )
-            res = E.bracket(u, v) - E.join(a_part, b_part)
-            if not res.is_zero():
-                return CheckResult(name, False, Witness(name, {"u": lu, "v": lv}, res.render()))
-    return CheckResult(name, True)
+
+    def cases():
+        for lu, u in sections:
+            for lv, v in sections:
+                X, xi = E.split(u)
+                Y, eta = E.split(v)
+                cross = duality(eta, X) - duality(xi, Y)
+                a_part = (
+                    P.A.bracket(X, Y)
+                    + P.dual_lie_on_section(xi, Y)
+                    - P.dual_lie_on_section(eta, X)
+                    + P.dual_differential(MultiVector.scalar(E.r, E.n, cross)).scale(half)
+                )
+                b_part = (
+                    P.dual_bracket(xi, eta)
+                    + lie_derivative_form(ctx, X, eta)
+                    - lie_derivative_form(ctx, Y, xi)
+                    - differential(ctx, cross).scale(half)
+                )
+                yield {"u": lu, "v": lv}, E.bracket(u, v) - E.join(a_part, b_part)
+
+    return first_nonzero("closed-bracket-formula", cases())
 
 
 def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult:
@@ -418,22 +408,14 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
     funcs = monomials(E.n, probe_degree)
     pb = E.phi.pullback
     inv_pb = E.phi.inverse_pullback
-    results = []
-
-    def fail(name, inputs, residual):
-        return CheckResult(name, False, Witness(name, inputs, residual))
 
     def axiom_i_a():
-        name = "product-twist-homomorphism"
         for lu, u in pair_probes:
             for lv, v in pair_probes:
                 res = E.phiE(E.product(u, v)) - E.product(E.phiE(u), E.phiE(v))
-                if not res.is_zero():
-                    return fail(name, {"u": lu, "v": lv}, res.render())
-        return CheckResult(name, True)
+                yield {"u": lu, "v": lv}, res
 
     def axiom_i_b():
-        name = "product-hom-leibniz"
         frames = probes.double_sections(E, 0)
         funcs1 = probes.nonconstant_monomials(E.n, 1)
         triples = [(x, y, z) for x in frames for y in frames for z in frames]
@@ -460,53 +442,35 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
             rhs = E.product(prod(l1, e1, l2, e2), E.phiE(e3)) + E.product(
                 E.phiE(e2), prod(l1, e1, l3, e3)
             )
-            res = lhs - rhs
-            if not res.is_zero():
-                return fail(name, {"e1": l1, "e2": l2, "e3": l3}, res.render())
-        return CheckResult(name, True)
+            yield {"e1": l1, "e2": l2, "e3": l3}, lhs - rhs
 
     def axiom_ii():
-        name = "anchor-twist-conjugation"
         for lu, u in pair_probes:
             for f in funcs:
                 lhs = E.rho_apply(E.phiE(u), f)
                 rhs = pb(E.rho_apply(u, inv_pb(f)))
-                res = lhs - rhs
-                if not res.is_zero():
-                    return fail(name, {"u": lu, "f": f.render()}, res.render())
-        return CheckResult(name, True)
+                yield {"u": lu, "f": f}, lhs - rhs
 
     def axiom_iii():
-        name = "anchor-product-compatibility"
         for lu, u in pair_probes:
             for lv, v in pair_probes:
                 ru, rv = E.rho_field(u), E.rho_field(v)
                 rp = E.rho_field(E.product(u, v))
                 for f in funcs:
                     res = rp.apply(f) - bracket_phistar_apply(E.phi, ru, rv, f)
-                    if not res.is_zero():
-                        return fail(name, {"u": lu, "v": lv, "f": f.render()}, res.render())
-        return CheckResult(name, True)
+                    yield {"u": lu, "v": lv, "f": f}, res
 
     def axiom_iv():
-        name = "square-is-metric-gradient"
         for lu, u in mixed_probes:
-            res = E.product(u, u) - E.script_D(E.pairing(u, u))
-            if not res.is_zero():
-                return fail(name, {"u": lu}, res.render())
-        return CheckResult(name, True)
+            yield {"u": lu}, E.product(u, u) - E.script_D(E.pairing(u, u))
 
     def axiom_v():
-        name = "pairing-twist-compatibility"
         for lu, u in mixed_probes:
             for lv, v in mixed_probes:
                 res = E.pairing(E.phiE(u), E.phiE(v)) - pb(E.pairing(u, v))
-                if not res.is_zero():
-                    return fail(name, {"u": lu, "v": lv}, res.render())
-        return CheckResult(name, True)
+                yield {"u": lu, "v": lv}, res
 
     def axiom_vi():
-        name = "pairing-derivation"
         for le, e in pair_probes:
             rho_tw = E.rho_field(E.phiE(e))
             products = [(l1, e1, E.product(e, e1)) for l1, e1 in pair_probes]
@@ -514,13 +478,9 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
                 for l2, e2, prod_e2 in products:
                     lhs = rho_tw.apply(E.pairing(e1, e2))
                     rhs = E.pairing(prod_e1, E.phiE(e2)) + E.pairing(E.phiE(e1), prod_e2)
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        return fail(name, {"e": le, "e1": l1, "e2": l2}, res.render())
-        return CheckResult(name, True)
+                    yield {"e": le, "e1": l1, "e2": l2}, lhs - rhs
 
     def function_rules():
-        name = "function-multiplication-rules"
         frames = E.frame_sections()
         scalars = probes.nonconstant_monomials(E.n, probe_degree)
         for a in range(2 * E.r):
@@ -530,33 +490,29 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
                 for f in scalars:
                     left = E.product(u, v.scale(f))
                     right1 = base.scale(pb(f)) + E.phiE(v).scale(E.rho_apply(E.phiE(u), f))
-                    res = left - right1
-                    if not res.is_zero():
-                        return fail(
-                            name,
-                            {"rule": "right-slot", "u": f"E{a + 1}", "v": f"E{b + 1}", "f": f.render()},
-                            res.render(),
-                        )
+                    slots = {"u": f"E{a + 1}", "v": f"E{b + 1}", "f": f}
+                    yield {"rule": "right-slot", **slots}, left - right1
                     left2 = E.product(u.scale(f), v)
                     right2 = (
                         base.scale(pb(f))
                         - E.phiE(u).scale(E.rho_apply(E.phiE(v), f))
                         + E.script_D(f).scale(pb(E.pairing(u, v)) * 2)
                     )
-                    res2 = left2 - right2
-                    if not res2.is_zero():
-                        return fail(
-                            name,
-                            {"rule": "left-slot", "u": f"E{a + 1}", "v": f"E{b + 1}", "f": f.render()},
-                            res2.render(),
-                        )
-        return CheckResult(name, True)
+                    yield {"rule": "left-slot", **slots}, left2 - right2
 
-    for chk in (axiom_i_a, axiom_i_b, axiom_ii, axiom_iii, axiom_iv, axiom_v, axiom_vi, function_rules):
-        results.append(chk())
-        if not results[-1].passed:
-            break
-    return first_failure("check_courant_axioms", results)
+    return until_first_failure(
+        "check_courant_axioms",
+        [
+            ("product-twist-homomorphism", axiom_i_a()),
+            ("product-hom-leibniz", axiom_i_b()),
+            ("anchor-twist-conjugation", axiom_ii()),
+            ("anchor-product-compatibility", axiom_iii()),
+            ("square-is-metric-gradient", axiom_iv()),
+            ("pairing-twist-compatibility", axiom_v()),
+            ("pairing-derivation", axiom_vi()),
+            ("function-multiplication-rules", function_rules()),
+        ],
+    )
 
 
 def jacobiator(E: CourantDouble, e1: ESection, e2: ESection, e3: ESection):

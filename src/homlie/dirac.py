@@ -21,7 +21,7 @@ from .exterior import (
     MultiVector,
     SectionTwist,
     poly_mat_det,
-    twist_tensor,
+    twist_invariance,
 )
 from .homalg import HomAlgebroid
 from .poisson import Bivector, _as_bivector
@@ -32,6 +32,7 @@ from .report import (
     StructureError,
     Witness,
     first_failure,
+    first_nonzero,
 )
 
 
@@ -156,19 +157,15 @@ class Subbundle:
 def is_isotropic(L: Subbundle) -> CheckResult:
     """The pairing vanishes on every generator pair; with full rank this
     is maximal isotropy."""
-    name = "is_isotropic"
     if not L.is_full_rank():
         raise PreconditionError("generators are rank-deficient at the generic point")
-    for i in range(len(L.generators)):
-        for j in range(i, len(L.generators)):
-            val = L.host.pairing(L.generators[i], L.generators[j])
-            if not val.is_zero():
-                return CheckResult(
-                    name,
-                    False,
-                    Witness(name, {"g_i": f"g{i + 1}", "g_j": f"g{j + 1}"}, val.render()),
-                )
-    return CheckResult(name, True)
+    gens = L.generators
+    pairings = (
+        ({"g_i": f"g{i + 1}", "g_j": f"g{j + 1}"}, L.host.pairing(gens[i], gens[j]))
+        for i in range(len(gens))
+        for j in range(i, len(gens))
+    )
+    return first_nonzero("is_isotropic", pairings)
 
 
 def is_phi_invariant(L: Subbundle) -> CheckResult:
@@ -291,11 +288,10 @@ def maurer_cartan_defect(P: BialgebroidPair, pi) -> MultiVector:
     """Dual differential of the bivector plus half its graded square."""
     ctx = P.ctx
     pi = _as_bivector(ctx, pi)
-    inv_res = twist_tensor(pi.table, P.A.phiA) - pi.table
-    if not inv_res.is_zero():
+    inv = twist_invariance("pi", pi.table, P.A.phiA)
+    if not inv.passed:
         raise PreconditionError(
-            "bivector is not twist-invariant: " + inv_res.render(),
-            Witness("twist-invariance", {"pi": pi.render()}, inv_res.render()),
+            "bivector is not twist-invariant: " + inv.witness.residual, inv.witness
         )
     half = Poly.const(ctx.n, "1/2")
     return P.dual_differential(pi.table) + schouten(ctx, pi.table, pi.table).scale(half)
@@ -324,15 +320,18 @@ def graph_theorem_check(P: BialgebroidPair, H) -> CheckResult:
     mc_zero = False
     if skew:
         pi = Bivector.from_sharp(H_mat, n)
-        inv = (twist_tensor(pi.table, P.A.phiA) - pi.table).is_zero()
+        inv = twist_invariance("pi", pi.table, P.A.phiA).passed
         commutation = inv
         if inv:
             mc_zero = maurer_cartan_defect(P, pi).is_zero()
     side_b = skew and commutation and mc_zero
     agree = side_a.passed == side_b
-    wit = None
-    if not agree:
-        wit = Witness(
+    return CheckResult(
+        "graph_theorem_check",
+        agree,
+        None
+        if agree
+        else Witness(
             "graph-characterization",
             {
                 "subbundle-checks": str(side_a.passed),
@@ -341,11 +340,7 @@ def graph_theorem_check(P: BialgebroidPair, H) -> CheckResult:
                 "obstruction-vanishes": str(mc_zero),
             },
             "the two characterizations disagree",
-        )
-    return CheckResult(
-        "graph_theorem_check",
-        agree,
-        wit,
+        ),
         details={
             "subbundle-side": side_a.passed,
             "tensor-side": side_b,

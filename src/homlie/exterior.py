@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .polyring import AffineTwist, Poly
-from .report import StructureError
+from .report import CheckResult, StructureError, first_nonzero
 
 
 def _merge_sign(I: tuple, J: tuple):
@@ -577,6 +577,12 @@ def twist_tensor(T, Phi: SectionTwist):
             return Phi.apply_endo(T)
         return Phi.dual().apply_endo(T)
     raise StructureError(f"cannot twist {type(T).__name__}")
+
+
+def twist_invariance(label: str, T, Phi: SectionTwist) -> CheckResult:
+    """The residual twist_tensor(T) - T must vanish; a witness shows T
+    under `label`."""
+    return first_nonzero("twist-invariance", [({label: T}, twist_tensor(T, Phi) - T)])
 
 
 def reinterpret(x: GradedElement, cls) -> GradedElement:

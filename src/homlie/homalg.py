@@ -9,7 +9,7 @@ from __future__ import annotations
 from . import probes
 from .exterior import Form, MultiVector, SectionTwist
 from .polyring import AffineTwist, Poly, monomials
-from .report import CheckResult, StructureError, Witness, first_failure
+from .report import CheckResult, StructureError, until_first_failure
 
 # Pairwise-scaled probes grow quadratically, so they use a reduced
 # degree bound; single-scaled probes use the full requested degree.
@@ -277,34 +277,21 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
         + [(x, y) for x in scaled for y in frame]
         + [(x, y) for x in scaled_small for y in scaled_small]
     )
-    results = []
 
-    def witness(identity, inputs, residual):
-        return CheckResult(identity, False, Witness(identity, inputs, residual.render()))
-
-    def check_linearity():
-        name = "phiA-function-linearity"
+    def linearity():
         for label, X in singles:
             for f in funcs:
                 lhs = A.phiA.apply(X.scale(f))
                 rhs = A.phiA.apply(X).scale(A.phi.pullback(f))
-                res = lhs - rhs
-                if not res.is_zero():
-                    return witness(name, {"X": label, "f": f.render()}, res)
-        return CheckResult(name, True)
+                yield {"X": label, "f": f}, lhs - rhs
 
-    def check_hom():
-        name = "phiA-bracket-homomorphism"
+    def hom():
         for (lx, X), (ly, Y) in pairs:
             lhs = A.phiA.apply(A.bracket(X, Y))
             rhs = A.bracket(A.phiA.apply(X), A.phiA.apply(Y))
-            res = lhs - rhs
-            if not res.is_zero():
-                return witness(name, {"X": lx, "Y": ly}, res)
-        return CheckResult(name, True)
+            yield {"X": lx, "Y": ly}, lhs - rhs
 
-    def check_jacobi():
-        name = "hom-jacobi"
+    def jacobi():
         triples = [(x, y, z) for x in frame for y in frame for z in frame]
         for pos in range(3):
             for probe in scaled:
@@ -324,61 +311,46 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
                 + A.bracket(A.phiA.apply(Y), A.bracket(Z, X))
                 + A.bracket(A.phiA.apply(Z), A.bracket(X, Y))
             )
-            if not total.is_zero():
-                return witness(name, {"X": lx, "Y": ly, "Z": lz}, total)
-        return CheckResult(name, True)
+            yield {"X": lx, "Y": ly, "Z": lz}, total
 
-    def check_leibniz():
-        name = "leibniz-rule"
+    def leibniz():
         for (lx, X), (ly, Y) in pairs:
             for f in funcs:
                 lhs = A.bracket(X, Y.scale(f))
                 rhs = A.bracket(X, Y).scale(A.phi.pullback(f)) + A.phiA.apply(Y).scale(
                     A.anchor_apply(A.phiA.apply(X), f)
                 )
-                res = lhs - rhs
-                if not res.is_zero():
-                    return witness(name, {"X": lx, "Y": ly, "f": f.render()}, res)
-        return CheckResult(name, True)
+                yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 
-    def check_anchor_twist():
-        name = "anchor-twist-compatibility"
+    def anchor_twist():
         for label, X in singles:
             a_tw = A.anchor_field(A.phiA.apply(X))
             a_raw = A.anchor_field(X)
             for f in funcs:
                 lhs = a_tw.apply(f)
                 rhs = A.phi.pullback(a_raw.apply(A.phi.inverse_pullback(f)))
-                res = lhs - rhs
-                if not res.is_zero():
-                    return witness(name, {"X": label, "f": f.render()}, res)
-        return CheckResult(name, True)
+                yield {"X": label, "f": f}, lhs - rhs
 
-    def check_anchor_bracket():
-        name = "anchor-bracket-compatibility"
+    def anchor_bracket():
         for (lx, X), (ly, Y) in pairs:
             a_br = A.anchor_field(A.bracket(X, Y))
             ax, ay = A.anchor_field(X), A.anchor_field(Y)
             for f in funcs:
                 lhs = a_br.apply(f)
                 rhs = bracket_phistar_apply(A.phi, ax, ay, f)
-                res = lhs - rhs
-                if not res.is_zero():
-                    return witness(name, {"X": lx, "Y": ly, "f": f.render()}, res)
-        return CheckResult(name, True)
+                yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 
-    for chk in (
-        check_linearity,
-        check_hom,
-        check_jacobi,
-        check_leibniz,
-        check_anchor_twist,
-        check_anchor_bracket,
-    ):
-        results.append(chk())
-        if not results[-1].passed:
-            break
-    return first_failure("check_axioms", results)
+    return until_first_failure(
+        "check_axioms",
+        [
+            ("phiA-function-linearity", linearity()),
+            ("phiA-bracket-homomorphism", hom()),
+            ("hom-jacobi", jacobi()),
+            ("leibniz-rule", leibniz()),
+            ("anchor-twist-compatibility", anchor_twist()),
+            ("anchor-bracket-compatibility", anchor_bracket()),
+        ],
+    )
 
 
 def make_pullback_tangent(phi: AffineTwist) -> HomAlgebroid:

@@ -6,6 +6,8 @@ its graded defect.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import probes
 from .calculus import (
     CartanContext,
@@ -21,7 +23,7 @@ from .exterior import (
     MultiVector,
     pair,
     reinterpret,
-    twist_tensor,
+    twist_invariance,
 )
 from .homalg import HomAlgebroid
 from .poisson import Bivector, _as_bivector, dual_algebroid, is_hom_poisson
@@ -32,6 +34,7 @@ from .report import (
     TheoremViolation,
     Witness,
     first_failure,
+    first_nonzero,
 )
 
 
@@ -83,39 +86,23 @@ def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResul
     N = _as_endo(ctx, N)
     A = ctx.algebroid
     sections = probes.sections(A, min(probe_degree, 1))
-    results = []
-    wit = None
-    for (i, j), val in sorted(torsion(ctx, N).items()):
-        if not val.is_zero():
-            wit = Witness("torsion", {"X": f"e{i + 1}", "Y": f"e{j + 1}"}, val.render())
-            break
-    if wit is None:
-        for lx, X in sections:
-            for ly, Y in sections:
-                val = torsion_value(ctx, N, X, Y)
-                if not val.is_zero():
-                    wit = Witness("torsion", {"X": lx, "Y": ly}, val.render())
-                    break
-            if wit is not None:
-                break
-    results.append(CheckResult("torsion", wit is None, wit))
-    inv_res = twist_tensor(N, A.phiA) - N
-    invariant = inv_res.is_zero()
-    results.append(
-        CheckResult(
-            "twist-invariance",
-            invariant,
-            None
-            if invariant
-            else Witness("twist-invariance", {"N": N.render()}, inv_res.render()),
-        )
+    frame_table = (
+        ({"X": f"e{i + 1}", "Y": f"e{j + 1}"}, val)
+        for (i, j), val in sorted(torsion(ctx, N).items())
     )
-    commutes = True
-    for label, X in sections:
-        res = N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))
-        if not res.is_zero():
-            commutes = False
-            break
+    probe_pairs = (
+        ({"X": lx, "Y": ly}, torsion_value(ctx, N, X, Y))
+        for lx, X in sections
+        for ly, Y in sections
+    )
+    results = [
+        first_nonzero("torsion", chain(frame_table, probe_pairs)),
+        twist_invariance("N", N, A.phiA),
+    ]
+    invariant = results[1].passed
+    commutes = all(
+        (N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))).is_zero() for _, X in sections
+    )
     if commutes != invariant:
         raise TheoremViolation(
             f"twist commutation ({commutes}) disagrees with invariance ({invariant})"
@@ -132,49 +119,26 @@ def lemma_checks(ctx: CartanContext, N, Nprime, probe_degree: int = 2) -> CheckR
     Nprime = _as_endo(ctx, Nprime)
     A = ctx.algebroid
     twN = A.phiA.apply_endo(N)
-    results = []
-
+    twNt = ctx.dagger.apply_endo(N.transpose())
     sections = probes.sections(A, probe_degree)
     coforms = probes.coframes(A, probe_degree)
 
-    wit = None
-    for label, X in sections:
-        res = A.phiA.apply(N.apply(X)) - twN.apply(A.phiA.apply(X))
-        if not res.is_zero():
-            wit = Witness("twist-of-image", {"X": label}, res.render())
-            break
-    results.append(CheckResult("twist-of-image", wit is None, wit))
+    def image():
+        for label, X in sections:
+            yield {"X": label}, A.phiA.apply(N.apply(X)) - twN.apply(A.phiA.apply(X))
 
-    twNt = ctx.dagger.apply_endo(N.transpose())
-    wit = None
-    for label, xi in coforms:
-        res = ctx.dagger.apply(N.transpose().apply(xi)) - twNt.apply(ctx.dagger.apply(xi))
-        if not res.is_zero():
-            wit = Witness("twist-of-transpose-image", {"xi": label}, res.render())
-            break
-    results.append(CheckResult("twist-of-transpose-image", wit is None, wit))
+    def transpose_image():
+        for label, xi in coforms:
+            res = ctx.dagger.apply(N.transpose().apply(xi)) - twNt.apply(ctx.dagger.apply(xi))
+            yield {"xi": label}, res
 
-    res = twNt - twN.transpose()
-    results.append(
-        CheckResult(
-            "transpose-commutes-with-twist",
-            res.is_zero(),
-            None
-            if res.is_zero()
-            else Witness("transpose-commutes-with-twist", {}, res.render()),
-        )
-    )
-
-    res = A.phiA.apply_endo(N.compose(Nprime)) - twN.compose(A.phiA.apply_endo(Nprime))
-    results.append(
-        CheckResult(
-            "twist-of-composite",
-            res.is_zero(),
-            None
-            if res.is_zero()
-            else Witness("twist-of-composite", {}, res.render()),
-        )
-    )
+    composite = A.phiA.apply_endo(N.compose(Nprime)) - twN.compose(A.phiA.apply_endo(Nprime))
+    results = [
+        first_nonzero("twist-of-image", image()),
+        first_nonzero("twist-of-transpose-image", transpose_image()),
+        first_nonzero("transpose-commutes-with-twist", [({}, twNt - twN.transpose())]),
+        first_nonzero("twist-of-composite", [({}, composite)]),
+    ]
 
     invariant = (twN - N).is_zero()
     commutes = all(
@@ -215,12 +179,12 @@ def _deformed_data(ctx: CartanContext, N) -> HomAlgebroid:
     endomorphism makes the twisted Leibniz expansion exact."""
     N = _as_endo(ctx, N)
     A = ctx.algebroid
-    inv_res = twist_tensor(N, A.phiA) - N
-    if not inv_res.is_zero():
+    inv = twist_invariance("N", N, A.phiA)
+    if not inv.passed:
         raise PreconditionError(
             "deformation requires a twist-invariant endomorphism: residual "
-            + inv_res.render(),
-            Witness("twist-invariance", {"N": N.render()}, inv_res.render()),
+            + inv.witness.residual,
+            inv.witness,
         )
     structure = {}
     for i in range(ctx.rank):
@@ -261,23 +225,22 @@ def d_n_props(ctx: CartanContext, N, probe_degree: int = 3) -> CheckResult:
     N = _as_endo(ctx, N)
     ctxN = CartanContext(deformed_algebroid(ctx, N, min(probe_degree, 2)))
     Nt = N.transpose()
-    results = []
-    wit = None
-    for f in monomials(ctx.n, probe_degree):
-        res = differential(ctxN, f) - Nt.apply(differential(ctx, f))
-        if not res.is_zero():
-            wit = Witness("deformed-differential-on-functions", {"f": f.render()}, res.render())
-            break
-    results.append(CheckResult("deformed-differential-on-functions", wit is None, wit))
-    wit = None
-    for f in monomials(ctx.n, probe_degree):
-        res = differential(ctxN, differential(ctx, f)) + differential(
-            ctx, differential(ctxN, f)
-        )
-        if not res.is_zero():
-            wit = Witness("differentials-anticommute", {"f": f.render()}, res.render())
-            break
-    results.append(CheckResult("differentials-anticommute", wit is None, wit))
+
+    def on_functions():
+        for f in monomials(ctx.n, probe_degree):
+            yield {"f": f}, differential(ctxN, f) - Nt.apply(differential(ctx, f))
+
+    def anticommute():
+        for f in monomials(ctx.n, probe_degree):
+            res = differential(ctxN, differential(ctx, f)) + differential(
+                ctx, differential(ctxN, f)
+            )
+            yield {"f": f}, res
+
+    results = [
+        first_nonzero("deformed-differential-on-functions", on_functions()),
+        first_nonzero("differentials-anticommute", anticommute()),
+    ]
     return first_failure("d_n_props", results)
 
 
@@ -360,44 +323,24 @@ def is_hpn(
     results = [is_hom_poisson(ctx, pi, probe_degree)]
     results.append(is_hom_nijenhuis(ctx, N, probe_degree))
     res_mat = _sharp_commutation_residual(ctx, pi, N)
-    bad = next(
-        (
-            (i, j)
-            for i in range(ctx.rank)
-            for j in range(ctx.rank)
-            if not res_mat[i][j].is_zero()
-        ),
-        None,
+    entries = (
+        ({"entry": f"({i + 1},{j + 1})"}, res_mat[i][j])
+        for i in range(ctx.rank)
+        for j in range(ctx.rank)
     )
-    results.append(
-        CheckResult(
-            "sharp-endo-commutation",
-            bad is None,
-            None
-            if bad is None
-            else Witness(
-                "sharp-endo-commutation",
-                {"entry": f"({bad[0] + 1},{bad[1] + 1})"},
-                res_mat[bad[0]][bad[1]].render(),
-            ),
-        )
-    )
+    results.append(first_nonzero("sharp-endo-commutation", entries))
     coforms = probes.coframes(ctx.algebroid, min(probe_degree, 1))
-    wit = None
-    for la, alpha in coforms:
-        for lb, beta in coforms:
-            val = compat_C(ctx, pi, N, alpha, beta)
-            if not val.is_zero():
-                wit = Witness("compatibility-tensor", {"alpha": la, "beta": lb}, val.render())
-                break
-        if wit is not None:
-            break
-    results.append(CheckResult("compatibility-tensor", wit is None, wit))
+    tensor = (
+        ({"alpha": la, "beta": lb}, compat_C(ctx, pi, N, alpha, beta))
+        for la, alpha in coforms
+        for lb, beta in coforms
+    )
+    results.append(first_nonzero("compatibility-tensor", tensor))
     merged = first_failure("is_hpn", results)
 
     pi_invariant = results[0].details.get("twist-invariance") == "pass"
     n_invariant = results[1].details.get("twist-invariance") == "pass"
-    kakansei_ok = bad is None
+    kakansei_ok = results[2].passed
     if check_equivalence and kakansei_ok and pi_invariant and n_invariant:
         conds = _prop_conditions(ctx, pi, N, min(probe_degree, 1))
         merged.details.update(conds)
@@ -479,20 +422,12 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
             results.append(
                 CheckResult(f"stage-{k}-power-{p}", sub.passed, sub.witness)
             )
-    wit = None
-    commuting = True
-    for k in range(len(towers)):
-        for l in range(k, len(towers)):
-            br = schouten(ctx, towers[k].table, towers[l].table)
-            if not br.is_zero():
-                commuting = False
-                wit = Witness(
-                    "stage-brackets-vanish", {"k": str(k), "l": str(l)}, br.render()
-                )
-                break
-        if not commuting:
-            break
-    results.append(CheckResult("stage-brackets-vanish", commuting, wit))
+    brackets = (
+        ({"k": str(k), "l": str(l)}, schouten(ctx, towers[k].table, towers[l].table))
+        for k in range(len(towers))
+        for l in range(k, len(towers))
+    )
+    results.append(first_nonzero("stage-brackets-vanish", brackets))
     return towers, first_failure("hierarchy", results)
 
 
@@ -544,7 +479,6 @@ def bialgebroid_defect_checks(
     A = ctx.algebroid
     Nt = N.transpose()
     funcs = monomials(ctx.n, probe_degree)
-    results = []
 
     def sharp_defect(form):
         return MultiVector.from_vector(
@@ -553,108 +487,70 @@ def bialgebroid_defect_checks(
             (N.apply(pi.sharp_apply(form)) - pi.sharp_apply(Nt.apply(form))).vector(),
         )
 
-    wit = None
-    for f in funcs:
-        for g in funcs:
-            lhs = bialgebroid_defect(ctx, pi, N, f, g, dual=dual).scalar_value()
-            rhs = pair(
-                differential(ctx, A.phi.pullback(f)),
-                sharp_defect(differential(ctx, A.phi.pullback(g))),
-            )
-            if not (lhs - rhs).is_zero():
-                wit = Witness(
-                    "defect-on-functions",
-                    {"f": f.render(), "g": g.render()},
-                    (lhs - rhs).render(),
+    def on_functions():
+        for f in funcs:
+            for g in funcs:
+                lhs = bialgebroid_defect(ctx, pi, N, f, g, dual=dual).scalar_value()
+                rhs = pair(
+                    differential(ctx, A.phi.pullback(f)),
+                    sharp_defect(differential(ctx, A.phi.pullback(g))),
                 )
-                break
-        if wit is not None:
-            break
-    results.append(CheckResult("defect-on-functions", wit is None, wit))
+                yield {"f": f, "g": g}, lhs - rhs
 
-    wit = None
-    for f in funcs:
-        for g in funcs:
-            lhs = bialgebroid_defect(
-                ctx, pi, N, differential(ctx, f), g, dual=dual
-            )
-            rhs = compat_C(
-                ctx,
-                pi,
-                N,
-                differential(ctx, A.phi.pullback(f)),
-                differential(ctx, g),
-            )
-            if not (lhs - rhs).is_zero():
-                wit = Witness(
-                    "defect-on-exact-and-function",
-                    {"f": f.render(), "g": g.render()},
-                    (lhs - rhs).render(),
+    def on_exact_and_function():
+        for f in funcs:
+            for g in funcs:
+                lhs = bialgebroid_defect(ctx, pi, N, differential(ctx, f), g, dual=dual)
+                rhs = compat_C(
+                    ctx,
+                    pi,
+                    N,
+                    differential(ctx, A.phi.pullback(f)),
+                    differential(ctx, g),
                 )
-                break
-        if wit is not None:
-            break
-    results.append(CheckResult("defect-on-exact-and-function", wit is None, wit))
+                yield {"f": f, "g": g}, lhs - rhs
 
-    wit = None
-    for f in funcs:
-        for g in funcs:
-            df, dg = differential(ctx, f), differential(ctx, g)
-            lhs = bialgebroid_defect(ctx, pi, N, df, dg, dual=dual)
-            rhs = -differential(ctx, compat_C(ctx, pi, N, df, dg))
-            if not (lhs - rhs).is_zero():
-                wit = Witness(
-                    "defect-on-exact-pairs",
-                    {"f": f.render(), "g": g.render()},
-                    (lhs - rhs).render(),
-                )
-                break
-        if wit is not None:
-            break
-    results.append(CheckResult("defect-on-exact-pairs", wit is None, wit))
+    def on_exact_pairs():
+        for f in funcs:
+            for g in funcs:
+                df, dg = differential(ctx, f), differential(ctx, g)
+                lhs = bialgebroid_defect(ctx, pi, N, df, dg, dual=dual)
+                rhs = -differential(ctx, compat_C(ctx, pi, N, df, dg))
+                yield {"f": f, "g": g}, lhs - rhs
 
     coforms = probes.coframes(ctx.algebroid, probe_degree)
     dagger2 = lambda w: ctx.dagger.apply_graded(ctx.dagger.apply_graded(w))
-    wit = None
-    for la, alpha in coforms:
-        for lb, beta in coforms:
-            for lc, gamma in coforms:
-                lhs = bialgebroid_defect(ctx, pi, N, alpha, beta.wedge(gamma), dual=dual)
-                first = bialgebroid_defect(ctx, pi, N, alpha, beta, dual=dual).wedge(
-                    dagger2(gamma)
-                )
-                second = dagger2(beta).wedge(
-                    bialgebroid_defect(ctx, pi, N, alpha, gamma, dual=dual)
-                )
-                rhs = first + second if (alpha.degree * beta.degree) % 2 == 0 else first - second
-                if not (lhs - rhs).is_zero():
-                    wit = Witness(
-                        "defect-wedge-rule",
-                        {"alpha": la, "beta": lb, "gamma": lc},
-                        (lhs - rhs).render(),
-                    )
-                    break
-            if wit is not None:
-                break
-        if wit is not None:
-            break
-    results.append(CheckResult("defect-wedge-rule", wit is None, wit))
 
-    wit = None
-    for la, alpha in coforms:
-        for lb, beta in coforms:
-            lhs = bialgebroid_defect(ctx, pi, N, alpha, beta, dual=dual)
-            rhs = bialgebroid_defect(ctx, pi, N, beta, alpha, dual=dual)
-            sign = -1 if ((alpha.degree - 1) * (beta.degree - 1)) % 2 == 0 else 1
-            res = lhs - rhs.scale(sign)
-            if not res.is_zero():
-                wit = Witness(
-                    "defect-graded-antisymmetry", {"alpha": la, "beta": lb}, res.render()
-                )
-                break
-        if wit is not None:
-            break
-    results.append(CheckResult("defect-graded-antisymmetry", wit is None, wit))
+    def wedge_rule():
+        for la, alpha in coforms:
+            for lb, beta in coforms:
+                for lc, gamma in coforms:
+                    lhs = bialgebroid_defect(ctx, pi, N, alpha, beta.wedge(gamma), dual=dual)
+                    first = bialgebroid_defect(ctx, pi, N, alpha, beta, dual=dual).wedge(
+                        dagger2(gamma)
+                    )
+                    second = dagger2(beta).wedge(
+                        bialgebroid_defect(ctx, pi, N, alpha, gamma, dual=dual)
+                    )
+                    even = (alpha.degree * beta.degree) % 2 == 0
+                    rhs = first + second if even else first - second
+                    yield {"alpha": la, "beta": lb, "gamma": lc}, lhs - rhs
+
+    def graded_antisymmetry():
+        for la, alpha in coforms:
+            for lb, beta in coforms:
+                lhs = bialgebroid_defect(ctx, pi, N, alpha, beta, dual=dual)
+                rhs = bialgebroid_defect(ctx, pi, N, beta, alpha, dual=dual)
+                sign = -1 if ((alpha.degree - 1) * (beta.degree - 1)) % 2 == 0 else 1
+                yield {"alpha": la, "beta": lb}, lhs - rhs.scale(sign)
+
+    results = [
+        first_nonzero("defect-on-functions", on_functions()),
+        first_nonzero("defect-on-exact-and-function", on_exact_and_function()),
+        first_nonzero("defect-on-exact-pairs", on_exact_pairs()),
+        first_nonzero("defect-wedge-rule", wedge_rule()),
+        first_nonzero("defect-graded-antisymmetry", graded_antisymmetry()),
+    ]
     return first_failure("bialgebroid_defect_checks", results)
 
 
@@ -685,16 +581,15 @@ def hpn_bialgebroid_equiv(
     b2 = pair_check.details.get("dual-derivation-of-bracket") == "pass"
     b3 = pair_check.details.get("primal-derivation-of-dual-bracket") == "pass"
     agree = b1 == b2 == b3
-    wit = None
-    if not agree:
-        wit = Witness(
-            "hpn-bialgebroid-equivalence",
-            {"is-hpn": str(b1), "deformed-dual": str(b2), "dual-deformed": str(b3)},
-            "verdicts differ",
-        )
     return CheckResult(
         "hpn_bialgebroid_equiv",
         agree,
-        wit,
+        None
+        if agree
+        else Witness(
+            "hpn-bialgebroid-equivalence",
+            {"is-hpn": str(b1), "deformed-dual": str(b2), "dual-deformed": str(b3)},
+            "verdicts differ",
+        ),
         details={"is-hpn": b1, "deformed-dual": b2, "dual-deformed": b3},
     )

@@ -22,7 +22,7 @@ from .exterior import (
     SectionTwist,
     eval_multivector,
     pair,
-    twist_tensor,
+    twist_invariance,
     wedge_all,
 )
 from .homalg import HomAlgebroid, make_pullback_tangent
@@ -33,6 +33,7 @@ from .report import (
     TheoremViolation,
     Witness,
     first_failure,
+    first_nonzero,
 )
 
 
@@ -108,25 +109,10 @@ def is_hom_poisson(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult
     """Vanishing self-bracket plus twist invariance, both as exact
     residuals."""
     pi = _as_bivector(ctx, pi)
-    results = []
-    inv_res = twist_tensor(pi.table, ctx.algebroid.phiA) - pi.table
-    if inv_res.is_zero():
-        results.append(CheckResult("twist-invariance", True))
-    else:
-        results.append(
-            CheckResult(
-                "twist-invariance",
-                False,
-                Witness("twist-invariance", {"pi": pi.render()}, inv_res.render()),
-            )
-        )
-    sq = schouten(ctx, pi.table, pi.table)
-    if sq.is_zero():
-        results.append(CheckResult("self-bracket", True))
-    else:
-        results.append(
-            CheckResult("self-bracket", False, Witness("self-bracket", {"pi": pi.render()}, sq.render()))
-        )
+    results = [
+        twist_invariance("pi", pi.table, ctx.algebroid.phiA),
+        first_nonzero("self-bracket", [({"pi": pi}, schouten(ctx, pi.table, pi.table))]),
+    ]
     return first_failure("is_hom_poisson", results)
 
 
@@ -135,21 +121,20 @@ def sharp_commutes(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult
     invariance; the two verdicts must agree."""
     pi = _as_bivector(ctx, pi)
     A = ctx.algebroid
-    commutes = True
-    wit = None
-    for label, alpha in probes.coframes(A, probe_degree):
-        lhs = A.phiA.apply(pi.sharp_apply(alpha))
-        rhs = pi.sharp_apply(ctx.dagger.apply(alpha))
-        res = lhs - rhs
-        if not res.is_zero():
-            commutes = False
-            wit = Witness("sharp-twist-commutation", {"alpha": label}, res.render())
-            break
-    invariant = (twist_tensor(pi.table, A.phiA) - pi.table).is_zero()
+
+    def cases():
+        for label, alpha in probes.coframes(A, probe_degree):
+            lhs = A.phiA.apply(pi.sharp_apply(alpha))
+            rhs = pi.sharp_apply(ctx.dagger.apply(alpha))
+            yield {"alpha": label}, lhs - rhs
+
+    found = first_nonzero("sharp-twist-commutation", cases())
+    commutes = found.passed
+    invariant = twist_invariance("pi", pi.table, A.phiA).passed
     result = CheckResult(
         "sharp_commutes",
         commutes,
-        wit,
+        found.witness,
         details={"invariant": invariant, "commutes": commutes, "equivalent": commutes == invariant},
     )
     if commutes != invariant:
@@ -210,11 +195,10 @@ def d_pi(ctx: CartanContext, pi, D) -> MultiVector:
     call."""
     pi = _as_bivector(ctx, pi)
     A = ctx.algebroid
-    inv_res = twist_tensor(pi.table, A.phiA) - pi.table
-    if not inv_res.is_zero():
+    inv = twist_invariance("pi", pi.table, A.phiA)
+    if not inv.passed:
         raise PreconditionError(
-            "bivector is not twist-invariant: residual " + inv_res.render(),
-            Witness("twist-invariance", {"pi": pi.render()}, inv_res.render()),
+            "bivector is not twist-invariant: residual " + inv.witness.residual, inv.witness
         )
     D = ctx.as_multivector(D)
     k = D.degree
@@ -250,10 +234,9 @@ def d_pi(ctx: CartanContext, pi, D) -> MultiVector:
     return out
 
 
-def pi_pi_identity(ctx: CartanContext, pi, alpha: Form, beta: Form) -> CheckResult:
-    """Half the self-bracket contracted against twisted covectors equals
-    the sharp-commutator defect; holds whether or not the self-bracket
-    vanishes."""
+def pi_pi_residual(ctx: CartanContext, pi, alpha: Form, beta: Form) -> MultiVector:
+    """Half the self-bracket contracted against the twisted covectors,
+    minus the sharp-commutator defect."""
     pi = _as_bivector(ctx, pi)
     A = ctx.algebroid
     sq = schouten(ctx, pi.table, pi.table)
@@ -268,16 +251,18 @@ def pi_pi_identity(ctx: CartanContext, pi, alpha: Form, beta: Form) -> CheckResu
     rhs = A.bracket(pi.sharp_apply(alpha), pi.sharp_apply(beta)) - pi.sharp_apply(
         bracket_pi(ctx, pi, alpha, beta)
     )
-    res = lhs - rhs
-    passed = res.is_zero()
-    wit = None
-    if not passed:
-        wit = Witness(
-            "pi-pi-contraction",
-            {"alpha": alpha.render(), "beta": beta.render()},
-            res.render(),
-        )
-    return CheckResult("pi_pi_identity", passed, wit)
+    return lhs - rhs
+
+
+def pi_pi_identity(ctx: CartanContext, pi, alpha: Form, beta: Form) -> CheckResult:
+    """Half the self-bracket contracted against twisted covectors equals
+    the sharp-commutator defect; holds whether or not the self-bracket
+    vanishes."""
+    found = first_nonzero(
+        "pi-pi-contraction",
+        [({"alpha": alpha, "beta": beta}, pi_pi_residual(ctx, pi, alpha, beta))],
+    )
+    return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 
 def lift_bivector(phi: AffineTwist, pi_classical):
@@ -314,10 +299,12 @@ def classical_poisson_lift(phi: AffineTwist, pi_classical) -> CheckResult:
         "hom-poisson": hom_poisson,
         "hom-invariant": hom_invariant,
     }
-    wit = None
-    if not agrees:
-        wit = Witness("lift-correspondence", {"pi": pi_cl.render()}, str(details))
-    return CheckResult("classical_poisson_lift", agrees, wit, details)
+    return CheckResult(
+        "classical_poisson_lift",
+        agrees,
+        None if agrees else Witness("lift-correspondence", {"pi": pi_cl.render()}, str(details)),
+        details,
+    )
 
 
 def check_bialgebroid_pair(ctx: CartanContext, pi, probe_degree: int = 2) -> CheckResult:

@@ -79,6 +79,21 @@ class CheckResult:
         return out
 
 
+def first_nonzero(identity: str, cases) -> CheckResult:
+    """Check one identity on lazily evaluated (inputs, residual) cases.
+
+    Consumption stops at the first nonzero residual, which fails the
+    check with a witness.  Input values that are not strings (a Poly, a
+    Bivector, an EndoMap) are rendered only then, so a passing check
+    renders nothing.
+    """
+    for inputs, residual in cases:
+        if not residual.is_zero():
+            shown = {k: v if isinstance(v, str) else v.render() for k, v in inputs.items()}
+            return CheckResult(identity, False, Witness(identity, shown, residual.render()))
+    return CheckResult(identity, True)
+
+
 def first_failure(name: str, results, details=None) -> CheckResult:
     """Merge sub-results with a fixed ordering; first failure wins."""
     merged = CheckResult(name, True, details=dict(details or {}))
@@ -88,3 +103,15 @@ def first_failure(name: str, results, details=None) -> CheckResult:
             merged.passed = False
             merged.witness = res.witness
     return merged
+
+
+def until_first_failure(name: str, identities) -> CheckResult:
+    """Check (identity, cases) pairs in order with first_nonzero and
+    stop after the first failing identity; the results run so far are
+    merged by first_failure."""
+    results = []
+    for identity, cases in identities:
+        results.append(first_nonzero(identity, cases))
+        if not results[-1].passed:
+            break
+    return first_failure(name, results)

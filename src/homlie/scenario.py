@@ -120,6 +120,30 @@ def _parse_matrix(n_vars, rows, cols, value, path):
     return out
 
 
+def _parse_structure(n, rank, spec, path) -> dict:
+    """Structure-function items {i, j, k, coeff} with 1-based frame
+    indices, summed per (i, j, k)."""
+    _require(isinstance(spec, list), path, "expected a list")
+    structure = {}
+    for k, item in enumerate(spec):
+        ipath = f"{path}[{k}]"
+        _require(isinstance(item, dict), ipath, "expected an object")
+        extra = set(item) - {"i", "j", "k", "coeff"}
+        _require(not extra, ipath, f"unknown keys {sorted(extra)}")
+        for key in ("i", "j", "k"):
+            _require(
+                isinstance(item.get(key), int) and 1 <= item[key] <= rank,
+                f"{ipath}.{key}",
+                f"expected a frame index in 1..{rank}",
+            )
+        _require("coeff" in item, ipath, "missing coeff")
+        c = _parse_poly(n, item["coeff"], f"{ipath}.coeff")
+        key = (item["i"] - 1, item["j"] - 1, item["k"] - 1)
+        prev = structure.get(key)
+        structure[key] = c if prev is None else prev + c
+    return structure
+
+
 @dataclass
 class Scenario:
     n: int
@@ -188,24 +212,7 @@ def parse_scenario(data: dict) -> Scenario:
         )
     anchor = _parse_matrix(n, n, rank, data["anchor_matrix"], "$.anchor_matrix")
 
-    structure = {}
-    struct_spec = data["structure"] if "structure" in data else []
-    _require(isinstance(struct_spec, list), "$.structure", "expected a list")
-    for k, item in enumerate(struct_spec):
-        path = f"$.structure[{k}]"
-        _require(isinstance(item, dict), path, "expected an object")
-        extra = set(item) - {"i", "j", "k", "coeff"}
-        _require(not extra, path, f"unknown keys {sorted(extra)}")
-        for key in ("i", "j", "k"):
-            _require(
-                isinstance(item.get(key), int) and 1 <= item[key] <= rank,
-                f"{path}.{key}",
-                f"expected a frame index in 1..{rank}",
-            )
-        c = _parse_poly(n, item["coeff"], f"{path}.coeff")
-        key = (item["i"] - 1, item["j"] - 1, item["k"] - 1)
-        prev = structure.get(key)
-        structure[key] = c if prev is None else prev + c
+    structure = _parse_structure(n, rank, data.get("structure", []), "$.structure")
     try:
         algebroid = HomAlgebroid(phi, phiA, anchor, structure)
     except ValueError as exc:
@@ -227,6 +234,7 @@ def parse_scenario(data: dict) -> Scenario:
                 path,
                 f"expected indices with 1 <= i < j <= {rank}",
             )
+            _require("coeff" in item, path, "missing coeff")
             c = _parse_poly(n, item["coeff"], f"{path}.coeff")
             key = (i - 1, j - 1)
             coeffs[key] = coeffs.get(key, Poly.zero(n)) + c
@@ -248,16 +256,14 @@ def parse_scenario(data: dict) -> Scenario:
             _require(isinstance(spec, dict), "$.dual", "expected 'trivial', 'from_pi' or an object")
             extra = set(spec) - {"structure", "anchor"}
             _require(not extra, "$.dual", f"unknown keys {sorted(extra)}")
-            d_struct = {}
-            for k, item in enumerate(spec.get("structure", [])):
-                path = f"$.dual.structure[{k}]"
-                _require(isinstance(item, dict), path, "expected an object")
-                extra = set(item) - {"i", "j", "k", "coeff"}
-                _require(not extra, path, f"unknown keys {sorted(extra)}")
-                key = (item["i"] - 1, item["j"] - 1, item["k"] - 1)
-                d_struct[key] = _parse_poly(n, item["coeff"], f"{path}.coeff")
+            d_struct = _parse_structure(n, rank, spec.get("structure", []), "$.dual.structure")
             d_anchor = _parse_matrix(n, n, rank, spec.get("anchor", [[0] * rank] * n), "$.dual.anchor")
-            dual_spec = {"structure": d_struct, "anchor": d_anchor}
+            # the dual side carries the dagger of the section twist
+            d_twist = SectionTwist([list(r) for r in phiA.dual().matrix], phi, "multivector")
+            try:
+                dual_spec = HomAlgebroid(phi, d_twist, d_anchor, d_struct)
+            except ValueError as exc:
+                raise ScenarioError("$.dual.structure", str(exc)) from None
 
     dirac_spec = None
     if "dirac" in data:

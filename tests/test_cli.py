@@ -175,6 +175,37 @@ class TestCliProcess:
         assert "$.phiA_matrix" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"structure": [{"i": 1, "j": 2, "k": 1}]}, "$.structure[0]"),
+            ({"pi": [{"i": 1, "j": 2}]}, "$.pi[0]"),
+            ({"dual": {"structure": [{"i": 1, "j": 2, "k": 1}]}}, "$.dual.structure[0]"),
+            ({"dual": {"structure": [{"j": 2, "k": 1, "coeff": "1"}]}}, "$.dual.structure[0].i"),
+            (
+                {"dual": {"structure": [{"i": 1, "j": 3, "k": 1, "coeff": "1"}]}},
+                "$.dual.structure[0].j",
+            ),
+            ({"dual": {"structure": [{"i": 2, "j": 2, "k": 1, "coeff": "1"}]}}, "$.dual.structure"),
+        ],
+        ids=[
+            "structure-without-coeff",
+            "pi-without-coeff",
+            "dual-structure-without-coeff",
+            "dual-structure-without-i",
+            "dual-structure-j-out-of-range",
+            "dual-structure-diagonal",
+        ],
+    )
+    def test_exit_two_on_malformed_item(self, tmp_path, overrides, path):
+        data = s1_scenario_dict(tasks=["check_bialgebroid"], **overrides)
+        p = tmp_path / "item.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert f"scenario error: {path}" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_exit_two_on_negative_probe_degree(self):
         out = self.run_cli("check", "scenarios/s0_axioms.json", "--probe-degree", "-1")
         assert out.returncode == 2

@@ -1,0 +1,52 @@
+"""Import hygiene: no module of the package imports a name it never
+uses (the package's `__init__.py` re-exports by design)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "homlie"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # `import a.b` binds `a`, which attribute access then uses
+    used |= {
+        n.value.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+    }
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nfrom x import a, b\nprint(b)\n") == [
+        "a (line 2)",
+        "os (line 1)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -1,0 +1,78 @@
+"""The one residual loop: `first_nonzero` turns lazily evaluated
+(inputs, residual) cases into a check result with a witness, and
+`until_first_failure` runs identities in order up to the first failure."""
+
+from homlie.exterior import EndoMap
+from homlie.polyring import Poly
+from homlie.report import CheckResult, first_failure, first_nonzero, until_first_failure
+
+x = Poly.variable(2, 0)
+y = Poly.variable(2, 1)
+zero = Poly.zero(2)
+
+
+def counted(cases, seen):
+    for case in cases:
+        seen.append(case)
+        yield case
+
+
+def test_stops_consuming_after_first_nonzero_residual():
+    seen = []
+    cases = [({"i": "1"}, zero), ({"i": "2"}, x), ({"i": "3"}, y)]
+    res = first_nonzero("id", counted(cases, seen))
+    assert not res.passed
+    assert len(seen) == 2
+    assert res.witness.inputs == {"i": "2"}
+    assert res.witness.residual == "x"
+
+
+def test_poly_inputs_render_like_render():
+    f = x * x * y + Poly.const(2, "1/2")
+    res = first_nonzero("id", [({"f": f, "label": "e1"}, y)])
+    assert res.witness.inputs == {"f": f.render(), "label": "e1"}
+    assert res.render() == f"id: FAIL [identity=id; f={f.render()}; label=e1; residual=y]"
+
+
+def test_other_renderable_inputs_render_on_failure():
+    N = EndoMap.diagonal(2, [1, 2])
+    res = first_nonzero("twist-invariance", [({"N": N}, N)])
+    assert res.witness.inputs == {"N": N.render()}
+    assert res.witness.residual == N.render()
+
+
+def test_passing_inputs_are_never_rendered():
+    class Unrenderable:
+        def render(self):
+            raise AssertionError("rendered on a passing case")
+
+    res = first_nonzero("id", [({"f": Unrenderable()}, zero)])
+    assert res.passed
+
+
+def test_pass_has_no_witness_and_no_details():
+    res = first_nonzero("id", [({"f": x}, zero), ({"f": y}, zero)])
+    assert res == CheckResult("id", True)
+    assert res.witness is None and res.details == {}
+    assert res.render() == "id: pass"
+
+
+def test_empty_cases_pass():
+    assert first_nonzero("id", iter(())) == CheckResult("id", True)
+
+
+def test_until_first_failure_stops_after_failing_identity():
+    started = []
+
+    def cases(name, residual):
+        started.append(name)
+        yield {}, residual
+
+    res = until_first_failure(
+        "all",
+        [("a", cases("a", zero)), ("b", cases("b", x)), ("c", cases("c", zero))],
+    )
+    assert started == ["a", "b"]
+    assert res.details == {"a": "pass", "b": "FAIL"}
+    assert res.witness.identity == "b"
+    assert res == first_failure("all", [CheckResult("a", True), first_nonzero("b", [({}, x)])])
