@@ -1,8 +1,11 @@
 """Benchmark the term-map kernels: compiled extension vs pure Python.
 
 Times the three operations that dominate every identity sweep
-(polynomial product, merge-add, affine substitution) plus one
-end-to-end axiom check.  Run from the repository root:
+(polynomial product, merge-add, affine substitution), a warm
+AffineTwist.pullback (the path verdicts take: monomial images are
+looked up in the twist's table, so the substitution kernel runs only
+while the table fills), and one end-to-end axiom check.  Run from the
+repository root:
 
     python3 benchmarks/bench_kernels.py
 """
@@ -67,6 +70,18 @@ def bench(impl, repeats=2000):
     return t_mul, t_add, t_sub
 
 
+def bench_pullback(repeats=2000):
+    from homlie.polyring import AffineTwist, Poly
+
+    phi = AffineTwist([[2, 1, 0], [1, 1, 1], [0, 1, 3]], [1, 0, Fraction(1, 2)])
+    f = Poly(3, dense_terms(3, 4))
+    phi.pullback(f)  # fill the monomial table once
+    start = time.perf_counter()
+    for _ in range(repeats):
+        phi.pullback(f)
+    return time.perf_counter() - start
+
+
 def bench_axioms():
     from homlie.homalg import check_axioms, make_pullback_tangent
     from homlie.polyring import AffineTwist
@@ -95,7 +110,8 @@ def main():
         print(f"speedup (python/compiled): {speedups}")
     from homlie.kernels import BACKEND
 
-    print(f"\nend-to-end axiom check (selected backend: {BACKEND}): {bench_axioms():.3f}s")
+    print(f"\nwarm AffineTwist.pullback (selected backend: {BACKEND}): {bench_pullback():.3f}s")
+    print(f"end-to-end axiom check (selected backend: {BACKEND}): {bench_axioms():.3f}s")
 
 
 if __name__ == "__main__":

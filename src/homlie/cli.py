@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from itertools import product
 
 from .calculus import CartanContext, check_differential_props
 from .courant import (
@@ -37,7 +38,7 @@ from .poisson import (
     check_bialgebroid_pair,
     dual_algebroid,
     is_hom_poisson,
-    pi_pi_residual,
+    pi_pi_cases,
     sharp_commutes,
 )
 from .courant import check_bialgebroid
@@ -109,10 +110,7 @@ def _task_pi_pi_identity(scn):
     ctx = _ctx(scn)
     pi = _need_pi(scn)
     co = [scn.algebroid.coframe(i) for i in range(scn.algebroid.rank)]
-    cases = (
-        ({"alpha": a, "beta": b}, pi_pi_residual(ctx, pi, a, b)) for a in co for b in co
-    )
-    found = first_nonzero("pi-pi-contraction", cases)
+    found = first_nonzero("pi-pi-contraction", pi_pi_cases(ctx, pi, product(co, co)))
     return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 

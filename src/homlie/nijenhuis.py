@@ -320,8 +320,15 @@ def is_hpn(
     their agreement recorded."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
-    results = [is_hom_poisson(ctx, pi, probe_degree)]
-    results.append(is_hom_nijenhuis(ctx, N, probe_degree))
+    ok_pi = is_hom_poisson(ctx, pi, probe_degree)
+    ok_N = is_hom_nijenhuis(ctx, N, probe_degree)
+    return _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence)
+
+
+def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence):
+    """is_hpn given the results of is_hom_poisson and is_hom_nijenhuis
+    on (pi, N) at probe_degree."""
+    results = [ok_pi, ok_N]
     res_mat = _sharp_commutation_residual(ctx, pi, N)
     entries = (
         ({"entry": f"({i + 1},{j + 1})"}, res_mat[i][j])
@@ -573,7 +580,7 @@ def hpn_bialgebroid_equiv(
             "endomorphism is not a valid deformation: " + ok_N.witness.render(),
             ok_N.witness,
         )
-    hpn = is_hpn(ctx, pi, N, probe_degree=probe_degree, check_equivalence=False)
+    hpn = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence=False)
     A_N = _deformed_data(ctx, N)
     dual = dual_algebroid(ctx, pi)
     pair_check = check_bialgebroid(BialgebroidPair(A_N, dual), probe_degree)

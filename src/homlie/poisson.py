@@ -234,34 +234,34 @@ def d_pi(ctx: CartanContext, pi, D) -> MultiVector:
     return out
 
 
-def pi_pi_residual(ctx: CartanContext, pi, alpha: Form, beta: Form) -> MultiVector:
-    """Half the self-bracket contracted against the twisted covectors,
-    minus the sharp-commutator defect."""
+def pi_pi_cases(ctx: CartanContext, pi, pairs):
+    """(inputs, residual) for each covector pair (alpha, beta): half the
+    self-bracket contracted against the twisted covectors, minus the
+    sharp-commutator defect.  The self-bracket does not depend on the
+    pair, so it is computed once for all of them."""
     pi = _as_bivector(ctx, pi)
     A = ctx.algebroid
     sq = schouten(ctx, pi.table, pi.table)
-    d_alpha = ctx.dagger.apply(alpha)
-    d_beta = ctx.dagger.apply(beta)
-    lhs_coeffs = []
-    for k in range(ctx.rank):
-        W = wedge_all(ctx.rank, ctx.n, [d_alpha, d_beta, A.coframe(k)], Form)
-        lhs_coeffs.append(pair(W, sq))
     half = Poly.const(ctx.n, "1/2")
-    lhs = MultiVector.from_vector(ctx.rank, ctx.n, [half * c for c in lhs_coeffs])
-    rhs = A.bracket(pi.sharp_apply(alpha), pi.sharp_apply(beta)) - pi.sharp_apply(
-        bracket_pi(ctx, pi, alpha, beta)
-    )
-    return lhs - rhs
+    for alpha, beta in pairs:
+        d_alpha = ctx.dagger.apply(alpha)
+        d_beta = ctx.dagger.apply(beta)
+        lhs_coeffs = []
+        for k in range(ctx.rank):
+            W = wedge_all(ctx.rank, ctx.n, [d_alpha, d_beta, A.coframe(k)], Form)
+            lhs_coeffs.append(pair(W, sq))
+        lhs = MultiVector.from_vector(ctx.rank, ctx.n, [half * c for c in lhs_coeffs])
+        rhs = A.bracket(pi.sharp_apply(alpha), pi.sharp_apply(beta)) - pi.sharp_apply(
+            bracket_pi(ctx, pi, alpha, beta)
+        )
+        yield {"alpha": alpha, "beta": beta}, lhs - rhs
 
 
 def pi_pi_identity(ctx: CartanContext, pi, alpha: Form, beta: Form) -> CheckResult:
     """Half the self-bracket contracted against twisted covectors equals
     the sharp-commutator defect; holds whether or not the self-bracket
     vanishes."""
-    found = first_nonzero(
-        "pi-pi-contraction",
-        [({"alpha": alpha, "beta": beta}, pi_pi_residual(ctx, pi, alpha, beta))],
-    )
+    found = first_nonzero("pi-pi-contraction", pi_pi_cases(ctx, pi, [(alpha, beta)]))
     return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 

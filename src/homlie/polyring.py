@@ -250,9 +250,20 @@ class AffineTwist:
 
     Serves as the base map: its pullback acts on Poly by substitution
     and has an exact inverse because M is invertible over the rationals.
+
+    Each direction (pullback, inverse_pullback) keeps its own monomial
+    table: one entry per distinct exponent tuple that direction has
+    seen, mapping it to the term dict of that monomial's image, filled
+    once by the substitution kernel.  A pullback is the sum of the
+    scaled table entries of its terms.  A table is never handed out, so
+    its entries are never mutated; it is bounded by the number of
+    monomials of the inputs' degree, C(n + d, d).
     """
 
-    __slots__ = ("n", "matrix", "offset", "matrix_inv", "_images", "_inv_images", "_pow", "_inv_pow", "_is_id")
+    __slots__ = (
+        "n", "matrix", "offset", "matrix_inv", "_images", "_inv_images",
+        "_pow", "_inv_pow", "_table", "_inv_table", "_is_id",
+    )
 
     def __init__(self, matrix, offset=None):
         self.n = len(matrix)
@@ -280,6 +291,8 @@ class AffineTwist:
         # power caches for the substitution kernel, grown on demand
         self._pow = [[{(0,) * n: Fraction(1)}, p.terms] for p in self._images]
         self._inv_pow = [[{(0,) * n: Fraction(1)}, p.terms] for p in self._inv_images]
+        self._table = {}
+        self._inv_table = {}
         self._is_id = self.is_identity()
 
     @classmethod
@@ -311,29 +324,31 @@ class AffineTwist:
         b = [sum(self.matrix[i][k] * other.offset[k] for k in range(n)) + self.offset[i] for i in range(n)]
         return AffineTwist(m, b)
 
-    def _substitute(self, f: Poly, cache) -> Poly:
+    def _substitute(self, f: Poly, powers, table) -> Poly:
         if f.n != self.n:
             raise DimensionMismatch("polynomial and base map dimensions differ")
         if self._is_id:
             return f
-        need = 0
-        for k in f.terms:
-            for e in k:
-                if e > need:
-                    need = e
-        for i in range(self.n):
-            col = cache[i]
-            while len(col) <= need:
-                col.append(kernels.poly_mul(col[-1], col[1]))
-        return Poly._raw(self.n, kernels.poly_substitute(f.terms, cache, self.n))
+        out = {}
+        for k, v in f.terms.items():
+            image = table.get(k)
+            if image is None:
+                need = max(k, default=0)
+                for col in powers:
+                    while len(col) <= need:
+                        col.append(kernels.poly_mul(col[-1], col[1]))
+                image = table[k] = kernels.poly_substitute({k: Fraction(1)}, powers, self.n)
+            # poly_add copies its operands' terms, so out never aliases the table
+            out = kernels.poly_add(out, image if v == 1 else kernels.poly_scale(image, v))
+        return Poly._raw(self.n, out)
 
     def pullback(self, f: Poly) -> Poly:
         """f composed with the map (substitute each variable's image)."""
-        return self._substitute(f, self._pow)
+        return self._substitute(f, self._pow, self._table)
 
     def inverse_pullback(self, f: Poly) -> Poly:
         """Two-sided inverse of pullback."""
-        return self._substitute(f, self._inv_pow)
+        return self._substitute(f, self._inv_pow, self._inv_table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineTwist):

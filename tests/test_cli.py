@@ -111,6 +111,44 @@ class TestRunScenario:
         assert report["verdict"] == "fail"
 
 
+class TestRepeatedWork:
+    """Values that do not change inside a task are computed once."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_pi_pi_self_bracket_once_per_task(self, monkeypatch):
+        from homlie import poisson
+        from homlie.cli import _task_pi_pi_identity
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        calls = self.counted(monkeypatch, poisson, "schouten")
+        assert _task_pi_pi_identity(scn).passed
+        assert len(calls) == 1
+
+    def test_hpn_equivalence_reuses_preconditions(self, monkeypatch):
+        from homlie import nijenhuis
+        from homlie.cli import _task_hpn_bialgebroid_equiv
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        poisson_calls = self.counted(monkeypatch, nijenhuis, "is_hom_poisson")
+        nijenhuis_calls = self.counted(monkeypatch, nijenhuis, "is_hom_nijenhuis")
+        res = _task_hpn_bialgebroid_equiv(scn)
+        assert res.passed
+        assert res.details == {"is-hpn": True, "deformed-dual": True, "dual-deformed": True}
+        assert len(poisson_calls) == 1
+        assert len(nijenhuis_calls) == 1
+
+
 class TestCliProcess:
     def run_cli(self, *args):
         return subprocess.run(

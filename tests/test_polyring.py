@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlie import kernels
 from homlie.polyring import (
     AffineTwist,
     DimensionMismatch,
@@ -138,6 +139,93 @@ class TestInversePullback:
         phi = AffineTwist([[1, 2], [1, 3]], [5, Fraction(-1, 2)])
         assert pullback(phi, inverse_pullback(phi, f)) == f
         assert inverse_pullback(phi, pullback(phi, f)) == f
+
+
+def substitute_reference(phi, f):
+    """f after phi by one poly_substitute call on freshly built powers of
+    the variables' images, without the twist's monomial tables."""
+    n = phi.n
+    images = [
+        Poly(n, {tuple(int(j == k) for k in range(n)): phi.matrix[i][j] for j in range(n)})
+        + phi.offset[i]
+        for i in range(n)
+    ]
+    need = max((e for k in f.terms for e in k), default=0)
+    powers = []
+    for img in images:
+        col = [{(0,) * n: Fraction(1)}, img.terms]
+        while len(col) <= need:
+            col.append(kernels.poly_mul(col[-1], img.terms))
+        powers.append(col)
+    return Poly(n, kernels.poly_substitute(f.terms, powers, n))
+
+
+def dense_map():
+    return AffineTwist([[1, 2], [Fraction(-1, 3), 3]], [5, Fraction(-1, 2)])
+
+
+class TestPullbackTable:
+    @given(polys(max_degree=4, max_terms=6))
+    @settings(max_examples=60)
+    def test_matches_substitution_kernel(self, f):
+        phi = dense_map()
+        assert pullback(phi, f) == substitute_reference(phi, f)
+        assert inverse_pullback(phi, f) == substitute_reference(phi.inverse(), f)
+
+    @given(st.lists(st.tuples(st.booleans(), polys(max_degree=4)), max_size=8))
+    @settings(max_examples=40)
+    def test_directions_interleaved_on_one_twist(self, calls):
+        phi = dense_map()
+        inverse = phi.inverse()
+        for forward, f in calls + calls:
+            if forward:
+                assert pullback(phi, f) == substitute_reference(phi, f)
+            else:
+                assert inverse_pullback(phi, f) == substitute_reference(inverse, f)
+
+    def test_zero_and_identity(self):
+        phi = dense_map()
+        assert pullback(phi, Poly.zero(2)) == Poly.zero(2)
+        assert inverse_pullback(phi, Poly.zero(2)) == Poly.zero(2)
+        ident = AffineTwist.identity(2)
+        f = x * x * y + 3
+        assert pullback(ident, f) is f
+        assert inverse_pullback(ident, f) is f
+
+    @given(polys(max_degree=4, max_terms=6))
+    @settings(max_examples=40)
+    def test_round_trip_on_warm_tables(self, f):
+        phi = dense_map()
+        for _ in range(2):
+            assert inverse_pullback(phi, pullback(phi, f)) == f
+            assert pullback(phi, inverse_pullback(phi, f)) == f
+
+    @pytest.mark.parametrize("f", [x * y, x * y + 2 * x - 1], ids=["one-term", "scaled-sum"])
+    def test_results_do_not_alias_the_table(self, f):
+        phi = dense_map()
+        expected = pullback(phi, f)
+        for _ in range(2):
+            got = pullback(phi, f)
+            assert got == expected
+            got.terms.clear()
+            got.terms[(7, 7)] = Fraction(1)
+        assert pullback(phi, f) == expected
+        assert inverse_pullback(phi, pullback(phi, f)) == f
+
+    def test_one_entry_per_distinct_monomial_and_direction(self):
+        phi = dense_map()
+        f = x * x + 3 * x * y
+        g = 2 * x * x - y + 1
+        h = y ** 3
+        pullback(phi, f)
+        pullback(phi, g)
+        pullback(phi, f)
+        inverse_pullback(phi, h)
+        assert set(phi._table) == {(2, 0), (1, 1), (0, 1), (0, 0)}
+        assert set(phi._inv_table) == {(0, 3)}
+        ident = AffineTwist.identity(2)
+        pullback(ident, f)
+        assert not ident._table and not ident._inv_table
 
 
 class TestAffineTwist:
