@@ -35,11 +35,13 @@ from .homalg import (
     make_tm_r,
     pullback_section,
 )
-from .kernels import BACKEND
 from .polyring import AffineTwist, Poly, inverse_pullback, monomials, partial, pullback
 from .report import CheckResult, PreconditionError, StructureError, TheoremViolation, Witness
 
 __version__ = "0.1.0"
+
+# benchmark run records carry the kernel backend; there is only one
+BACKEND = "python"
 
 __all__ = [
     "AffineTwist",

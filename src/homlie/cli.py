@@ -76,7 +76,7 @@ def _pair(scn: Scenario) -> BialgebroidPair:
             pair = BialgebroidPair.trivial(scn.algebroid)
         elif spec == "from_pi":
             pair = BialgebroidPair(
-                scn.algebroid, dual_algebroid(_ctx(scn), _need_pi(scn), scn.probe_degree)
+                scn.algebroid, dual_algebroid(_ctx(scn), _need_pi(scn))
             )
         else:
             pair = BialgebroidPair(scn.algebroid, spec)
@@ -115,7 +115,7 @@ def _task_pi_pi_identity(scn):
 
 
 def _task_check_dual_algebroid(scn):
-    dual = dual_algebroid(_ctx(scn), _need_pi(scn), scn.probe_degree)
+    dual = dual_algebroid(_ctx(scn), _need_pi(scn))
     sub = check_axioms(dual, scn.probe_degree)
     return CheckResult("check_dual_algebroid", sub.passed, sub.witness, sub.details)
 

@@ -26,7 +26,7 @@ from .exterior import (
     twist_invariance,
 )
 from .homalg import HomAlgebroid
-from .poisson import Bivector, _as_bivector, dual_algebroid, is_hom_poisson
+from .poisson import Bivector, _as_bivector, _dual_context, dual_algebroid, is_hom_poisson
 from .polyring import Poly, monomials
 from .report import (
     CheckResult,
@@ -173,19 +173,12 @@ def deformed_bracket(ctx: CartanContext, N, X: MultiVector, Y: MultiVector) -> M
     )
 
 
-def _deformed_data(ctx: CartanContext, N) -> HomAlgebroid:
+def _deformed_data(ctx: CartanContext, N: EndoMap) -> HomAlgebroid:
     """The deformed candidate built from frame values of the deformed
     bracket and the composed anchor; twist invariance of the
-    endomorphism makes the twisted Leibniz expansion exact."""
-    N = _as_endo(ctx, N)
+    endomorphism, which callers establish first, makes the twisted
+    Leibniz expansion exact."""
     A = ctx.algebroid
-    inv = twist_invariance("N", N, A.phiA)
-    if not inv.passed:
-        raise PreconditionError(
-            "deformation requires a twist-invariant endomorphism: residual "
-            + inv.witness.residual,
-            inv.witness,
-        )
     structure = {}
     for i in range(ctx.rank):
         for j in range(i + 1, ctx.rank):
@@ -204,12 +197,23 @@ def _deformed_data(ctx: CartanContext, N) -> HomAlgebroid:
 
 
 def _deformed_context(ctx: CartanContext, N: EndoMap) -> CartanContext:
-    return ctx.derived(("deformed", N), lambda: _deformed_data(ctx, N))
+    def build():
+        inv = twist_invariance("N", N, ctx.algebroid.phiA)
+        if not inv.passed:
+            raise PreconditionError(
+                "deformation requires a twist-invariant endomorphism: residual "
+                + inv.witness.residual,
+                inv.witness,
+            )
+        return _deformed_data(ctx, N)
+
+    return ctx.derived(("deformed", N), build)
 
 
 def deformed_algebroid(ctx: CartanContext, N, probe_degree: int = 2) -> HomAlgebroid:
     """The deformed structure; refuses candidates that are not
     torsion-free and invariant."""
+    N = _as_endo(ctx, N)
     ok = is_hom_nijenhuis(ctx, N, probe_degree)
     if not ok.passed:
         raise PreconditionError(
@@ -438,17 +442,14 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
     return towers, first_failure("hierarchy", results)
 
 
-def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2, dual=None) -> Form:
+def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2) -> Form:
     """Graded defect measuring how far the deformed differential is from
     being a twisted derivation of the dual graded bracket; the
     undifferentiated slot carries the dagger twist so that the defect
     vanishes exactly on compatible pairs."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
-    if dual is None:
-        dual_ctx = ctx.derived(("dual of", pi.table), lambda: dual_algebroid(ctx, pi))
-    else:
-        dual_ctx = ctx.derived(("dual", dual), lambda: dual)
+    dual_ctx = _dual_context(ctx, pi)
     ctxN = _deformed_context(ctx, N)
     xi1 = ctx.as_form(xi1)
     xi2 = ctx.as_form(xi2)
@@ -482,7 +483,7 @@ def bialgebroid_defect_checks(
     doubly-twisted tail, and graded antisymmetry."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
-    dual = dual_algebroid(ctx, pi)
+    _dual_context(ctx, pi)  # refuses a non-Poisson pi before any probe runs
     A = ctx.algebroid
     Nt = N.transpose()
     funcs = monomials(ctx.n, probe_degree)
@@ -497,7 +498,7 @@ def bialgebroid_defect_checks(
     def on_functions():
         for f in funcs:
             for g in funcs:
-                lhs = bialgebroid_defect(ctx, pi, N, f, g, dual=dual).scalar_value()
+                lhs = bialgebroid_defect(ctx, pi, N, f, g).scalar_value()
                 rhs = pair(
                     differential(ctx, A.phi.pullback(f)),
                     sharp_defect(differential(ctx, A.phi.pullback(g))),
@@ -507,7 +508,7 @@ def bialgebroid_defect_checks(
     def on_exact_and_function():
         for f in funcs:
             for g in funcs:
-                lhs = bialgebroid_defect(ctx, pi, N, differential(ctx, f), g, dual=dual)
+                lhs = bialgebroid_defect(ctx, pi, N, differential(ctx, f), g)
                 rhs = compat_C(
                     ctx,
                     pi,
@@ -521,7 +522,7 @@ def bialgebroid_defect_checks(
         for f in funcs:
             for g in funcs:
                 df, dg = differential(ctx, f), differential(ctx, g)
-                lhs = bialgebroid_defect(ctx, pi, N, df, dg, dual=dual)
+                lhs = bialgebroid_defect(ctx, pi, N, df, dg)
                 rhs = -differential(ctx, compat_C(ctx, pi, N, df, dg))
                 yield {"f": f, "g": g}, lhs - rhs
 
@@ -532,12 +533,12 @@ def bialgebroid_defect_checks(
         for la, alpha in coforms:
             for lb, beta in coforms:
                 for lc, gamma in coforms:
-                    lhs = bialgebroid_defect(ctx, pi, N, alpha, beta.wedge(gamma), dual=dual)
-                    first = bialgebroid_defect(ctx, pi, N, alpha, beta, dual=dual).wedge(
+                    lhs = bialgebroid_defect(ctx, pi, N, alpha, beta.wedge(gamma))
+                    first = bialgebroid_defect(ctx, pi, N, alpha, beta).wedge(
                         dagger2(gamma)
                     )
                     second = dagger2(beta).wedge(
-                        bialgebroid_defect(ctx, pi, N, alpha, gamma, dual=dual)
+                        bialgebroid_defect(ctx, pi, N, alpha, gamma)
                     )
                     even = (alpha.degree * beta.degree) % 2 == 0
                     rhs = first + second if even else first - second
@@ -546,8 +547,8 @@ def bialgebroid_defect_checks(
     def graded_antisymmetry():
         for la, alpha in coforms:
             for lb, beta in coforms:
-                lhs = bialgebroid_defect(ctx, pi, N, alpha, beta, dual=dual)
-                rhs = bialgebroid_defect(ctx, pi, N, beta, alpha, dual=dual)
+                lhs = bialgebroid_defect(ctx, pi, N, alpha, beta)
+                rhs = bialgebroid_defect(ctx, pi, N, beta, alpha)
                 sign = -1 if ((alpha.degree - 1) * (beta.degree - 1)) % 2 == 0 else 1
                 yield {"alpha": la, "beta": lb}, lhs - rhs.scale(sign)
 

@@ -154,12 +154,22 @@ def bracket_pi(ctx: CartanContext, pi, xi: Form, eta: Form) -> Form:
     return out - differential(ctx, pair(eta, s_xi))
 
 
-def dual_algebroid(ctx: CartanContext, pi, probe_degree: int = 3) -> HomAlgebroid:
+def dual_algebroid(ctx: CartanContext, pi) -> HomAlgebroid:
     """The dual-frame algebroid carried by a Poisson bivector: dagger
     twist, covector bracket, anchor through the sharp map.  Refuses
-    non-Poisson input with the failing residual."""
-    pi = _as_bivector(ctx, pi)
-    ok = is_hom_poisson(ctx, pi, probe_degree)
+    non-Poisson input with the failing residual.  Built once per context
+    and bivector."""
+    return _dual_context(ctx, _as_bivector(ctx, pi)).algebroid
+
+
+def _dual_context(ctx: CartanContext, pi: Bivector) -> CartanContext:
+    """The context of the dual algebroid, derived from ctx once; a
+    refusal is not cached, so every caller raises it."""
+    return ctx.derived(("dual of", pi.table), lambda: _dual_data(ctx, pi))
+
+
+def _dual_data(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
+    ok = is_hom_poisson(ctx, pi)
     if not ok.passed:
         raise PreconditionError(
             f"bivector is not Poisson: {ok.witness.render()}", ok.witness

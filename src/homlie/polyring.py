@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 
 from . import kernels
 
@@ -35,59 +36,55 @@ def _default_names(n: int) -> list[str]:
 
 
 class Poly:
-    """Sparse multivariate polynomial over Fraction coefficients.
+    """Sparse multivariate polynomial over the rationals.
 
-    Canonical form: the term map never stores a zero coefficient, so
-    two polynomials are equal exactly when their term maps are equal.
-    Instances are immutable; all arithmetic returns new objects.
+    Stored as integer numerators over one common denominator: `num`
+    maps exponent tuples to nonzero ints and `den` is a positive int
+    with gcd(den, every numerator) == 1.  That form is canonical, so two
+    polynomials are equal exactly when their (num, den) pairs are equal.
+    Arithmetic runs the term-map kernels on the numerators and reduces
+    each result by one gcd.  Instances are immutable; all arithmetic
+    returns new objects.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        if terms is None:
-            self.terms = {}
-        else:
-            clean = {}
-            for k, v in terms.items():
-                v = _as_fraction(v)
-                if len(k) != n:
-                    raise DimensionMismatch(f"exponent {k} has wrong arity for {n} variables")
-                if v:
-                    clean[tuple(k)] = v
-            self.terms = clean
+        clean = {}
+        for k, v in (terms or {}).items():
+            v = _as_fraction(v)
+            if len(k) != n:
+                raise DimensionMismatch(f"exponent {k} has wrong arity for {n} variables")
+            if v:
+                clean[tuple(k)] = v
+        # the lcm of reduced denominators leaves no common factor
+        self.den = lcm(*(v.denominator for v in clean.values()))
+        self.num = {k: v.numerator * (self.den // v.denominator) for k, v in clean.items()}
 
     @classmethod
     def zero(cls, n: int) -> "Poly":
-        return cls(n)
+        return _poly(n, {}, 1)
 
     @classmethod
     def const(cls, n: int, c) -> "Poly":
         c = _as_fraction(c)
-        p = cls(n)
-        if c:
-            p.terms = {(0,) * n: c}
-        return p
+        return _poly(n, {(0,) * n: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for {n} variables")
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        p = cls(n)
-        p.terms = {exp: Fraction(1)}
-        return p
+        return _poly(n, {tuple(1 if j == i else 0 for j in range(n)): 1}, 1)
 
     @classmethod
     def monomial(cls, n: int, exps, c=1) -> "Poly":
         return cls(n, {tuple(exps): _as_fraction(c)})
 
-    @classmethod
-    def _raw(cls, n: int, terms: dict) -> "Poly":
-        p = cls(n)
-        p.terms = terms
-        return p
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh {exponents: Fraction} dict."""
+        return {k: Fraction(v, self.den) for k, v in self.num.items()}
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -98,12 +95,23 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        return Poly._raw(self.n, kernels.poly_add(self.terms, other.terms))
+        a, b = self.den, other.den
+        if a == b:
+            return _reduced(self.n, kernels.poly_add(self.num, other.num), a)
+        if not self.num:
+            return _poly(self.n, dict(other.num), b)
+        if not other.num:
+            return _poly(self.n, dict(self.num), a)
+        g = gcd(a, b)
+        num = kernels.poly_add(
+            kernels.poly_scale(self.num, b // g), kernels.poly_scale(other.num, a // g)
+        )
+        return _reduced(self.n, num, a * (b // g))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.n, kernels.poly_neg(self.terms))
+        return _poly(self.n, kernels.poly_neg(self.num), self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -112,10 +120,14 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly._raw(self.n, kernels.poly_scale(self.terms, _as_fraction(other)))
+        if not isinstance(other, Poly):
+            if isinstance(other, int):
+                return _reduced(self.n, kernels.poly_scale(self.num, other), self.den)
+            if isinstance(other, Fraction):
+                num = kernels.poly_scale(self.num, other.numerator)
+                return _reduced(self.n, num, self.den * other.denominator)
         other = self._coerce(other)
-        return Poly._raw(self.n, kernels.poly_mul(self.terms, other.terms))
+        return _reduced(self.n, kernels.poly_mul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -132,32 +144,32 @@ class Poly:
             other = Poly.const(self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     __hash__ = None  # mutable-dict backed; not usable as a dict key
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(not any(k) for k in self.terms)
+        return all(not any(k) for k in self.num)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self.num:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.num.values())), self.den)
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(k) for k in self.terms)
+        return max(sum(k) for k in self.num)
 
     def partial(self, i: int) -> "Poly":
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate index {i} out of range")
-        return Poly._raw(self.n, kernels.poly_partial(self.terms, i))
+        return _reduced(self.n, kernels.poly_partial(self.num, i), self.den)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (deterministic)."""
@@ -212,6 +224,26 @@ class Poly:
         return cls(n, terms)
 
 
+def _poly(n: int, num: dict, den: int) -> Poly:
+    """A Poly from numerators and a denominator already in canonical form."""
+    p = object.__new__(Poly)
+    p.n = n
+    p.num = num
+    p.den = den
+    return p
+
+
+def _reduced(n: int, num: dict, den: int) -> Poly:
+    """A Poly from nonzero numerators over a positive denominator,
+    divided by their common gcd."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {k: v // g for k, v in num.items()}
+            den //= g
+    return _poly(n, num, den)
+
+
 def monomials(n: int, max_degree: int) -> list[Poly]:
     """All monomials of total degree <= max_degree in graded-lex order.
 
@@ -253,9 +285,10 @@ class AffineTwist:
 
     Each direction (pullback, inverse_pullback) keeps its own monomial
     table: one entry per distinct exponent tuple that direction has
-    seen, mapping it to the term dict of that monomial's image, filled
-    once by the substitution kernel.  A pullback is the sum of the
-    scaled table entries of its terms.  A table is never handed out, so
+    seen, mapping it to the (numerators, denominator) pair of that
+    monomial's image, filled once by the substitution kernel.  A
+    pullback is the sum of the scaled table entries of its terms,
+    accumulated into one fresh dict.  A table is never handed out, so
     its entries are never mutated; it is bounded by the number of
     monomials of the inputs' degree, C(n + d, d).
     """
@@ -288,9 +321,10 @@ class AffineTwist:
             + Poly.const(n, inv_off[i])
             for i in range(n)
         ]
-        # power caches for the substitution kernel, grown on demand
-        self._pow = [[{(0,) * n: Fraction(1)}, p.terms] for p in self._images]
-        self._inv_pow = [[{(0,) * n: Fraction(1)}, p.terms] for p in self._inv_images]
+        # numerator powers of the images for the substitution kernel,
+        # grown on demand; the e-th power is over the image's den ** e
+        self._pow = [[{(0,) * n: 1}, p.num] for p in self._images]
+        self._inv_pow = [[{(0,) * n: 1}, p.num] for p in self._inv_images]
         self._table = {}
         self._inv_table = {}
         self._is_id = self.is_identity()
@@ -324,31 +358,41 @@ class AffineTwist:
         b = [sum(self.matrix[i][k] * other.offset[k] for k in range(n)) + self.offset[i] for i in range(n)]
         return AffineTwist(m, b)
 
-    def _substitute(self, f: Poly, powers, table) -> Poly:
+    def _substitute(self, f: Poly, images, powers, table) -> Poly:
         if f.n != self.n:
             raise DimensionMismatch("polynomial and base map dimensions differ")
         if self._is_id:
             return f
-        out = {}
-        for k, v in f.terms.items():
-            image = table.get(k)
-            if image is None:
+        entries = []
+        for k in f.num:
+            entry = table.get(k)
+            if entry is None:
                 need = max(k, default=0)
                 for col in powers:
                     while len(col) <= need:
                         col.append(kernels.poly_mul(col[-1], col[1]))
-                image = table[k] = kernels.poly_substitute({k: Fraction(1)}, powers, self.n)
-            # poly_add copies its operands' terms, so out never aliases the table
-            out = kernels.poly_add(out, image if v == 1 else kernels.poly_scale(image, v))
-        return Poly._raw(self.n, out)
+                den = 1
+                for img, e in zip(images, k):
+                    den *= img.den**e
+                image = _reduced(self.n, kernels.poly_substitute({k: 1}, powers, self.n), den)
+                entry = table[k] = (image.num, image.den)
+            entries.append(entry)
+        den = lcm(*(d for _, d in entries))
+        out = {}
+        get = out.get
+        for v, (num, d) in zip(f.num.values(), entries):
+            c = v * (den // d)
+            for t, w in num.items():
+                out[t] = get(t, 0) + c * w
+        return _reduced(self.n, {t: w for t, w in out.items() if w}, den * f.den)
 
     def pullback(self, f: Poly) -> Poly:
         """f composed with the map (substitute each variable's image)."""
-        return self._substitute(f, self._pow, self._table)
+        return self._substitute(f, self._images, self._pow, self._table)
 
     def inverse_pullback(self, f: Poly) -> Poly:
         """Two-sided inverse of pullback."""
-        return self._substitute(f, self._inv_pow, self._inv_table)
+        return self._substitute(f, self._inv_images, self._inv_pow, self._inv_table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineTwist):

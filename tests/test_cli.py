@@ -148,6 +148,47 @@ class TestRepeatedWork:
         assert len(poisson_calls) == 1
         assert len(nijenhuis_calls) == 1
 
+    DUAL_TASKS = [
+        "check_dual_algebroid",
+        "check_bialgebroid_pair",
+        "hpn_bialgebroid_equiv",
+        "bialgebroid_defect_checks",
+    ]
+
+    def test_dual_algebroid_built_once_per_scenario(self, monkeypatch):
+        from homlie import poisson
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        builds = self.counted(monkeypatch, poisson, "_dual_data")
+        report = run_scenario(scn, self.DUAL_TASKS)
+        assert [t["verdict"] for t in report["tasks"]] == ["pass"] * 4
+        assert len(builds) == 1
+
+    def test_non_poisson_pi_refused_by_every_dual_task(self):
+        data = json.loads((SCENARIOS / "s1_full.json").read_text())
+        data["pi"] = json.loads((SCENARIOS / "s1_bad_pi.json").read_text())["pi"]
+        report = run_scenario(parse_scenario(data), self.DUAL_TASKS)
+        assert [t["verdict"] for t in report["tasks"]] == ["fail"] * 4
+        witnesses = [t["witness"] for t in report["tasks"]]
+        assert witnesses[0]["identity"] == "twist-invariance"
+        assert all(w == witnesses[0] for w in witnesses)
+
+    def test_d_n_props_checks_twist_invariance_once(self, monkeypatch):
+        from homlie import nijenhuis
+        from homlie.cli import _task_d_n_props
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        labels = []
+        original = nijenhuis.twist_invariance
+
+        def counted(label, *args):
+            labels.append(label)
+            return original(label, *args)
+
+        monkeypatch.setattr(nijenhuis, "twist_invariance", counted)
+        assert _task_d_n_props(scn).passed
+        assert labels == ["N"]
+
 
 class TestCliProcess:
     def run_cli(self, *args):

@@ -1,5 +1,6 @@
 """Import hygiene: no module of the package imports a name it never
-uses (the package's `__init__.py` re-exports by design)."""
+uses (the package's `__init__.py` re-exports by design), and none reads
+the environment, so a run depends only on its inputs."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "homlie"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +52,32 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def environment_reads(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+            and node.attr in ENVIRONMENT
+        ):
+            found.append(f"os.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                f"os.{alias.name} (line {node.lineno})"
+                for alias in node.names
+                if alias.name in ENVIRONMENT
+            ]
+    return found
+
+
+def test_detects_an_environment_read():
+    source = "import os\nfrom os import getenv\nif os.environ.get('X'):\n    pass\n"
+    assert environment_reads(source) == ["os.getenv (line 2)", "os.environ (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    assert environment_reads(path.read_text()) == []

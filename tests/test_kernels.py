@@ -1,116 +1,54 @@
-"""Backend parity: the compiled kernels must agree with the pure-Python
-reference bit for bit, including canonical-form pruning."""
+"""The term-map kernels on integer numerator maps, as `Poly` calls
+them: canonical-form pruning, and agreement with the same kernels run on
+Fraction maps."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlie import _kernels_py
+import homlie
 from homlie import kernels
+from homlie.polyring import Poly
 
-try:
-    from homlie import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-compiled = pytest.mark.skipif(_kernels_cy is None, reason="extension not built")
-
-rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+int_maps = st.dictionaries(exponents, st.integers(-30, 30).filter(bool), max_size=6)
 
 
-@st.composite
-def term_maps(draw, max_terms=6):
-    out = {}
-    for _ in range(draw(st.integers(0, max_terms))):
-        c = draw(rationals)
-        if c:
-            out[draw(exponents)] = c
-    return out
+def over(num, den):
+    return {k: Fraction(v, den) for k, v in num.items()}
 
 
-def assert_same(got, expected):
-    assert got == expected
-    for k, v in got.items():
-        assert isinstance(v, Fraction)
-        assert v != 0
-        # canonical: reduced with positive denominator
-        ref = expected[k]
-        assert v.numerator == ref.numerator and v.denominator == ref.denominator
+def test_backend_is_pure_python():
+    assert homlie.BACKEND == "python"
 
 
-@compiled
-class TestParity:
-    @given(term_maps(), term_maps())
-    @settings(max_examples=120)
-    def test_add(self, a, b):
-        assert_same(_kernels_cy.poly_add(a, b), _kernels_py.poly_add(a, b))
-
-    @given(term_maps(), term_maps())
-    @settings(max_examples=120)
-    def test_mul(self, a, b):
-        assert_same(_kernels_cy.poly_mul(a, b), _kernels_py.poly_mul(a, b))
-
-    @given(term_maps())
-    @settings(max_examples=60)
-    def test_neg_scale_partial(self, a):
-        assert _kernels_cy.poly_neg(a) == _kernels_py.poly_neg(a)
-        c = Fraction(-3, 7)
-        assert _kernels_cy.poly_scale(a, c) == _kernels_py.poly_scale(a, c)
-        for i in range(3):
-            assert _kernels_cy.poly_partial(a, i) == _kernels_py.poly_partial(a, i)
-
-    @given(term_maps(max_terms=4))
-    @settings(max_examples=40)
-    def test_substitute(self, a):
-        images = [
-            {(1, 0, 0): Fraction(2), (0, 0, 0): Fraction(1)},
-            {(0, 1, 0): Fraction(1, 2)},
-            {(0, 0, 1): Fraction(3), (1, 0, 0): Fraction(-1)},
-        ]
-        powers = []
-        for img in images:
-            col = [{(0, 0, 0): Fraction(1)}, img]
-            for _ in range(5):
-                col.append(_kernels_py.poly_mul(col[-1], img))
-            powers.append(col)
-        got = _kernels_cy.poly_substitute(a, powers, 3)
-        ref = _kernels_py.poly_substitute(a, powers, 3)
-        assert_same(got, ref)
-
-    def test_mul_cancellation_prunes(self):
-        a = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1)}
-        b = {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(-1)}
-        # (x+y)(x-y) = x^2 - y^2: the xy terms cancel exactly
-        got = _kernels_cy.poly_mul(a, b)
-        assert (1, 1, 0) not in got
-        assert got == _kernels_py.poly_mul(a, b)
-
-    def test_fraction_normalization(self):
-        a = {(0, 0, 0): Fraction(2, 3)}
-        b = {(0, 0, 0): Fraction(3, 4)}
-        out = _kernels_cy.poly_mul(a, b)
-        v = out[(0, 0, 0)]
-        assert v == Fraction(1, 2)
-        assert v.numerator == 1 and v.denominator == 2
-        assert hash(v) == hash(Fraction(1, 2))
+def test_mul_cancellation_prunes():
+    a = {(1, 0, 0): 1, (0, 1, 0): 1}
+    b = {(1, 0, 0): 1, (0, 1, 0): -1}
+    # (x+y)(x-y) = x^2 - y^2: the xy terms cancel exactly
+    assert kernels.poly_mul(a, b) == {(2, 0, 0): 1, (0, 2, 0): -1}
 
 
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert kernels.BACKEND in ("compiled", "python")
+def test_add_cancellation_prunes():
+    a = {(1, 0, 0): 3, (0, 0, 0): 2}
+    assert kernels.poly_add(a, kernels.poly_neg(a)) == {}
+    assert kernels.poly_add(a, {(1, 0, 0): -3}) == {(0, 0, 0): 2}
 
-    def test_forced_fallback(self):
-        import subprocess
-        import sys
 
-        out = subprocess.run(
-            [sys.executable, "-c", "from homlie import kernels; print(kernels.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env={"HOMLIE_PURE_PYTHON": "1", "PYTHONPATH": "src"},
-            cwd=".",
-        )
-        assert out.stdout.strip() == "python"
+def test_normalisation():
+    # (2/3)(3/4) = 1/2: the kernel multiplies numerators, Poly reduces once
+    assert kernels.poly_mul({(0, 0, 0): 2}, {(0, 0, 0): 3}) == {(0, 0, 0): 6}
+    p = Poly.const(3, Fraction(2, 3)) * Poly.const(3, Fraction(3, 4))
+    assert (p.num, p.den) == ({(0, 0, 0): 1}, 2)
+    assert type(p.num[(0, 0, 0)]) is int
+    assert p.constant_value() == Fraction(1, 2)
+
+
+@given(int_maps, int_maps, st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=80)
+def test_int_maps_agree_with_fraction_maps(a, b, da, db):
+    assert over(kernels.poly_add(a, b), da) == kernels.poly_add(over(a, da), over(b, da))
+    assert over(kernels.poly_mul(a, b), da * db) == kernels.poly_mul(over(a, da), over(b, db))
+    for i in range(3):
+        assert over(kernels.poly_partial(a, i), da) == kernels.poly_partial(over(a, da), i)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,9 @@ class TestPullbackTable:
             assert got == expected
             got.terms.clear()
             got.terms[(7, 7)] = Fraction(1)
+            assert got == expected
+            got.num.clear()
+            got.num[(7, 7)] = 1
         assert pullback(phi, f) == expected
         assert inverse_pullback(phi, pullback(phi, f)) == f
 
@@ -226,6 +230,52 @@ class TestPullbackTable:
         ident = AffineTwist.identity(2)
         pullback(ident, f)
         assert not ident._table and not ident._inv_table
+
+
+def assert_canonical(p):
+    assert p.den > 0
+    assert all(type(v) is int and v for v in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    # equal values give equal (num, den): rebuild from the Fraction view
+    q = Poly(p.n, p.terms)
+    assert (q.num, q.den) == (p.num, p.den)
+
+
+class TestRepresentation:
+    """Integer numerators over one reduced positive denominator, after
+    every operation."""
+
+    @given(polys(), polys(), st.integers(-6, 6), rationals)
+    @settings(max_examples=80)
+    def test_every_result_is_canonical(self, f, g, k, c):
+        phi = dense_map()
+        results = [
+            f + g,
+            f - g,
+            f * g,
+            f * k,
+            c * f,
+            f.partial(0),
+            f.partial(1),
+            pullback(phi, f),
+            inverse_pullback(phi, f),
+        ]
+        for p in [f, g, *results]:
+            assert_canonical(p)
+        # the same values reached another way share their representation
+        same = [
+            (f + g, Poly(2, kernels.poly_add(f.terms, g.terms))),
+            (f * g, Poly(2, kernels.poly_mul(f.terms, g.terms))),
+            ((f + g) - g, f),
+            (inverse_pullback(phi, pullback(phi, f)), f),
+        ]
+        for a, b in same:
+            assert (a.num, a.den) == (b.num, b.den)
+
+    def test_zero_has_unit_denominator(self):
+        half = Poly.const(2, Fraction(1, 2)) * x
+        for z in (half - half, half * 0, Poly.zero(2), Poly(2, {(1, 0): 0})):
+            assert (z.num, z.den) == ({}, 1)
 
 
 class TestAffineTwist:
