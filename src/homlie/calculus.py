@@ -325,7 +325,7 @@ def _sbr_fn_frame(ctx, f: Poly, J: tuple) -> MultiVector:
     if len(J) == 0:
         return MultiVector.zero(ctx.rank, ctx.n, 0)
     j0, Jr = J[0], J[1:]
-    head = _scalar_mv(ctx, -A.anchor_field(A.phiA_frame(j0)).apply(f))
+    head = _scalar_mv(ctx, -A.anchor_after_twist(j0).apply(f))
     if not Jr:
         return head
     part1 = head.wedge(_twisted_basis(ctx, Jr))
@@ -392,16 +392,21 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
                 yield {"omega": lw, "eta": le}, lhs - rhs
 
     def pairing_identity():
+        # alpha-independent values, each computed once: phiA^-1(Y) per
+        # Y, rho(phiA X) per X, and [X, phiA^-1 Y] per (X, Y) on first use
+        inv = [ctx.phiA_inv.apply(Y) for _, Y in sections]
+        rho = [A.anchor_field(A.phiA.apply(X)) for _, X in sections]
+        brackets = {}
         for la, alpha in probes.coframes(A, min(probe_degree, 2)):
-            for lx, X in sections:
+            dag_alpha = ctx.dagger.apply_graded(alpha)
+            for x, (lx, X) in enumerate(sections):
                 L_alpha = lie_derivative_form(ctx, X, alpha)
-                dag_alpha = ctx.dagger.apply_graded(alpha)
-                for ly, Y in sections:
-                    invY = ctx.phiA_inv.apply(Y)
+                for y, (ly, Y) in enumerate(sections):
+                    br = brackets.get((x, y))
+                    if br is None:
+                        br = brackets[x, y] = schouten(ctx, X, inv[y])
                     lhs = pair(L_alpha, Y)
-                    rhs = A.anchor_apply(A.phiA.apply(X), pair(alpha, invY)) - pair(
-                        dag_alpha, schouten(ctx, X, invY)
-                    )
+                    rhs = rho[x].apply(pair(alpha, inv[y])) - pair(dag_alpha, br)
                     yield {"alpha": la, "X": lx, "Y": ly}, lhs - rhs
 
     return until_first_failure(

@@ -7,7 +7,7 @@ trivial-line extension).
 from __future__ import annotations
 
 from . import probes
-from .exterior import Form, MultiVector, SectionTwist
+from .exterior import Form, MultiVector, SectionTwist, _accumulate
 from .polyring import AffineTwist, Poly, monomials
 from .report import CheckResult, StructureError, until_first_failure
 
@@ -17,11 +17,20 @@ PAIRWISE_PROBE_DEGREE = 2
 
 
 class PullbackVectorField:
-    """Twisted derivation of the coefficient ring: the action on f is
-    sum_i c_i * pullback(phi, df/dx_i).  These are the sections of the
-    pullback tangent bundle along phi."""
+    """Twisted derivation of the coefficient ring, a section of the
+    pullback tangent bundle along phi.  With coefficients c it acts by
 
-    __slots__ = ("phi", "coeffs")
+        X(f) = sum_i c_i * phi*(df/dx_i).
+
+    For phi(p) = M p + b the chain rule gives
+    phi*(df/dx_i) = sum_k (M^-1)_{ki} d(phi*f)/dx_k, hence
+
+        X(f) = X~(phi*f),   X~ = M^-1 c,
+
+    where X~ is the ordinary vector field `flat`, computed once per
+    field.  So one application is one pullback followed by partials."""
+
+    __slots__ = ("phi", "coeffs", "_flat")
 
     def __init__(self, phi: AffineTwist, coeffs):
         self.phi = phi
@@ -30,6 +39,7 @@ class PullbackVectorField:
         )
         if len(self.coeffs) != phi.n:
             raise StructureError("coefficient count must match the base dimension")
+        self._flat = None
 
     @classmethod
     def coordinate(cls, phi: AffineTwist, i: int) -> "PullbackVectorField":
@@ -39,17 +49,30 @@ class PullbackVectorField:
     def zero(cls, phi: AffineTwist) -> "PullbackVectorField":
         return cls(phi, [Poly.zero(phi.n)] * phi.n)
 
+    @property
+    def flat(self) -> tuple:
+        """The coefficients of the ordinary vector field X~ = M^-1 c."""
+        if self._flat is None:
+            n, inv = self.phi.n, self.phi.matrix_inv
+            flat = []
+            for k in range(n):
+                out = Poly.zero(n)
+                for i, c in enumerate(self.coeffs):
+                    if inv[k][i] and not c.is_zero():
+                        out = out + c * inv[k][i]
+                flat.append(out)
+            self._flat = tuple(flat)
+        return self._flat
+
     def apply(self, f: Poly) -> Poly:
-        out = Poly.zero(self.phi.n)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * self.phi.pullback(f.partial(i))
-        return out
+        return derive(self.flat, self.phi.pullback(f))
 
     def __add__(self, other: "PullbackVectorField") -> "PullbackVectorField":
+        _same_base(self.phi, other)
         return PullbackVectorField(self.phi, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "PullbackVectorField") -> "PullbackVectorField":
+        _same_base(self.phi, other)
         return PullbackVectorField(self.phi, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scale(self, f) -> "PullbackVectorField":
@@ -72,6 +95,31 @@ class PullbackVectorField:
         return f"PullbackVectorField{self.render()}"
 
 
+def derive(flat, g: Poly, partials=None) -> Poly:
+    """sum_k flat_k * dg/dx_k: the ordinary vector field with
+    coefficients `flat` applied to g.  A dict `partials` keeps the
+    partials of g for later calls on the same g."""
+    out = Poly.zero(g.n)
+    for k, c in enumerate(flat):
+        if c.is_zero():
+            continue
+        if partials is None:
+            dg = g.partial(k)
+        else:
+            dg = partials.get(k)
+            if dg is None:
+                dg = partials[k] = g.partial(k)
+        if not dg.is_zero():
+            out = out + c * dg
+    return out
+
+
+def _same_base(phi: AffineTwist, *fields) -> None:
+    for X in fields:
+        if X.phi is not phi and X.phi != phi:
+            raise StructureError("pullback vector fields over different base maps")
+
+
 def pullback_section(phi: AffineTwist, coeffs) -> PullbackVectorField:
     """Pullback of a classical vector field: each coefficient is pulled
     back, matching the pointwise definition of the pullback section."""
@@ -82,6 +130,7 @@ def pullback_section(phi: AffineTwist, coeffs) -> PullbackVectorField:
 def ad_twist(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
     """Conjugation pullback . X . inverse-pullback, with coefficients
     recovered by applying the operator to the coordinate functions."""
+    _same_base(phi, X)
     n = phi.n
     coeffs = []
     for k in range(n):
@@ -91,6 +140,7 @@ def ad_twist(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
 
 
 def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
+    _same_base(phi, X)
     n = phi.n
     coeffs = []
     for k in range(n):
@@ -99,13 +149,13 @@ def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVector
     return PullbackVectorField(phi, coeffs)
 
 
-def _phistar_composite_apply(phi, X, Y, f):
-    """(pullback . X . inv . Y . inv)(f)."""
-    return phi.pullback(X.apply(phi.inverse_pullback(Y.apply(phi.inverse_pullback(f)))))
-
-
 def bracket_phistar_apply(phi, X, Y, f: Poly) -> Poly:
-    return _phistar_composite_apply(phi, X, Y, f) - _phistar_composite_apply(phi, Y, X, f)
+    """The twisted commutator (phi* X phi^-1* Y - phi* Y phi^-1* X)
+    phi^-1* applied to f.  Since X = X~ phi* and Y = Y~ phi*, this is
+    phi*(X~(Y~ f) - Y~(X~ f)): one pullback."""
+    _same_base(phi, X, Y)
+    fx, fy = X.flat, Y.flat
+    return phi.pullback(derive(fx, derive(fy, f)) - derive(fy, derive(fx, f)))
 
 
 def bracket_phistar(phi: AffineTwist, X: PullbackVectorField, Y: PullbackVectorField) -> PullbackVectorField:
@@ -194,19 +244,6 @@ class HomAlgebroid:
     def coframe(self, i: int) -> Form:
         return Form.basis(self.rank, self.n, (i,))
 
-    def frame_bracket(self, i: int, j: int) -> MultiVector:
-        if i == j:
-            return MultiVector.zero(self.rank, self.n, 1)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        coeffs = {}
-        for k in range(self.rank):
-            c = self.structure.get((i, j, k))
-            if c is not None:
-                coeffs[(k,)] = c if sign > 0 else -c
-        return MultiVector(self.rank, self.n, 1, coeffs)
-
     def phiA_frame(self, i: int) -> MultiVector:
         if self._phiA_frame is None:
             self._phiA_frame = [self.phiA.apply(self.frame(k)) for k in range(self.rank)]
@@ -224,7 +261,8 @@ class HomAlgebroid:
     def anchor_apply(self, X: MultiVector, f: Poly) -> Poly:
         return self.anchor_field(X).apply(f)
 
-    def _anchor_after_twist(self, i: int) -> PullbackVectorField:
+    def anchor_after_twist(self, i: int) -> PullbackVectorField:
+        """The field rho(phiA(e_i)), built once."""
         if self._anchor_phiA_frame is None:
             self._anchor_phiA_frame = [
                 self.anchor_field(self.phiA_frame(k)) for k in range(self.rank)
@@ -235,23 +273,39 @@ class HomAlgebroid:
 
     def bracket(self, X: MultiVector, Y: MultiVector) -> MultiVector:
         """Extension of the frame bracket by the twisted Leibniz rule in
-        each slot; antisymmetric."""
-        out = MultiVector.zero(self.rank, self.n, 1)
+        each slot; antisymmetric:
+
+            [f e_i, g e_j] = phi*(f) phi*(g) [e_i, e_j]
+                             + phi*(f) rho(phiA e_i)(g) phiA(e_j)
+                             - phi*(g) rho(phiA e_j)(f) phiA(e_i).
+
+        Each coefficient is pulled back once and each of its partials
+        taken at most once; rho(phiA e_i)(g) is the flat field of
+        rho(phiA e_i) applied to phi*(g) (see PullbackVectorField)."""
         pb = self.phi.pullback
-        for (i,), f in X.coeffs.items():
-            pf = pb(f)
-            for (j,), g in Y.coeffs.items():
-                pg = pb(g)
-                br = self.frame_bracket(i, j)
-                if not br.is_zero():
-                    out = out + br.scale(pf * pg)
-                df = self._anchor_after_twist(i).apply(g)
+        xs = [(i, pb(f), {}) for (i,), f in X.coeffs.items()]
+        ys = [(j, pb(g), {}) for (j,), g in Y.coeffs.items()]
+        out = {}
+        for i, pf, dpf in xs:
+            for j, pg, dpg in ys:
+                if i != j:
+                    lo, hi = min(i, j), max(i, j)
+                    for k in range(self.rank):
+                        c = self.structure.get((lo, hi, k))
+                        if c is not None:
+                            term = c * (pf * pg)
+                            _accumulate(out, (k,), term if i < j else -term)
+                df = derive(self.anchor_after_twist(i).flat, pg, dpg)
                 if not df.is_zero():
-                    out = out + self.phiA_frame(j).scale(pf * df)
-                dg = self._anchor_after_twist(j).apply(f)
+                    w = pf * df
+                    for K, a in self.phiA_frame(j).coeffs.items():
+                        _accumulate(out, K, a * w)
+                dg = derive(self.anchor_after_twist(j).flat, pf, dpf)
                 if not dg.is_zero():
-                    out = out - self.phiA_frame(i).scale(pg * dg)
-        return out
+                    w = pg * dg
+                    for K, a in self.phiA_frame(i).coeffs.items():
+                        _accumulate(out, K, -(a * w))
+        return MultiVector._raw(self.rank, self.n, 1, {K: out[K] for K in sorted(out)})
 
     def render_section(self, X: MultiVector) -> str:
         return X.render()
@@ -314,12 +368,14 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
             yield {"X": lx, "Y": ly, "Z": lz}, total
 
     def leibniz():
+        pulled = [A.phi.pullback(f) for f in funcs]
         for (lx, X), (ly, Y) in pairs:
-            for f in funcs:
+            br = A.bracket(X, Y)
+            twisted_y = A.phiA.apply(Y)
+            rho_x = A.anchor_field(A.phiA.apply(X))
+            for f, pf in zip(funcs, pulled):
                 lhs = A.bracket(X, Y.scale(f))
-                rhs = A.bracket(X, Y).scale(A.phi.pullback(f)) + A.phiA.apply(Y).scale(
-                    A.anchor_apply(A.phiA.apply(X), f)
-                )
+                rhs = br.scale(pf) + twisted_y.scale(rho_x.apply(f))
                 yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 
     def anchor_twist():

@@ -412,12 +412,28 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
     endomorphism."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
-    base = is_hpn(ctx, pi, N, probe_degree=max(probe_degree, 1), check_equivalence=False)
+    towers = [pi]
+    powers = {1: N}
+    # is_hom_poisson per (stage, degree) and is_hom_nijenhuis per
+    # (power, degree), each run once, in the order of first use
+    poisson_at, nijenhuis_at = {}, {}
+
+    def hpn(k, p, degree):
+        if p not in powers:
+            powers[p] = N.power(p)
+        ok_pi = poisson_at.get((k, degree))
+        if ok_pi is None:
+            ok_pi = poisson_at[k, degree] = is_hom_poisson(ctx, towers[k], degree)
+        ok_N = nijenhuis_at.get((p, degree))
+        if ok_N is None:
+            ok_N = nijenhuis_at[p, degree] = is_hom_nijenhuis(ctx, powers[p], degree)
+        return _hpn(ctx, towers[k], powers[p], ok_pi, ok_N, degree, check_equivalence=False)
+
+    base = hpn(0, 1, max(probe_degree, 1))
     if not base.passed:
         raise PreconditionError(
             "hierarchy requires a compatible pair: " + base.witness.render(), base.witness
         )
-    towers = [pi]
     H = [list(r) for r in pi.sharp.matrix]
     from .exterior import poly_mat_mul
 
@@ -425,11 +441,9 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
         H = poly_mat_mul([list(r) for r in N.matrix], H)
         towers.append(Bivector.from_sharp(H, ctx.n))
     results = []
-    for k, pk in enumerate(towers):
+    for k in range(len(towers)):
         for p in range(depth + 1):
-            sub = is_hpn(
-                ctx, pk, N.power(p), probe_degree=probe_degree, check_equivalence=False
-            )
+            sub = hpn(k, p, probe_degree)
             results.append(
                 CheckResult(f"stage-{k}-power-{p}", sub.passed, sub.witness)
             )

@@ -73,8 +73,13 @@ def _require(cond, path, message):
         raise ScenarioError(path, message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_rational(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    if not (_is_int(value) or isinstance(value, str)):
         raise ScenarioError(path, f"expected a rational string or integer, got {value!r}")
     try:
         from fractions import Fraction
@@ -97,7 +102,7 @@ def _parse_poly(n, value, path) -> Poly:
         _require("exp" in item and "coeff" in item, ipath, "term needs exp and coeff")
         exp = item["exp"]
         _require(
-            isinstance(exp, list) and len(exp) == n and all(isinstance(e, int) and e >= 0 for e in exp),
+            isinstance(exp, list) and len(exp) == n and all(_is_int(e) and e >= 0 for e in exp),
             f"{ipath}.exp",
             f"expected {n} non-negative integer exponents",
         )
@@ -132,7 +137,7 @@ def _parse_structure(n, rank, spec, path) -> dict:
         _require(not extra, ipath, f"unknown keys {sorted(extra)}")
         for key in ("i", "j", "k"):
             _require(
-                isinstance(item.get(key), int) and 1 <= item[key] <= rank,
+                _is_int(item.get(key)) and 1 <= item[key] <= rank,
                 f"{ipath}.{key}",
                 f"expected a frame index in 1..{rank}",
             )
@@ -168,7 +173,7 @@ def parse_scenario(data: dict) -> Scenario:
         _require(key in data, "$", f"missing required key {key!r}")
 
     n = data["n"]
-    _require(isinstance(n, int) and n >= 1, "$.n", "n must be a positive integer")
+    _require(_is_int(n) and n >= 1, "$.n", "n must be a positive integer")
     vars_ = data["vars"]
     _require(
         isinstance(vars_, list) and len(vars_) == n and all(isinstance(v, str) for v in vars_),
@@ -200,7 +205,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError("$.phi.matrix", str(exc)) from None
 
     rank = data["rank"]
-    _require(isinstance(rank, int) and rank >= 1, "$.rank", "rank must be a positive integer")
+    _require(_is_int(rank) and rank >= 1, "$.rank", "rank must be a positive integer")
 
     phiA = SectionTwist(
         _parse_matrix(n, rank, rank, data["phiA_matrix"], "$.phiA_matrix"), phi, "multivector"
@@ -230,7 +235,7 @@ def parse_scenario(data: dict) -> Scenario:
             _require(not extra, path, f"unknown keys {sorted(extra)}")
             i, j = item.get("i"), item.get("j")
             _require(
-                isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= rank,
+                _is_int(i) and _is_int(j) and 1 <= i < j <= rank,
                 path,
                 f"expected indices with 1 <= i < j <= {rank}",
             )
@@ -293,13 +298,13 @@ def parse_scenario(data: dict) -> Scenario:
 
     probe_degree = data.get("probe_degree", 3)
     _require(
-        isinstance(probe_degree, int) and probe_degree >= 0,
+        _is_int(probe_degree) and probe_degree >= 0,
         "$.probe_degree",
         "expected a non-negative integer",
     )
     hierarchy_depth = data.get("hierarchy_depth", 3)
     _require(
-        isinstance(hierarchy_depth, int) and hierarchy_depth >= 0,
+        _is_int(hierarchy_depth) and hierarchy_depth >= 0,
         "$.hierarchy_depth",
         "expected a non-negative integer",
     )

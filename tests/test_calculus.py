@@ -237,6 +237,23 @@ class TestCheckDifferentialProps:
     def test_s3(self, S3):
         assert check_differential_props(S3, probe_degree=1).passed
 
+    def test_pairing_brackets_once_per_section_pair(self, monkeypatch):
+        from test_differential_tables import dense_tangent
+
+        from homlie import calculus, probes
+
+        ctx = CartanContext(dense_tangent())
+        calls = []
+        original = calculus.schouten
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(calculus, "schouten", counted)
+        assert check_differential_props(ctx, probe_degree=2).passed
+        assert len(calls) <= len(probes.sections(ctx.algebroid, 2)) ** 2
+
 
 class TestClassicalOracleSelfChecks:
     def test_de_rham_square_zero(self):

@@ -173,6 +173,20 @@ class TestRepeatedWork:
         assert witnesses[0]["identity"] == "twist-invariance"
         assert all(w == witnesses[0] for w in witnesses)
 
+    def test_hierarchy_preconditions_once_per_stage_and_power(self, monkeypatch):
+        from homlie import nijenhuis
+        from homlie.cli import _task_hierarchy
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        poisson_calls = self.counted(monkeypatch, nijenhuis, "is_hom_poisson")
+        nijenhuis_calls = self.counted(monkeypatch, nijenhuis, "is_hom_nijenhuis")
+        assert _task_hierarchy(scn).passed
+        # stages 0..3 and powers 0..3 at depth 3; the base check at
+        # degree 1 is the stage-0 and power-1 check of the sweep
+        assert scn.hierarchy_depth == 3
+        assert len(poisson_calls) == 4
+        assert len(nijenhuis_calls) == 4
+
     def test_d_n_props_checks_twist_invariance_once(self, monkeypatch):
         from homlie import nijenhuis
         from homlie.cli import _task_d_n_props
@@ -283,6 +297,60 @@ class TestCliProcess:
         out = self.run_cli("check", str(p))
         assert out.returncode == 2
         assert f"scenario error: {path}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"n": True}, "$.n"),
+            ({"rank": True}, "$.rank"),
+            ({"probe_degree": True}, "$.probe_degree"),
+            ({"hierarchy_depth": True}, "$.hierarchy_depth"),
+            ({"structure": [{"i": True, "j": 2, "k": 1, "coeff": "1"}]}, "$.structure[0].i"),
+            ({"structure": [{"i": 2, "j": True, "k": 1, "coeff": "1"}]}, "$.structure[0].j"),
+            ({"structure": [{"i": 1, "j": 2, "k": True, "coeff": "1"}]}, "$.structure[0].k"),
+            ({"pi": [{"i": True, "j": 2, "coeff": "1"}]}, "$.pi[0]"),
+            ({"pi": [{"i": 1, "j": True, "coeff": "1"}]}, "$.pi[0]"),
+            (
+                {"dual": {"structure": [{"i": True, "j": 2, "k": 1, "coeff": "1"}]}},
+                "$.dual.structure[0].i",
+            ),
+            (
+                {"dual": {"structure": [{"i": 2, "j": True, "k": 1, "coeff": "1"}]}},
+                "$.dual.structure[0].j",
+            ),
+            (
+                {"dual": {"structure": [{"i": 1, "j": 2, "k": True, "coeff": "1"}]}},
+                "$.dual.structure[0].k",
+            ),
+            (
+                {"anchor_matrix": [[[{"exp": [True, 0], "coeff": "1"}], "0"], ["0", "1"]]},
+                "$.anchor_matrix[0][0][0].exp",
+            ),
+        ],
+        ids=[
+            "n",
+            "rank",
+            "probe-degree",
+            "hierarchy-depth",
+            "structure-i",
+            "structure-j",
+            "structure-k",
+            "pi-i",
+            "pi-j",
+            "dual-structure-i",
+            "dual-structure-j",
+            "dual-structure-k",
+            "exp",
+        ],
+    )
+    def test_exit_two_on_boolean_integer(self, tmp_path, overrides, path):
+        data = s1_scenario_dict(tasks=["check_bialgebroid"], **overrides)
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert f"scenario error: {path}: " in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_exit_two_on_negative_probe_degree(self):

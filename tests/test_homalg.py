@@ -1,8 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_differential_tables import dense_tangent, invalid_candidate
 
-from homlie.exterior import SectionTwist
+from homlie import probes
+from homlie.exterior import MultiVector, SectionTwist
+from homlie.fixtures import algebroid_s0, algebroid_s1, algebroid_s2, algebroid_s3
 from homlie.homalg import (
     HomAlgebroid,
     PullbackVectorField,
@@ -284,3 +289,172 @@ class TestIntertwining:
             lhs = pullback_section(phi, pushed)
             rhs = ad_twist_inverse(phi, pullback_section(phi, Xc))
             assert lhs == rhs
+
+
+# -- the chain rule against the per-coordinate formula --------------------
+
+
+def reference_apply(X, f):
+    """sum_i c_i * phi*(df/dx_i): one pullback per coordinate."""
+    out = Poly.zero(X.phi.n)
+    for i, c in enumerate(X.coeffs):
+        out = out + c * X.phi.pullback(f.partial(i))
+    return out
+
+
+def reference_composite(phi, X, Y, f):
+    """(phi* . X . phi^-1* . Y . phi^-1*)(f)."""
+    inv = phi.inverse_pullback
+    return phi.pullback(reference_apply(X, inv(reference_apply(Y, inv(f)))))
+
+
+def reference_bracket(A, X, Y):
+    """The per-pair loop: frame bracket and both twisted Leibniz terms
+    rebuilt as a MultiVector for every coefficient pair."""
+    out = MultiVector.zero(A.rank, A.n, 1)
+    pb = A.phi.pullback
+    for (i,), f in X.coeffs.items():
+        pf = pb(f)
+        for (j,), g in Y.coeffs.items():
+            pg = pb(g)
+            br = {}
+            for (a, b, k), c in A.structure.items():
+                if (a, b) == (i, j):
+                    br[(k,)] = c
+                elif (a, b) == (j, i):
+                    br[(k,)] = -c
+            out = out + MultiVector(A.rank, A.n, 1, br).scale(pf * pg)
+            df = reference_apply(A.anchor_field(A.phiA_frame(i)), g)
+            out = out + A.phiA_frame(j).scale(pf * df)
+            dg = reference_apply(A.anchor_field(A.phiA_frame(j)), f)
+            out = out - A.phiA_frame(i).scale(pg * dg)
+    return out
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def affine_maps(draw):
+    """An invertible affine map of 1 to 3 variables, every offset entry nonzero."""
+    n = draw(st.integers(1, 3))
+    matrix = [[draw(small_rationals) for _ in range(n)] for _ in range(n)]
+    offset = [draw(nonzero_rationals) for _ in range(n)]
+    try:
+        return AffineTwist(matrix, offset)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def polys(draw, n, max_degree=2, max_terms=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, max_degree)) for _ in range(n))
+        terms[exps] = draw(small_rationals)
+    return Poly(n, terms)
+
+
+@st.composite
+def map_fields_function(draw):
+    """A map, two pullback vector fields over it and a function."""
+    phi = draw(affine_maps())
+    n = phi.n
+    X = PullbackVectorField(phi, [draw(polys(n, 1)) for _ in range(n)])
+    Y = PullbackVectorField(phi, [draw(polys(n, 1)) for _ in range(n)])
+    return phi, X, Y, draw(polys(n, 3))
+
+
+class TestChainRule:
+    @given(map_fields_function())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_matches_per_coordinate_formula(self, case):
+        phi, X, _, f = case
+        assert X.apply(f) == reference_apply(X, f)
+
+    @given(map_fields_function())
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_apply_matches_composites(self, case):
+        phi, X, Y, f = case
+        expected = reference_composite(phi, X, Y, f) - reference_composite(phi, Y, X, f)
+        assert bracket_phistar_apply(phi, X, Y, f) == expected
+
+    @pytest.mark.parametrize(
+        "build",
+        [algebroid_s0, algebroid_s1, algebroid_s2, algebroid_s3, dense_tangent, invalid_candidate],
+        ids=["S0", "S1", "S2", "S3", "dense-tangent", "invalid"],
+    )
+    def test_algebroid_bracket_matches_per_pair_loop(self, build):
+        A = build()
+        secs = [X for _, X in probes.sections(A, 1)]
+        n = A.n
+        mixed = A.section([Poly.variable(n, k % n) + k + 1 for k in range(A.rank)])
+        secs.append(mixed)
+        for X in secs:
+            for Y in secs:
+                assert A.bracket(X, Y) == reference_bracket(A, X, Y)
+
+    def test_mixed_base_maps_rejected(self):
+        phi, psi = s1_base(), AffineTwist([[1, 1], [0, 1]], [1, 0])
+        X = PullbackVectorField.coordinate(phi, 0)
+        Y = PullbackVectorField.coordinate(psi, 1)
+        f = Poly.variable(2, 0) * Poly.variable(2, 1)
+        with pytest.raises(StructureError):
+            bracket_phistar_apply(phi, X, Y, f)
+        with pytest.raises(StructureError):
+            bracket_phistar_apply(psi, X, Y, f)
+        with pytest.raises(StructureError):
+            X + Y
+        with pytest.raises(StructureError):
+            ad_twist(psi, X)
+
+
+class TestWorkCounts:
+    """The bracket and the axiom loops do no repeated work."""
+
+    def test_bracket_pulls_each_coefficient_back_once(self, monkeypatch):
+        A = dense_tangent()
+        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+        X = A.section([x * y + 1, y])
+        Y = A.section([x, x * x - y])
+        A.bracket(X, Y)  # builds the cached twisted frame and its anchor fields
+        calls = []
+        original = AffineTwist.pullback
+
+        def counted(self, f):
+            calls.append(f)
+            return original(self, f)
+
+        monkeypatch.setattr(AffineTwist, "pullback", counted)
+        A.bracket(X, Y)
+        assert len(calls) == len(X.coeffs) + len(Y.coeffs)
+
+    def test_leibniz_brackets_once_per_pair_and_function(self, monkeypatch):
+        from homlie import homalg
+
+        A = algebroid_s1()
+        degree = 2
+        current = [None]
+        counts = {}
+        bracket, until_first_failure = A.bracket, homalg.until_first_failure
+
+        def counted(X, Y):
+            counts[current[0]] = counts.get(current[0], 0) + 1
+            return bracket(X, Y)
+
+        def tagged(identity, cases):
+            current[0] = identity
+            yield from cases
+
+        def staged(name, identities):
+            return until_first_failure(name, [(i, tagged(i, c)) for i, c in identities])
+
+        monkeypatch.setattr(A, "bracket", counted)
+        monkeypatch.setattr(homalg, "until_first_failure", staged)
+        assert check_axioms(A, degree).passed
+        singles = probes.sections(A, degree)
+        frame, scaled = singles[: A.rank], singles[A.rank :]
+        # at degree 2 the pairwise-scaled probes are the scaled ones
+        pairs = len(frame) ** 2 + 2 * len(frame) * len(scaled) + len(scaled) ** 2
+        assert counts["leibniz-rule"] == pairs * (1 + len(monomials(A.n, degree)))
