@@ -8,10 +8,15 @@ form and the twisted Leibniz rule extends it (see `differential`).  The
 consistency checks (square-zero, twist commutation, graded Leibniz,
 pairing identity, tensoriality against the Koszul formula) live in
 check_differential_props so inner loops stay lean.
+
+Inside an `operator_cache()` scope, `differential`, `lie_derivative_form`
+and `CourantDouble.product` compute each distinct input once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import combinations
 
 from . import probes
@@ -101,6 +106,49 @@ class CartanContext:
         raise StructureError(f"expected a multivector, got {type(x).__name__}")
 
 
+# the table of the open operator-cache scope, None when no scope is open
+_scope_table: ContextVar = ContextVar("operator_cache", default=None)
+
+
+@contextmanager
+def operator_cache():
+    """A scope in which the cached operators look their results up.
+
+    The table maps (operator, owner, input keys) to the value computed
+    on the first miss, where the owner is the CartanContext or
+    CourantDouble object itself.  The key holds the owner, so no object
+    id is reused while the scope is open.  Nested scopes share the
+    outermost table, which is dropped when that scope exits, also on an
+    exception.  Yields the table.
+
+    A cached value is handed to every caller with an equal input, so no
+    caller may mutate an operator's result.
+    """
+    table = _scope_table.get()
+    if table is not None:
+        yield table
+        return
+    table = {}
+    token = _scope_table.set(table)
+    try:
+        yield table
+    finally:
+        _scope_table.reset(token)
+
+
+def cached_call(fn, owner, *args):
+    """fn(owner, *args), looked up in the open operator-cache scope and
+    computed only on a miss; computed directly when no scope is open."""
+    table = _scope_table.get()
+    if table is None:
+        return fn(owner, *args)
+    key = (fn, owner) + tuple(a.key() for a in args)
+    got = table.get(key)
+    if got is None:
+        got = table[key] = fn(owner, *args)
+    return got
+
+
 def _koszul_at(ctx: CartanContext, omega: Form, dag_omega: Form, args) -> Poly:
     """Right side of the twisted evaluation formula at the given
     degree-1 section arguments."""
@@ -160,8 +208,13 @@ def differential(ctx: CartanContext, omega) -> Form:
     because each anchor field is a phi-twisted derivation and the dual
     twist is phi*-linear; check_differential_props still compares the
     result against the Koszul formula at scaled arguments.
+
+    Cached inside an operator_cache() scope.
     """
-    omega = ctx.as_form(omega)
+    return cached_call(_differential, ctx, ctx.as_form(omega))
+
+
+def _differential(ctx: CartanContext, omega: Form) -> Form:
     k = omega.degree
     A = ctx.algebroid
     out = {}
@@ -217,8 +270,13 @@ def interior(ctx: CartanContext, D, omega: Form) -> Form:
 
 def lie_derivative_form(ctx: CartanContext, X: MultiVector, eta) -> Form:
     """Lie derivative on forms, the unique value forced by the twisted
-    Cartan formula (the dual twist of the argument is undone first)."""
-    eta = ctx.as_form(eta)
+    Cartan formula (the dual twist of the argument is undone first).
+
+    Cached inside an operator_cache() scope."""
+    return cached_call(_lie_derivative_form, ctx, X, ctx.as_form(eta))
+
+
+def _lie_derivative_form(ctx: CartanContext, X, eta: Form) -> Form:
     if ctx.algebroid.is_zero_structure:
         # both terms of the twisted Cartan formula factor through the
         # differential, which vanishes identically here

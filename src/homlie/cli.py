@@ -15,7 +15,7 @@ import sys
 import time
 from itertools import product
 
-from .calculus import CartanContext, check_differential_props
+from .calculus import CartanContext, check_differential_props, operator_cache
 from .courant import (
     BialgebroidPair,
     check_courant_axioms,
@@ -285,7 +285,9 @@ def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:
             entry["error"] = f"unknown task {name!r}"
         else:
             try:
-                result = fn(scn)
+                # one cache scope per task: its table is dropped with it
+                with operator_cache():
+                    result = fn(scn)
                 entry["verdict"] = "pass" if result.passed else "fail"
                 if result.witness is not None:
                     entry["witness"] = result.witness.to_json()
@@ -341,8 +343,11 @@ def cmd_check(args) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.probe_degree is not None:
-        if args.probe_degree < 0:
-            print("scenario error: --probe-degree: expected a non-negative integer", file=sys.stderr)
+        if args.probe_degree < 1:
+            print(
+                "scenario error: --probe-degree: expected an integer >= 1 (the x_j*e_i probes are needed)",
+                file=sys.stderr,
+            )
             return 2
         scn.probe_degree = args.probe_degree
     for t in args.task or []:

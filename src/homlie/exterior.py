@@ -173,6 +173,12 @@ class GradedElement:
 
     __hash__ = None
 
+    def key(self) -> tuple:
+        """A hashable value that is equal exactly for equal elements:
+        kind, shape and the coefficients sorted by index tuple."""
+        items = tuple(sorted((J, c.key()) for J, c in self.coeffs.items()))
+        return (self.kind, self.rank, self.n, self.degree, items)
+
     def render(self, names=None, frame: str = "e") -> str:
         if not self.coeffs:
             return "0"

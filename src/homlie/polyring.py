@@ -127,7 +127,15 @@ class Poly:
                 num = kernels.poly_scale(self.num, other.numerator)
                 return _reduced(self.n, num, self.den * other.denominator)
         other = self._coerce(other)
-        return _reduced(self.n, kernels.poly_mul(self.num, other.num), self.den * other.den)
+        a, b = self.num, other.num
+        if len(b) == 1 and len(a) > 1:
+            a, b = b, a
+        if len(a) == 1 and len(b) > 1:
+            [(k, c)] = a.items()
+            if not any(k):
+                # a constant factor scales the terms of the other
+                return _reduced(self.n, kernels.poly_scale(b, c), self.den * other.den)
+        return _reduced(self.n, kernels.poly_mul(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -147,6 +155,11 @@ class Poly:
         return self.n == other.n and self.den == other.den and self.num == other.num
 
     __hash__ = None  # mutable-dict backed; not usable as a dict key
+
+    def key(self) -> tuple:
+        """A hashable value that is equal exactly for equal polynomials:
+        the terms as a sorted tuple over the denominator."""
+        return (self.n, self.den, tuple(sorted(self.num.items())))
 
     def is_zero(self) -> bool:
         return not self.num

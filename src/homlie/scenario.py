@@ -298,9 +298,9 @@ def parse_scenario(data: dict) -> Scenario:
 
     probe_degree = data.get("probe_degree", 3)
     _require(
-        _is_int(probe_degree) and probe_degree >= 0,
+        _is_int(probe_degree) and probe_degree >= 1,
         "$.probe_degree",
-        "expected a non-negative integer",
+        "expected an integer >= 1 (the x_j*e_i probes are needed)",
     )
     hierarchy_depth = data.get("hierarchy_depth", 3)
     _require(

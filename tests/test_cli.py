@@ -359,6 +359,36 @@ class TestCliProcess:
         assert "--probe-degree" in out.stderr
         assert out.stdout == ""
 
+    def test_probe_degree_zero_refused(self, tmp_path):
+        # S1 with C_12^1 = x is no algebroid, but only the x_j*e_i probes
+        # of degree 1 see it: at degree 0 both checkers pass
+        from homlie.calculus import CartanContext, check_differential_props
+        from homlie.homalg import check_axioms
+
+        data = s1_scenario_dict(
+            structure=[{"i": 1, "j": 2, "k": 1, "coeff": [{"exp": [1, 0], "coeff": "1"}]}],
+            tasks=["check_axioms", "check_differential_props"],
+        )
+        A = parse_scenario(data).algebroid
+        assert check_axioms(A, 0).passed
+        assert check_differential_props(CartanContext(A), 0).passed
+        p = tmp_path / "not_an_algebroid.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p), "--probe-degree", "1")
+        assert out.returncode == 1
+        assert out.stdout.startswith(
+            "check_axioms: fail [hom-jacobi; X=(x)*e1, Y=e1, Z=e2; residual=(-1/2*x) e[1]]\n"
+        )
+        out = self.run_cli("check", str(p), "--probe-degree", "0")
+        assert out.returncode == 2
+        assert "scenario error: --probe-degree: " in out.stderr
+        assert out.stdout == ""
+        p.write_text(json.dumps(dict(data, probe_degree=0)))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert "scenario error: $.probe_degree: " in out.stderr
+        assert "Traceback" not in out.stderr
+
     @pytest.mark.parametrize("name", ["s0_axioms", "s1_bad_pi", "s1_full"])
     def test_json_report_matches_golden(self, name):
         out = self.run_cli("check", f"scenarios/{name}.json", "--format", "json")

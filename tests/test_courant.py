@@ -172,6 +172,25 @@ class TestScriptD:
 
 
 class TestCourantAxioms:
+    def test_anchor_fields_built_once_per_probe(self, monkeypatch):
+        from homlie.fixtures import algebroid_s1
+
+        builds = []
+        original = CourantDouble.rho_field
+
+        def counted(self, u):
+            builds.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(CourantDouble, "rho_field", counted)
+        E = double(BialgebroidPair.trivial(algebroid_s1()))
+        assert check_courant_axioms(E, 2).passed
+        # 8 frame fields (rho(E_a) and rho(phiE E_a)), 2 per probe in
+        # anchor-twist-conjugation, 1 per probe plus 1 per product in
+        # anchor-product-compatibility, and 1 per probe in
+        # pairing-derivation, over 12 pair probes
+        assert len(builds) == 8 + 2 * 12 + (12 + 12 * 12) + 12 == 200
+
     def test_s0_double(self, S0_pair):
         assert check_courant_axioms(double(S0_pair, verify=False)).passed
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from homlie.calculus import CartanContext, check_differential_props
+from homlie.calculus import CartanContext, check_differential_props, operator_cache
 from homlie.cli import _task_maurer_cartan, _task_pi_pi_identity
 from homlie.courant import (
     BialgebroidPair,
@@ -171,6 +171,15 @@ def test_mutant_matches_golden_and_fails_with_witness(name, golden):
     got = snapshot_one(name)
     assert _dump(got) == _dump(golden[name])
     assert any(": FAIL [identity=" in r for r in got.values()), name
+
+
+@pytest.mark.parametrize("name", mutant_names())
+def test_mutant_matches_golden_inside_one_cache_scope(name, golden):
+    """Every checker of a mutant shares one operator-cache scope, as
+    the tasks of a CLI run share theirs, and no witness changes."""
+    with operator_cache():
+        got = snapshot_one(name)
+    assert _dump(got) == _dump(golden[name])
 
 
 if __name__ == "__main__":

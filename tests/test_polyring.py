@@ -69,6 +69,21 @@ class TestPolyArithmetic:
     def test_pow(self):
         assert (x + y) ** 2 == x * x + 2 * x * y + y * y
 
+    @given(polys(), rationals)
+    @settings(max_examples=60)
+    def test_constant_factor_matches_full_product(self, f, c):
+        k = Poly.const(2, c)
+        want = Poly(2, kernels.poly_mul(f.terms, k.terms))
+        for got in (k * f, f * k):
+            assert (got.num, got.den) == (want.num, want.den)
+            assert_canonical(got)
+
+    @given(polys(), polys())
+    @settings(max_examples=60)
+    def test_key_is_equal_exactly_for_equal_polys(self, f, g):
+        assert (f.key() == g.key()) == (f == g)
+        assert hash(f.key()) == hash(((f + g) - g).key())
+
 
 class TestPartial:
     def test_x2y_by_x(self):
