@@ -273,6 +273,8 @@ def lie_derivative_form(ctx: CartanContext, X: MultiVector, eta) -> Form:
     Cartan formula (the dual twist of the argument is undone first).
 
     Cached inside an operator_cache() scope."""
+    if not isinstance(X, MultiVector):
+        raise StructureError(f"expected a multivector, got {type(X).__name__}")
     return cached_call(_lie_derivative_form, ctx, X, ctx.as_form(eta))
 
 

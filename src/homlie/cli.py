@@ -90,22 +90,66 @@ def _double(scn: Scenario):
     return scn.cache["double"]
 
 
+def _has_pi(scn: Scenario) -> bool:
+    return scn.pi is not None
+
+
+def _has_endo(scn: Scenario) -> bool:
+    return scn.endo is not None
+
+
+def _has_pi_and_endo(scn: Scenario) -> bool:
+    return _has_pi(scn) and _has_endo(scn)
+
+
+def _has_dirac_or_pi(scn: Scenario) -> bool:
+    return scn.dirac_spec is not None or _has_pi(scn)
+
+
+def _has_graph_or_pi(scn: Scenario) -> bool:
+    spec = scn.dirac_spec
+    return (spec is not None and spec["type"] == "graph") or _has_pi(scn)
+
+
+# task name -> function of the scenario, in the order "full" runs them
+TASKS = {}
+
+
+def _task(name: str, needs=lambda scn: True):
+    """Register the decorated function as the task `name`.  `needs` (kept
+    as the function's `needs` attribute) tells whether a scenario holds
+    the data the task reads; "full" expands to the tasks whose needs
+    hold."""
+
+    def register(fn):
+        fn.needs = needs
+        TASKS[name] = fn
+        return fn
+
+    return register
+
+
+@_task("check_axioms")
 def _task_check_axioms(scn):
     return check_axioms(scn.algebroid, scn.probe_degree)
 
 
+@_task("check_differential_props")
 def _task_differential_props(scn):
     return check_differential_props(_ctx(scn), scn.probe_degree)
 
 
+@_task("is_hom_poisson", _has_pi)
 def _task_is_hom_poisson(scn):
     return is_hom_poisson(_ctx(scn), _need_pi(scn), scn.probe_degree)
 
 
+@_task("sharp_commutes", _has_pi)
 def _task_sharp_commutes(scn):
     return sharp_commutes(_ctx(scn), _need_pi(scn), scn.probe_degree)
 
 
+@_task("pi_pi_identity", _has_pi)
 def _task_pi_pi_identity(scn):
     ctx = _ctx(scn)
     pi = _need_pi(scn)
@@ -114,33 +158,40 @@ def _task_pi_pi_identity(scn):
     return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 
+@_task("check_dual_algebroid", _has_pi)
 def _task_check_dual_algebroid(scn):
     dual = dual_algebroid(_ctx(scn), _need_pi(scn))
     sub = check_axioms(dual, scn.probe_degree)
     return CheckResult("check_dual_algebroid", sub.passed, sub.witness, sub.details)
 
 
+@_task("check_bialgebroid_pair", _has_pi)
 def _task_check_bialgebroid_pair(scn):
     return check_bialgebroid_pair(_ctx(scn), _need_pi(scn), min(scn.probe_degree, 2))
 
 
+@_task("is_hom_nijenhuis", _has_endo)
 def _task_is_hom_nijenhuis(scn):
     return is_hom_nijenhuis(_ctx(scn), _need_endo(scn), scn.probe_degree)
 
 
+@_task("lemma_checks", _has_endo)
 def _task_lemma_checks(scn):
     N = _need_endo(scn)
     return lemma_checks(_ctx(scn), N, N, min(scn.probe_degree, 2))
 
 
+@_task("d_n_props", _has_endo)
 def _task_d_n_props(scn):
     return d_n_props(_ctx(scn), _need_endo(scn), scn.probe_degree)
 
 
+@_task("is_hpn", _has_pi_and_endo)
 def _task_is_hpn(scn):
     return is_hpn(_ctx(scn), _need_pi(scn), _need_endo(scn), min(scn.probe_degree, 2))
 
 
+@_task("hierarchy", _has_pi_and_endo)
 def _task_hierarchy(scn):
     _, res = hierarchy(
         _ctx(scn), _need_pi(scn), _need_endo(scn), scn.hierarchy_depth, probe_degree=1
@@ -148,23 +199,28 @@ def _task_hierarchy(scn):
     return res
 
 
+@_task("hpn_bialgebroid_equiv", _has_pi_and_endo)
 def _task_hpn_bialgebroid_equiv(scn):
     return hpn_bialgebroid_equiv(_ctx(scn), _need_pi(scn), _need_endo(scn), 1)
 
 
+@_task("bialgebroid_defect_checks", _has_pi_and_endo)
 def _task_bialgebroid_defect_checks(scn):
     return bialgebroid_defect_checks(_ctx(scn), _need_pi(scn), _need_endo(scn), 1)
 
 
+@_task("check_bialgebroid")
 def _task_check_bialgebroid(scn):
     return check_bialgebroid(_pair(scn), min(scn.probe_degree, 2))
 
 
+@_task("check_courant_axioms")
 def _task_check_courant_axioms(scn):
     E = _double(scn)
     return check_courant_axioms(E, min(scn.probe_degree, 2))
 
 
+@_task("jacobiator")
 def _task_jacobiator(scn):
     E = _double(scn)
     frames = E.frame_sections()
@@ -193,10 +249,12 @@ def _dirac_subbundle(scn) -> Subbundle:
     return Subbundle(E, spec["generators"])
 
 
+@_task("dirac_checks", _has_dirac_or_pi)
 def _task_dirac_checks(scn):
     return dirac_checks(_dirac_subbundle(scn))
 
 
+@_task("graph_theorem_check", _has_graph_or_pi)
 def _task_graph_theorem_check(scn):
     spec = scn.dirac_spec
     if spec is not None and spec["type"] == "graph":
@@ -206,34 +264,11 @@ def _task_graph_theorem_check(scn):
     return graph_theorem_check(_pair(scn), H)
 
 
+@_task("maurer_cartan", _has_pi)
 def _task_maurer_cartan(scn):
     defect = maurer_cartan_defect(_pair(scn), _need_pi(scn))
     found = first_nonzero("maurer-cartan-equation", [({"pi": scn.pi}, defect)])
     return CheckResult("maurer_cartan", found.passed, found.witness)
-
-
-TASKS = {
-    "check_axioms": _task_check_axioms,
-    "check_differential_props": _task_differential_props,
-    "is_hom_poisson": _task_is_hom_poisson,
-    "sharp_commutes": _task_sharp_commutes,
-    "pi_pi_identity": _task_pi_pi_identity,
-    "check_dual_algebroid": _task_check_dual_algebroid,
-    "check_bialgebroid_pair": _task_check_bialgebroid_pair,
-    "is_hom_nijenhuis": _task_is_hom_nijenhuis,
-    "lemma_checks": _task_lemma_checks,
-    "d_n_props": _task_d_n_props,
-    "is_hpn": _task_is_hpn,
-    "hierarchy": _task_hierarchy,
-    "hpn_bialgebroid_equiv": _task_hpn_bialgebroid_equiv,
-    "bialgebroid_defect_checks": _task_bialgebroid_defect_checks,
-    "check_bialgebroid": _task_check_bialgebroid,
-    "check_courant_axioms": _task_check_courant_axioms,
-    "jacobiator": _task_jacobiator,
-    "dirac_checks": _task_dirac_checks,
-    "graph_theorem_check": _task_graph_theorem_check,
-    "maurer_cartan": _task_maurer_cartan,
-}
 
 
 def _expand_tasks(scn: Scenario, tasks=None):
@@ -241,36 +276,11 @@ def _expand_tasks(scn: Scenario, tasks=None):
     replaced by every task the scenario's data supports."""
     out = []
     for t in scn.tasks if tasks is None else tasks:
-        if t != "full":
+        if t == "full":
+            out.extend(name for name, fn in TASKS.items() if fn.needs(scn))
+        else:
             out.append(t)
-            continue
-        out.append("check_axioms")
-        out.append("check_differential_props")
-        if scn.pi is not None:
-            for name in (
-                "is_hom_poisson",
-                "sharp_commutes",
-                "pi_pi_identity",
-                "check_dual_algebroid",
-                "check_bialgebroid_pair",
-            ):
-                out.append(name)
-        if scn.endo is not None:
-            out.extend(["is_hom_nijenhuis", "lemma_checks", "d_n_props"])
-        if scn.pi is not None and scn.endo is not None:
-            out.extend(
-                ["is_hpn", "hierarchy", "hpn_bialgebroid_equiv", "bialgebroid_defect_checks"]
-            )
-        out.extend(["check_bialgebroid", "check_courant_axioms", "jacobiator"])
-        if scn.dirac_spec is not None or scn.pi is not None:
-            out.extend(["dirac_checks", "graph_theorem_check", "maurer_cartan"])
-    seen = set()
-    unique = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:

@@ -248,21 +248,17 @@ def dirac_to_algebroid(L: Subbundle) -> HomAlgebroid:
         )
     host = L.host
     r = host.r
-    twist_cols = []
-    for g in L.generators:
-        status, coeffs = L.membership(host.phiE(g))
-        twist_cols.append(coeffs)
+    gens = L.generators
+    # membership succeeds on every image and bracket: the checks passed
+    twist_cols = [L.membership(host.phiE(g))[1] for g in gens]
     twist_matrix = [[twist_cols[j][i] for j in range(r)] for i in range(r)]
     phiA = SectionTwist(twist_matrix, host.phi, "multivector")
-    structure = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            br = host.bracket(L.generators[i], L.generators[j])
-            status, coeffs = L.membership(br)
-            for k, c in enumerate(coeffs):
-                if not c.is_zero():
-                    structure[(i, j, k)] = c
-    anchor_cols = [host.rho_field(g).coeffs for g in L.generators]
+    structure = {
+        (i, j): L.membership(host.bracket(gens[i], gens[j]))[1]
+        for i in range(r)
+        for j in range(i + 1, r)
+    }
+    anchor_cols = [host.rho_field(g).coeffs for g in gens]
     anchor = [[anchor_cols[j][i] for j in range(r)] for i in range(host.n)]
     return HomAlgebroid(host.phi, phiA, anchor, structure)
 

@@ -7,7 +7,7 @@ trivial-line extension).
 from __future__ import annotations
 
 from . import probes
-from .exterior import Form, MultiVector, SectionTwist, _accumulate
+from .exterior import Form, GradedElement, MultiVector, SectionTwist, _accumulate
 from .polyring import AffineTwist, Poly, monomials
 from .report import CheckResult, StructureError, until_first_failure
 
@@ -172,6 +172,10 @@ class HomAlgebroid:
 
     The type admits invalid candidates on purpose; check_axioms decides
     whether the data actually satisfies the axioms.
+
+    The structure is given as functions {(i, j, k): C_ij^k} or as frame
+    brackets {(i, j): [e_i, e_j]}, each a degree-1 multivector or form or
+    a coefficient list; every derived algebroid is built from the latter.
     """
 
     def __init__(self, phi: AffineTwist, phiA: SectionTwist, anchor, structure):
@@ -204,7 +208,7 @@ class HomAlgebroid:
             for key, value in structure.items():
                 if len(key) == 2:
                     i, j = key
-                    vec = value.vector() if isinstance(value, MultiVector) else list(value)
+                    vec = value.vector() if isinstance(value, GradedElement) else list(value)
                     for k, c in enumerate(vec):
                         self._store_entry(table, i, j, k, c)
                 else:
@@ -306,9 +310,6 @@ class HomAlgebroid:
                     for K, a in self.phiA_frame(i).coeffs.items():
                         _accumulate(out, K, -(a * w))
         return MultiVector._raw(self.rank, self.n, 1, {K: out[K] for K in sorted(out)})
-
-    def render_section(self, X: MultiVector) -> str:
-        return X.render()
 
     def __repr__(self) -> str:
         return f"HomAlgebroid(n={self.n}, rank={self.rank})"
@@ -414,21 +415,16 @@ def make_pullback_tangent(phi: AffineTwist) -> HomAlgebroid:
     anchor, conjugation twist, structure functions extracted from the
     twisted commutator on the coordinate frame."""
     n = phi.n
-    ad_cols = [ad_twist(phi, PullbackVectorField.coordinate(phi, j)) for j in range(n)]
+    coords = [PullbackVectorField.coordinate(phi, i) for i in range(n)]
+    ad_cols = [ad_twist(phi, X) for X in coords]
     P = [[ad_cols[j].coeffs[i] for j in range(n)] for i in range(n)]
     phiA = SectionTwist(P, phi, "multivector")
     anchor = [[Poly.const(n, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = bracket_phistar(
-                phi,
-                PullbackVectorField.coordinate(phi, i),
-                PullbackVectorField.coordinate(phi, j),
-            )
-            for k, c in enumerate(br.coeffs):
-                if not c.is_zero():
-                    structure[(i, j, k)] = c
+    structure = {
+        (i, j): bracket_phistar(phi, coords[i], coords[j]).coeffs
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
     return HomAlgebroid(phi, phiA, anchor, structure)
 
 
@@ -450,9 +446,6 @@ def make_tm_r(phi: AffineTwist) -> HomAlgebroid:
         [Poly.const(n, 1 if i == j else 0) for j in range(n)] + [Poly.zero(n)]
         for i in range(n)
     ]
-    structure = {}
-    for (i, j, k), c in tangent.structure.items():
-        structure[(i, j, k)] = c
     # line-factor brackets: [e_i, u] has vanishing tangent part and the
     # derivation hits the constant coefficient 1, so everything is zero
-    return HomAlgebroid(phi, phiA, anchor, structure)
+    return HomAlgebroid(phi, phiA, anchor, dict(tangent.structure))

@@ -22,12 +22,20 @@ from .exterior import (
     Form,
     MultiVector,
     pair,
+    poly_mat_mul,
     reinterpret,
     twist_invariance,
 )
 from .homalg import HomAlgebroid
-from .poisson import Bivector, _as_bivector, _dual_context, dual_algebroid, is_hom_poisson
-from .polyring import Poly, monomials
+from .poisson import (
+    Bivector,
+    _as_bivector,
+    _dual_context,
+    bracket_pi,
+    dual_algebroid,
+    is_hom_poisson,
+)
+from .polyring import monomials
 from .report import (
     CheckResult,
     PreconditionError,
@@ -175,39 +183,32 @@ def deformed_bracket(ctx: CartanContext, N, X: MultiVector, Y: MultiVector) -> M
 
 def _deformed_data(ctx: CartanContext, N: EndoMap) -> HomAlgebroid:
     """The deformed candidate built from frame values of the deformed
-    bracket and the composed anchor; twist invariance of the
-    endomorphism, which callers establish first, makes the twisted
-    Leibniz expansion exact."""
+    bracket and the composed anchor rho . N; twist invariance of the
+    endomorphism makes the twisted Leibniz expansion exact."""
     A = ctx.algebroid
-    structure = {}
-    for i in range(ctx.rank):
-        for j in range(i + 1, ctx.rank):
-            br = deformed_bracket(ctx, N, A.frame(i), A.frame(j))
-            for k, c in enumerate(br.vector()):
-                if not c.is_zero():
-                    structure[(i, j, k)] = c
-    anchor = [
-        [
-            sum((A.anchor[i][k] * N.matrix[k][j] for k in range(ctx.rank)), Poly.zero(ctx.n))
-            for j in range(ctx.rank)
-        ]
-        for i in range(ctx.n)
-    ]
-    return HomAlgebroid(A.phi, A.phiA, anchor, structure)
+    structure = {
+        (i, j): deformed_bracket(ctx, N, A.frame(i), A.frame(j))
+        for i in range(ctx.rank)
+        for j in range(i + 1, ctx.rank)
+    }
+    return HomAlgebroid(A.phi, A.phiA, poly_mat_mul(A.anchor, N.matrix), structure)
 
 
 def _deformed_context(ctx: CartanContext, N: EndoMap) -> CartanContext:
-    def build():
-        inv = twist_invariance("N", N, ctx.algebroid.phiA)
-        if not inv.passed:
-            raise PreconditionError(
-                "deformation requires a twist-invariant endomorphism: residual "
-                + inv.witness.residual,
-                inv.witness,
-            )
-        return _deformed_data(ctx, N)
+    """The context of the deformed algebroid, derived from ctx once.
+    The deformation needs a twist-invariant endomorphism, which every
+    caller establishes first (is_hom_nijenhuis or _require_invariant)."""
+    return ctx.derived(("deformed", N), lambda: _deformed_data(ctx, N))
 
-    return ctx.derived(("deformed", N), build)
+
+def _require_invariant(ctx: CartanContext, N: EndoMap) -> None:
+    inv = twist_invariance("N", N, ctx.algebroid.phiA)
+    if not inv.passed:
+        raise PreconditionError(
+            "deformation requires a twist-invariant endomorphism: residual "
+            + inv.witness.residual,
+            inv.witness,
+        )
 
 
 def deformed_algebroid(ctx: CartanContext, N, probe_degree: int = 2) -> HomAlgebroid:
@@ -220,14 +221,15 @@ def deformed_algebroid(ctx: CartanContext, N, probe_degree: int = 2) -> HomAlgeb
             "endomorphism is not a valid deformation: " + ok.witness.render(),
             ok.witness,
         )
-    return _deformed_data(ctx, N)
+    return _deformed_context(ctx, N).algebroid
 
 
 def d_n_props(ctx: CartanContext, N, probe_degree: int = 3) -> CheckResult:
     """The deformed differential acts on functions through the
     transpose, and anticommutes with the original differential there."""
     N = _as_endo(ctx, N)
-    ctxN = CartanContext(deformed_algebroid(ctx, N, min(probe_degree, 2)))
+    deformed_algebroid(ctx, N, min(probe_degree, 2))  # refuses an invalid N first
+    ctxN = _deformed_context(ctx, N)
     Nt = N.transpose()
 
     def on_functions():
@@ -260,8 +262,6 @@ def compat_C(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
         - lie_derivative_form(ctx, s_beta, alpha)
         - differential(ctx, pair(beta, s_alpha))
     )
-    from .poisson import bracket_pi
-
     second = (
         bracket_pi(ctx, pi, Nt.apply(alpha), beta)
         + bracket_pi(ctx, pi, alpha, Nt.apply(beta))
@@ -272,8 +272,6 @@ def compat_C(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
 
 def _sharp_commutation_residual(ctx, pi, N):
     """N . sharp - sharp . transpose as a matrix residual."""
-    from .exterior import poly_mat_mul
-
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
     lhs = poly_mat_mul([list(r) for r in N.matrix], [list(r) for r in pi.sharp.matrix])
@@ -308,6 +306,7 @@ def bracket_Npi(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
     sharp map."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
+    _require_invariant(ctx, N)
     ctxN = _deformed_context(ctx, N)
     s_alpha = pi.sharp_apply(alpha)
     s_beta = pi.sharp_apply(beta)
@@ -364,10 +363,8 @@ def _prop_conditions(ctx, pi, N, probe_degree):
     """The four equivalent compatibility formulations, each evaluated on
     probe covector pairs."""
     coforms = probes.coframes(ctx.algebroid, probe_degree)
-    from .poisson import bracket_pi
-
-    Nt = _as_endo(ctx, N).transpose()
-    pi_N = Bivector.from_sharp(_mat_product(ctx, N, pi), ctx.n)
+    Nt = N.transpose()
+    pi_N = Bivector.from_sharp(poly_mat_mul(N.matrix, pi.sharp.matrix), ctx.n)
     cond = {
         "cond-compat-tensor": True,
         "cond-deformed-vs-composed": True,
@@ -396,13 +393,6 @@ def _prop_conditions(ctx, pi, N, probe_degree):
             ).is_zero():
                 cond["cond-derivative-tensor"] = False
     return cond
-
-
-def _mat_product(ctx, N, pi):
-    from .exterior import poly_mat_mul
-
-    N = _as_endo(ctx, N)
-    return poly_mat_mul([list(r) for r in N.matrix], [list(r) for r in pi.sharp.matrix])
 
 
 def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
@@ -435,8 +425,6 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
             "hierarchy requires a compatible pair: " + base.witness.render(), base.witness
         )
     H = [list(r) for r in pi.sharp.matrix]
-    from .exterior import poly_mat_mul
-
     for _ in range(depth):
         H = poly_mat_mul([list(r) for r in N.matrix], H)
         towers.append(Bivector.from_sharp(H, ctx.n))
@@ -461,12 +449,16 @@ def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2) -> Form:
     being a twisted derivation of the dual graded bracket; the
     undifferentiated slot carries the dagger twist so that the defect
     vanishes exactly on compatible pairs."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
+    return _defect_operator(ctx, _as_bivector(ctx, pi), _as_endo(ctx, N))(xi1, xi2)
+
+
+def _defect_operator(ctx: CartanContext, pi: Bivector, N: EndoMap):
+    """The map (xi1, xi2) -> bialgebroid_defect(ctx, pi, N, xi1, xi2),
+    built after refusing a non-Poisson pi and then a non-invariant N."""
     dual_ctx = _dual_context(ctx, pi)
+    _require_invariant(ctx, N)
     ctxN = _deformed_context(ctx, N)
-    xi1 = ctx.as_form(xi1)
-    xi2 = ctx.as_form(xi2)
+    dag = ctx.dagger.apply_graded
 
     def dual_schouten(a, b):
         return reinterpret(
@@ -474,19 +466,20 @@ def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2) -> Form:
             Form,
         )
 
-    def d_n(w):
-        return differential(ctxN, w)
+    def defect(xi1, xi2) -> Form:
+        xi1 = ctx.as_form(xi1)
+        xi2 = ctx.as_form(xi2)
+        if xi1.degree == 0 and xi2.degree == 0:
+            # the graded bracket of two functions vanishes identically, so
+            # only the cross terms survive at scalar level
+            out = Form.zero(ctx.rank, ctx.n, 0)
+        else:
+            out = differential(ctxN, dual_schouten(xi1, xi2))
+        out = out - dual_schouten(differential(ctxN, xi1), dag(xi2))
+        tail = dual_schouten(dag(xi1), differential(ctxN, xi2))
+        return out + tail if xi1.degree % 2 == 0 else out - tail
 
-    dag = ctx.dagger.apply_graded
-    if xi1.degree == 0 and xi2.degree == 0:
-        # the graded bracket of two functions vanishes identically, so
-        # only the cross terms survive at scalar level
-        out = Form.zero(ctx.rank, ctx.n, 0)
-    else:
-        out = d_n(dual_schouten(xi1, xi2))
-    out = out - dual_schouten(d_n(xi1), dag(xi2))
-    tail = dual_schouten(dag(xi1), d_n(xi2))
-    return out + tail if xi1.degree % 2 == 0 else out - tail
+    return defect
 
 
 def bialgebroid_defect_checks(
@@ -497,7 +490,7 @@ def bialgebroid_defect_checks(
     doubly-twisted tail, and graded antisymmetry."""
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
-    _dual_context(ctx, pi)  # refuses a non-Poisson pi before any probe runs
+    defect = _defect_operator(ctx, pi, N)  # refuses before any probe runs
     A = ctx.algebroid
     Nt = N.transpose()
     funcs = monomials(ctx.n, probe_degree)
@@ -512,7 +505,7 @@ def bialgebroid_defect_checks(
     def on_functions():
         for f in funcs:
             for g in funcs:
-                lhs = bialgebroid_defect(ctx, pi, N, f, g).scalar_value()
+                lhs = defect(f, g).scalar_value()
                 rhs = pair(
                     differential(ctx, A.phi.pullback(f)),
                     sharp_defect(differential(ctx, A.phi.pullback(g))),
@@ -522,7 +515,7 @@ def bialgebroid_defect_checks(
     def on_exact_and_function():
         for f in funcs:
             for g in funcs:
-                lhs = bialgebroid_defect(ctx, pi, N, differential(ctx, f), g)
+                lhs = defect(differential(ctx, f), g)
                 rhs = compat_C(
                     ctx,
                     pi,
@@ -536,7 +529,7 @@ def bialgebroid_defect_checks(
         for f in funcs:
             for g in funcs:
                 df, dg = differential(ctx, f), differential(ctx, g)
-                lhs = bialgebroid_defect(ctx, pi, N, df, dg)
+                lhs = defect(df, dg)
                 rhs = -differential(ctx, compat_C(ctx, pi, N, df, dg))
                 yield {"f": f, "g": g}, lhs - rhs
 
@@ -547,13 +540,9 @@ def bialgebroid_defect_checks(
         for la, alpha in coforms:
             for lb, beta in coforms:
                 for lc, gamma in coforms:
-                    lhs = bialgebroid_defect(ctx, pi, N, alpha, beta.wedge(gamma))
-                    first = bialgebroid_defect(ctx, pi, N, alpha, beta).wedge(
-                        dagger2(gamma)
-                    )
-                    second = dagger2(beta).wedge(
-                        bialgebroid_defect(ctx, pi, N, alpha, gamma)
-                    )
+                    lhs = defect(alpha, beta.wedge(gamma))
+                    first = defect(alpha, beta).wedge(dagger2(gamma))
+                    second = dagger2(beta).wedge(defect(alpha, gamma))
                     even = (alpha.degree * beta.degree) % 2 == 0
                     rhs = first + second if even else first - second
                     yield {"alpha": la, "beta": lb, "gamma": lc}, lhs - rhs
@@ -561,8 +550,8 @@ def bialgebroid_defect_checks(
     def graded_antisymmetry():
         for la, alpha in coforms:
             for lb, beta in coforms:
-                lhs = bialgebroid_defect(ctx, pi, N, alpha, beta)
-                rhs = bialgebroid_defect(ctx, pi, N, beta, alpha)
+                lhs = defect(alpha, beta)
+                rhs = defect(beta, alpha)
                 sign = -1 if ((alpha.degree - 1) * (beta.degree - 1)) % 2 == 0 else 1
                 yield {"alpha": la, "beta": lb}, lhs - rhs.scale(sign)
 
@@ -596,7 +585,7 @@ def hpn_bialgebroid_equiv(
             ok_N.witness,
         )
     hpn = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence=False)
-    A_N = _deformed_data(ctx, N)
+    A_N = _deformed_context(ctx, N).algebroid
     dual = dual_algebroid(ctx, pi)
     pair_check = check_bialgebroid(BialgebroidPair(A_N, dual), probe_degree)
     b1 = hpn.passed

@@ -6,11 +6,10 @@ classical Poisson pairs on the pullback tangent instance.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import classical, probes
 from .calculus import (
     CartanContext,
+    _koszul_differential,
     differential,
     lie_derivative_form,
     schouten,
@@ -20,8 +19,9 @@ from .exterior import (
     Form,
     MultiVector,
     SectionTwist,
-    eval_multivector,
     pair,
+    poly_mat_mul,
+    reinterpret,
     twist_invariance,
     wedge_all,
 )
@@ -174,67 +174,42 @@ def _dual_data(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
         raise PreconditionError(
             f"bivector is not Poisson: {ok.witness.render()}", ok.witness
         )
+    return _dual_candidate(ctx, pi)
+
+
+def _dual_candidate(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
+    """The dual candidate of any bivector: dagger twist, covector
+    bracket on the coframe, anchor rho . sharp.  It is a Hom-Lie
+    algebroid exactly when the bivector is Poisson."""
     A = ctx.algebroid
-    twist = SectionTwist(
-        [list(row) for row in ctx.dagger.matrix], A.phi, "multivector"
+    structure = {
+        (i, j): bracket_pi(ctx, pi, A.coframe(i), A.coframe(j))
+        for i in range(ctx.rank)
+        for j in range(i + 1, ctx.rank)
+    }
+    return HomAlgebroid(
+        A.phi,
+        SectionTwist(ctx.dagger.matrix, A.phi),
+        poly_mat_mul(A.anchor, pi.sharp.matrix),
+        structure,
     )
-    anchor = [
-        [
-            sum(
-                (A.anchor[i][k] * pi.sharp.matrix[k][j] for k in range(ctx.rank)),
-                Poly.zero(ctx.n),
-            )
-            for j in range(ctx.rank)
-        ]
-        for i in range(ctx.n)
-    ]
-    structure = {}
-    for i in range(ctx.rank):
-        for j in range(i + 1, ctx.rank):
-            br = bracket_pi(ctx, pi, A.coframe(i), A.coframe(j))
-            for k, c in enumerate(br.vector()):
-                if not c.is_zero():
-                    structure[(i, j, k)] = c
-    return HomAlgebroid(A.phi, twist, anchor, structure)
 
 
 def d_pi(ctx: CartanContext, pi, D) -> MultiVector:
     """Degree-raising operator on multivectors driven by the bivector:
-    the twisted evaluation formula run on the dual side.  The result is
-    cross-checked against the graded bracket with the bivector on every
-    call."""
+    the differential of the dual candidate (the Koszul formula run on
+    the dual side), defined for every twist-invariant bivector.  The
+    result is cross-checked against the graded bracket with the
+    bivector on every call."""
     pi = _as_bivector(ctx, pi)
-    A = ctx.algebroid
-    inv = twist_invariance("pi", pi.table, A.phiA)
+    inv = twist_invariance("pi", pi.table, ctx.algebroid.phiA)
     if not inv.passed:
         raise PreconditionError(
             "bivector is not twist-invariant: residual " + inv.witness.residual, inv.witness
         )
     D = ctx.as_multivector(D)
-    k = D.degree
-    out = MultiVector.zero(ctx.rank, ctx.n, k + 1)
-    inv_coframe = [ctx.dagger_inv.apply(A.coframe(i)) for i in range(ctx.rank)]
-    tw_D = A.phiA.apply_graded(D)
-    if k + 1 <= ctx.rank:
-        for I in combinations(range(ctx.rank), k + 1):
-            val = Poly.zero(ctx.n)
-            for a, idx in enumerate(I):
-                rest = [inv_coframe[b] for b in I if b != idx]
-                w = eval_multivector(D, rest)
-                if not w.is_zero():
-                    term = A.anchor_apply(pi.sharp_apply(A.coframe(idx)), w)
-                    val = val + (term if a % 2 == 0 else -term)
-            for a in range(k + 1):
-                for b in range(a + 1, k + 1):
-                    br = bracket_pi(ctx, pi, inv_coframe[I[a]], inv_coframe[I[b]])
-                    if br.is_zero():
-                        continue
-                    rest = [A.coframe(I[c]) for c in range(k + 1) if c != a and c != b]
-                    W = wedge_all(ctx.rank, ctx.n, [br] + rest, Form)
-                    term = pair(W, tw_D)
-                    val = val + (term if (a + b) % 2 == 0 else -term)
-            if not val.is_zero():
-                out.coeffs[I] = val
+    dual_ctx = ctx.derived(("dual candidate of", pi.table), lambda: _dual_candidate(ctx, pi))
+    out = reinterpret(_koszul_differential(dual_ctx, reinterpret(D, Form)), MultiVector)
     bracket_route = schouten(ctx, pi.table, D)
     if out != bracket_route:
         raise TheoremViolation(

@@ -65,8 +65,6 @@ KNOWN_TASKS = [
     "maurer_cartan",
 ]
 
-FULL_ORDER = KNOWN_TASKS  # deterministic expansion order for "full"
-
 
 def _require(cond, path, message):
     if not cond:
@@ -264,7 +262,7 @@ def parse_scenario(data: dict) -> Scenario:
             d_struct = _parse_structure(n, rank, spec.get("structure", []), "$.dual.structure")
             d_anchor = _parse_matrix(n, n, rank, spec.get("anchor", [[0] * rank] * n), "$.dual.anchor")
             # the dual side carries the dagger of the section twist
-            d_twist = SectionTwist([list(r) for r in phiA.dual().matrix], phi, "multivector")
+            d_twist = SectionTwist(phiA.dual().matrix, phi)
             try:
                 dual_spec = HomAlgebroid(phi, d_twist, d_anchor, d_struct)
             except ValueError as exc:

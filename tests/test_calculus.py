@@ -1,4 +1,5 @@
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,13 @@ from homlie.calculus import (
     lie_derivative_form,
     lie_derivative_multivector,
     lie_derivative_tensor,
+    operator_cache,
     schouten,
 )
 from homlie.exterior import EndoMap, Form, MultiVector, SectionTwist, pair, wedge
 from homlie.homalg import HomAlgebroid, make_pullback_tangent, make_tm_r
 from homlie.polyring import AffineTwist, Poly, monomials
+from homlie.report import StructureError
 
 
 def s1_base():
@@ -131,6 +134,14 @@ class TestLieDerivativeForm:
         engine = lie_derivative_form(S3, X, om)
         oracle = classical.lie_form(X, om)
         assert engine == oracle
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("X", [x, "e1", Form.basis(2, 2, (0,))], ids=["Poly", "str", "Form"])
+    def test_non_multivector_refused(self, S1, X, scoped):
+        # checked before the operator-cache key is built from X
+        with operator_cache() if scoped else nullcontext():
+            with pytest.raises(StructureError, match="expected a multivector"):
+                lie_derivative_form(S1, X, eps(S1, 1))
 
 
 class TestSchouten:

@@ -203,6 +203,84 @@ class TestRepeatedWork:
         assert _task_d_n_props(scn).passed
         assert labels == ["N"]
 
+    def test_deformed_algebroid_built_once_per_context_and_endo(self, monkeypatch):
+        from homlie import nijenhuis
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        builds = self.counted(monkeypatch, nijenhuis, "_deformed_data")
+        tasks = ["d_n_props", "hpn_bialgebroid_equiv", "bialgebroid_defect_checks"]
+        report = run_scenario(scn, tasks)
+        assert [t["verdict"] for t in report["tasks"]] == ["pass"] * 3
+        assert len(builds) == 1
+
+
+class TestFullExpansion:
+    """"full" runs, in TASKS order, every task whose data the scenario
+    holds."""
+
+    def test_tasks_follow_the_known_task_order(self):
+        from homlie import cli, scenario
+
+        assert list(cli.TASKS) == scenario.KNOWN_TASKS
+
+    def test_shipped_scenarios_expand_by_their_data(self):
+        from homlie import cli
+
+        full = {
+            name: cli._expand_tasks(load_scenario(str(SCENARIOS / f"{name}.json")), ["full"])
+            for name in ("s0_axioms", "s1_bad_pi", "s1_full")
+        }
+        assert full["s0_axioms"] == [
+            "check_axioms",
+            "check_differential_props",
+            "check_bialgebroid",
+            "check_courant_axioms",
+            "jacobiator",
+        ]
+        # s1_full holds pi and N, so every task runs; s1_bad_pi has no N
+        assert full["s1_full"] == list(cli.TASKS)
+        needs_endo = {
+            "is_hom_nijenhuis",
+            "lemma_checks",
+            "d_n_props",
+            "is_hpn",
+            "hierarchy",
+            "hpn_bialgebroid_equiv",
+            "bialgebroid_defect_checks",
+        }
+        assert full["s1_bad_pi"] == [t for t in cli.TASKS if t not in needs_endo]
+
+    @pytest.mark.parametrize(
+        "dirac, expected",
+        [
+            (
+                {"type": "graph", "H": [["0", "1"], ["-1", "0"]]},
+                ["dirac_checks", "graph_theorem_check"],
+            ),
+            (
+                {"type": "span", "generators": [["0", "-1", "1", "0"], ["1", "0", "0", "1"]]},
+                ["dirac_checks"],
+            ),
+        ],
+        ids=["graph", "span"],
+    )
+    def test_dirac_without_pi_runs_only_supported_tasks(self, tmp_path, capsys, dirac, expected):
+        from homlie.cli import main
+
+        path = tmp_path / "dirac.json"
+        path.write_text(json.dumps(s1_scenario_dict(dirac=dirac, tasks=["full"])))
+        code = main(["check", str(path), "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert [t["task"] for t in report["tasks"]] == [
+            "check_axioms",
+            "check_differential_props",
+            "check_bialgebroid",
+            "check_courant_axioms",
+            "jacobiator",
+        ] + expected
+        assert report["verdict"] == "pass"
+        assert code == 0
+
 
 class TestCliProcess:
     def run_cli(self, *args):

@@ -191,6 +191,25 @@ class TestCourantAxioms:
         # pairing-derivation, over 12 pair probes
         assert len(builds) == 8 + 2 * 12 + (12 + 12 * 12) + 12 == 200
 
+    def test_phiE_once_per_probe(self, monkeypatch):
+        from homlie.fixtures import algebroid_s1
+
+        calls = []
+        original = CourantDouble.phiE
+
+        def counted(self, u):
+            calls.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(CourantDouble, "phiE", counted)
+        E = double(BialgebroidPair.trivial(algebroid_s1()))
+        assert check_courant_axioms(E, 2).passed
+        # one per product in product-twist-homomorphism (12 x 12 pair
+        # probes), and one per distinct probe section: the 24 mixed
+        # probes, which include the 12 pair probes and the scaled frames
+        # of product-hom-leibniz
+        assert len(calls) == 12 * 12 + 24 == 168
+
     def test_s0_double(self, S0_pair):
         assert check_courant_axioms(double(S0_pair, verify=False)).passed
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from test_differential_tables import dense_tangent, invalid_candidate
 
 from homlie import probes
-from homlie.exterior import MultiVector, SectionTwist
+from homlie.exterior import Form, MultiVector, SectionTwist
 from homlie.fixtures import algebroid_s0, algebroid_s1, algebroid_s2, algebroid_s3
 from homlie.homalg import (
     HomAlgebroid,
@@ -248,6 +248,38 @@ class TestCheckAxioms:
                 S1.anchor,
                 {(0, 1, 0): Poly.const(2, 1), (1, 0, 0): Poly.const(2, 1)},
             )
+
+
+class TestFrameBracketStructure:
+    """HomAlgebroid takes frame brackets {(i, j): [e_i, e_j]} as a
+    multivector, a form or a coefficient list, and stores the same
+    table, in the same key order, as {(i, j, k): C_ij^k}."""
+
+    def test_frame_bracket_forms_agree(self):
+        A = algebroid_s3()
+        n, r = A.n, A.rank
+        x, z = Poly.variable(n, 0), Poly.variable(n, 2)
+        vectors = {
+            (0, 1): [Poly.zero(n), z, x],
+            (0, 2): [x * z, Poly.zero(n), Poly.const(n, 2)],
+            (1, 2): [Poly.zero(n)] * r,
+        }
+        by_k = {
+            (i, j, k): c
+            for (i, j), vec in vectors.items()
+            for k, c in enumerate(vec)
+            if not c.is_zero()
+        }
+        expected = HomAlgebroid(A.phi, A.phiA, A.anchor, by_k).structure
+        assert list(expected) == [(0, 1, 1), (0, 1, 2), (0, 2, 0), (0, 2, 2)]
+        for wrap in (
+            lambda vec: MultiVector.from_vector(r, n, vec),
+            lambda vec: Form.from_vector(r, n, vec),
+            list,
+        ):
+            table = {key: wrap(vec) for key, vec in vectors.items()}
+            got = HomAlgebroid(A.phi, A.phiA, A.anchor, table).structure
+            assert list(got.items()) == list(expected.items())
 
 
 class TestIntertwining:

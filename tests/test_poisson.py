@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from homlie import classical
+from homlie import classical, probes
 from homlie.calculus import CartanContext, schouten
-from homlie.exterior import MultiVector, pair, wedge
+from homlie.exterior import MultiVector, pair, reinterpret, wedge
+from homlie.fixtures import get_fixture
 from homlie.homalg import check_axioms, make_pullback_tangent
 from homlie.poisson import (
     Bivector,
@@ -194,6 +195,20 @@ class TestDPi:
     def test_rejects_noninvariant(self, S1):
         with pytest.raises(PreconditionError):
             d_pi(S1, bad_pi(S1), S1.algebroid.frame(0))
+
+    @pytest.mark.parametrize("name", ["S1", "S3-nonpoisson-pi"])
+    def test_equals_graded_bracket_up_to_top_degree(self, name):
+        # the dual candidate's Koszul differential against [pi, D], on
+        # every probe multivector of every degree; the S3 bivector is
+        # invariant but not Poisson
+        data = get_fixture(name).build()
+        ctx, pi = CartanContext(data["algebroid"]), data["pi"]
+        assert is_hom_poisson(ctx, pi).passed == (name == "S1")
+        probes_ = probes.forms(ctx.algebroid, 1)
+        assert {om.degree for _, om in probes_} == set(range(ctx.rank + 1))
+        for _, om in probes_:
+            D = reinterpret(om, MultiVector)
+            assert d_pi(ctx, pi, D) == schouten(ctx, pi.table, D)
 
 
 class TestPiPiIdentity:
