@@ -326,6 +326,10 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     frame, scaled = singles[: A.rank], singles[A.rank :]
     scaled_small = probes.sections(A, min(probe_degree, PAIRWISE_PROBE_DEGREE))[A.rank :]
     funcs = monomials(A.n, probe_degree)
+    # phi* of each probe function, pulled back once for every identity;
+    # an anchor field applied to f is its flat field applied to phi*f,
+    # so each also keeps the partials of phi*f
+    pulled = [(A.phi.pullback(f), {}) for f in funcs]
     pairs = (
         [(x, y) for x in frame for y in frame]
         + [(x, y) for x in frame for y in scaled]
@@ -335,9 +339,10 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
 
     def linearity():
         for label, X in singles:
-            for f in funcs:
+            twisted = A.phiA.apply(X)
+            for f, (pf, _) in zip(funcs, pulled):
                 lhs = A.phiA.apply(X.scale(f))
-                rhs = A.phiA.apply(X).scale(A.phi.pullback(f))
+                rhs = twisted.scale(pf)
                 yield {"X": label, "f": f}, lhs - rhs
 
     def hom():
@@ -369,31 +374,32 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
             yield {"X": lx, "Y": ly, "Z": lz}, total
 
     def leibniz():
-        pulled = [A.phi.pullback(f) for f in funcs]
         for (lx, X), (ly, Y) in pairs:
             br = A.bracket(X, Y)
             twisted_y = A.phiA.apply(Y)
-            rho_x = A.anchor_field(A.phiA.apply(X))
-            for f, pf in zip(funcs, pulled):
+            rho_x = A.anchor_field(A.phiA.apply(X)).flat
+            for f, (pf, dpf) in zip(funcs, pulled):
                 lhs = A.bracket(X, Y.scale(f))
-                rhs = br.scale(pf) + twisted_y.scale(rho_x.apply(f))
+                rhs = br.scale(pf) + twisted_y.scale(derive(rho_x, pf, dpf))
                 yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 
     def anchor_twist():
+        # phi* phi^-1* f, the input of the untwisted anchor field
+        round_trip = [(A.phi.pullback(A.phi.inverse_pullback(f)), {}) for f in funcs]
         for label, X in singles:
-            a_tw = A.anchor_field(A.phiA.apply(X))
-            a_raw = A.anchor_field(X)
-            for f in funcs:
-                lhs = a_tw.apply(f)
-                rhs = A.phi.pullback(a_raw.apply(A.phi.inverse_pullback(f)))
+            a_tw = A.anchor_field(A.phiA.apply(X)).flat
+            a_raw = A.anchor_field(X).flat
+            for f, (pf, dpf), (rf, drf) in zip(funcs, pulled, round_trip):
+                lhs = derive(a_tw, pf, dpf)
+                rhs = A.phi.pullback(derive(a_raw, rf, drf))
                 yield {"X": label, "f": f}, lhs - rhs
 
     def anchor_bracket():
         for (lx, X), (ly, Y) in pairs:
-            a_br = A.anchor_field(A.bracket(X, Y))
+            a_br = A.anchor_field(A.bracket(X, Y)).flat
             ax, ay = A.anchor_field(X), A.anchor_field(Y)
-            for f in funcs:
-                lhs = a_br.apply(f)
+            for f, (pf, dpf) in zip(funcs, pulled):
+                lhs = derive(a_br, pf, dpf)
                 rhs = bracket_phistar_apply(A.phi, ax, ay, f)
                 yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 

@@ -1,13 +1,53 @@
 """Term-map kernels for sparse multivariate polynomials.
 
-A term map is a plain dict from exponent tuples (one non-negative int
-per variable) to nonzero coefficients.  The kernels only add, multiply
-and test coefficients for zero, so they work on any exact ring
-elements; `Poly` passes integer numerators.  Every kernel returns a new
-dict in the same canonical form: zero coefficients are never stored.
+A term map is a plain dict from packed monomial keys to nonzero
+coefficients.  A key is one non-negative int: the exponent of x_i sits
+in bits [F*i, F*(i+1)).  The top bit of each field is a guard, so an
+exponent is below LIMIT = 2**(F-1) and the sum of two exponents fits
+its field without carrying into the next variable.  Multiplying
+monomials is adding keys; differentiating by x_i is a shift, a mask and
+a subtraction.  A product whose result holds a term with a guard bit
+set raises ExponentOverflow instead of returning it.
+
+`pack` and `unpack` convert between keys and exponent tuples.  Outside
+this module, code reads no more of a key than whether it is 0, the key
+of the constant monomial.
+
+The kernels only add, multiply and test coefficients for zero, so they
+work on any exact ring elements; `Poly` passes integer numerators.
+Every kernel returns a new dict in the same canonical form: zero
+coefficients are never stored.
 """
 
-from operator import add
+F = 16
+LIMIT = 1 << (F - 1)
+MASK = (1 << F) - 1
+# keys hold at most MAX_VARS fields; GUARD has the top bit of each
+MAX_VARS = 256
+GUARD = sum(LIMIT << (F * i) for i in range(MAX_VARS))
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent of LIMIT or more."""
+
+
+def pack(exps) -> int:
+    """The key of an exponent sequence; refuses one no key can hold."""
+    if len(exps) > MAX_VARS:
+        raise ValueError(f"more than {MAX_VARS} variables")
+    key = 0
+    for i, e in enumerate(exps):
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        if e >= LIMIT:
+            raise ExponentOverflow(f"exponent {e} in {tuple(exps)} is not below {LIMIT}")
+        key |= e << (F * i)
+    return key
+
+
+def unpack(key, n):
+    """The exponent tuple of the key of a monomial in n variables."""
+    return tuple((key >> (F * i)) & MASK for i in range(n))
 
 
 def poly_add(a, b):
@@ -45,10 +85,11 @@ def poly_mul(a, b):
     if len(a) > len(b):
         a, b = b, a
     out = {}
+    get = out.get
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(map(add, ka, kb))
-            s = out.get(k)
+            k = ka + kb
+            s = get(k)
             if s is None:
                 out[k] = va * vb
             else:
@@ -57,16 +98,21 @@ def poly_mul(a, b):
                     out[k] = s
                 else:
                     del out[k]
+    for k in out:
+        if k & GUARD:
+            raise ExponentOverflow(f"a product has an exponent of {LIMIT} or more")
     return out
 
 
 def poly_partial(a, i):
     # exponent maps stay distinct under d/dx_i, so no merging is needed
+    shift = F * i
+    unit = 1 << shift
     out = {}
     for k, v in a.items():
-        e = k[i]
+        e = (k >> shift) & MASK
         if e:
-            out[k[:i] + (e - 1,) + k[i + 1 :]] = v * e
+            out[k - unit] = v * e
     return out
 
 
@@ -77,10 +123,10 @@ def poly_substitute(a, powers, nvars):
     a term dict; powers[i][0] is unused.
     """
     out = {}
-    zero_key = (0,) * nvars
     for k, v in a.items():
-        prod = {zero_key: v}
-        for i, e in enumerate(k):
+        prod = {0: v}
+        for i in range(nvars):
+            e = (k >> (F * i)) & MASK
             if e:
                 prod = poly_mul(prod, powers[i][e])
         out = poly_add(out, prod)

@@ -307,7 +307,12 @@ def bracket_Npi(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
     pi = _as_bivector(ctx, pi)
     N = _as_endo(ctx, N)
     _require_invariant(ctx, N)
-    ctxN = _deformed_context(ctx, N)
+    return _bracket_Npi(_deformed_context(ctx, N), pi, alpha, beta)
+
+
+def _bracket_Npi(ctxN: CartanContext, pi: Bivector, alpha: Form, beta: Form) -> Form:
+    """bracket_Npi in the deformed context ctxN, whose endomorphism is
+    already known to be twist-invariant."""
     s_alpha = pi.sharp_apply(alpha)
     s_beta = pi.sharp_apply(beta)
     out = lie_derivative_form(ctxN, s_alpha, beta) - lie_derivative_form(ctxN, s_beta, alpha)
@@ -361,8 +366,9 @@ def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence):
 
 def _prop_conditions(ctx, pi, N, probe_degree):
     """The four equivalent compatibility formulations, each evaluated on
-    probe covector pairs."""
+    probe covector pairs.  is_hpn calls it only for a twist-invariant N."""
     coforms = probes.coframes(ctx.algebroid, probe_degree)
+    ctxN = _deformed_context(ctx, N)
     Nt = N.transpose()
     pi_N = Bivector.from_sharp(poly_mat_mul(N.matrix, pi.sharp.matrix), ctx.n)
     cond = {
@@ -373,7 +379,7 @@ def _prop_conditions(ctx, pi, N, probe_degree):
     }
     for la, alpha in coforms:
         for lb, beta in coforms:
-            base = bracket_Npi(ctx, pi, N, alpha, beta)
+            base = _bracket_Npi(ctxN, pi, alpha, beta)
             if cond["cond-compat-tensor"] and not compat_C(ctx, pi, N, alpha, beta).is_zero():
                 cond["cond-compat-tensor"] = False
             if cond["cond-deformed-vs-composed"]:

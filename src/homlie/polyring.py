@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 from . import kernels
+from .kernels import pack, unpack
 
 
 class DimensionMismatch(ValueError):
@@ -39,12 +40,16 @@ class Poly:
     """Sparse multivariate polynomial over the rationals.
 
     Stored as integer numerators over one common denominator: `num`
-    maps exponent tuples to nonzero ints and `den` is a positive int
-    with gcd(den, every numerator) == 1.  That form is canonical, so two
-    polynomials are equal exactly when their (num, den) pairs are equal.
-    Arithmetic runs the term-map kernels on the numerators and reduces
-    each result by one gcd.  Instances are immutable; all arithmetic
-    returns new objects.
+    maps packed monomial keys (see `kernels`) to nonzero ints and `den`
+    is a positive int with gcd(den, every numerator) == 1.  That form is
+    canonical, so two polynomials are equal exactly when their
+    (num, den) pairs are equal.  Arithmetic runs the term-map kernels on
+    the numerators and reduces each result by one gcd.  Instances are
+    immutable; all arithmetic returns new objects.
+
+    Exponent tuples appear only at the boundary: the constructors pack
+    them, refusing an exponent of `kernels.LIMIT` or more, and `terms`,
+    `sorted_terms`, `degree`, `render` and `to_json` unpack them.
     """
 
     __slots__ = ("n", "num", "den")
@@ -56,8 +61,9 @@ class Poly:
             v = _as_fraction(v)
             if len(k) != n:
                 raise DimensionMismatch(f"exponent {k} has wrong arity for {n} variables")
+            key = pack(k)
             if v:
-                clean[tuple(k)] = v
+                clean[key] = v
         # the lcm of reduced denominators leaves no common factor
         self.den = lcm(*(v.denominator for v in clean.values()))
         self.num = {k: v.numerator * (self.den // v.denominator) for k, v in clean.items()}
@@ -69,13 +75,13 @@ class Poly:
     @classmethod
     def const(cls, n: int, c) -> "Poly":
         c = _as_fraction(c)
-        return _poly(n, {(0,) * n: c.numerator} if c else {}, c.denominator)
+        return _poly(n, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, n: int, i: int) -> "Poly":
         if not 0 <= i < n:
             raise IndexError(f"variable index {i} out of range for {n} variables")
-        return _poly(n, {tuple(1 if j == i else 0 for j in range(n)): 1}, 1)
+        return _poly(n, {pack([int(j == i) for j in range(n)]): 1}, 1)
 
     @classmethod
     def monomial(cls, n: int, exps, c=1) -> "Poly":
@@ -84,7 +90,8 @@ class Poly:
     @property
     def terms(self) -> dict:
         """The coefficients as a fresh {exponents: Fraction} dict."""
-        return {k: Fraction(v, self.den) for k, v in self.num.items()}
+        n = self.n
+        return {unpack(k, n): Fraction(v, self.den) for k, v in self.num.items()}
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -132,7 +139,7 @@ class Poly:
             a, b = b, a
         if len(a) == 1 and len(b) > 1:
             [(k, c)] = a.items()
-            if not any(k):
+            if not k:
                 # a constant factor scales the terms of the other
                 return _reduced(self.n, kernels.poly_scale(b, c), self.den * other.den)
         return _reduced(self.n, kernels.poly_mul(a, b), self.den * other.den)
@@ -165,7 +172,7 @@ class Poly:
         return not self.num
 
     def is_constant(self) -> bool:
-        return all(not any(k) for k in self.num)
+        return all(not k for k in self.num)
 
     def constant_value(self) -> Fraction:
         if not self.num:
@@ -177,7 +184,7 @@ class Poly:
     def degree(self) -> int:
         if not self.num:
             return 0
-        return max(sum(k) for k in self.num)
+        return max(sum(unpack(k, self.n)) for k in self.num)
 
     def partial(self, i: int) -> "Poly":
         if not 0 <= i < self.n:
@@ -192,7 +199,7 @@ class Poly:
         return self.render()
 
     def render(self, names=None) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         names = names or _default_names(self.n)
         parts = []
@@ -297,13 +304,15 @@ class AffineTwist:
     and has an exact inverse because M is invertible over the rationals.
 
     Each direction (pullback, inverse_pullback) keeps its own monomial
-    table: one entry per distinct exponent tuple that direction has
-    seen, mapping it to the (numerators, denominator) pair of that
+    table: one entry per distinct packed monomial key that direction
+    has seen, mapping it to the (numerators, denominator) pair of that
     monomial's image, filled once by the substitution kernel.  A
     pullback is the sum of the scaled table entries of its terms,
-    accumulated into one fresh dict.  A table is never handed out, so
-    its entries are never mutated; it is bounded by the number of
-    monomials of the inputs' degree, C(n + d, d).
+    accumulated into one fresh dict; a constant is returned as it is,
+    and one term already in the table is its entry scaled into a fresh
+    dict.  A table is never handed out, so its entries are never
+    mutated; it is bounded by the number of monomials of the inputs'
+    degree, C(n + d, d).
     """
 
     __slots__ = (
@@ -336,8 +345,8 @@ class AffineTwist:
         ]
         # numerator powers of the images for the substitution kernel,
         # grown on demand; the e-th power is over the image's den ** e
-        self._pow = [[{(0,) * n: 1}, p.num] for p in self._images]
-        self._inv_pow = [[{(0,) * n: 1}, p.num] for p in self._inv_images]
+        self._pow = [[{0: 1}, p.num] for p in self._images]
+        self._inv_pow = [[{0: 1}, p.num] for p in self._inv_images]
         self._table = {}
         self._inv_table = {}
         self._is_id = self.is_identity()
@@ -374,18 +383,27 @@ class AffineTwist:
     def _substitute(self, f: Poly, images, powers, table) -> Poly:
         if f.n != self.n:
             raise DimensionMismatch("polynomial and base map dimensions differ")
-        if self._is_id:
+        if self._is_id or not f.num:
             return f
+        if len(f.num) == 1:
+            [(k, v)] = f.num.items()
+            if not k:
+                return f  # the pullback fixes constants
+            entry = table.get(k)
+            if entry is not None:
+                num, d = entry
+                return _reduced(self.n, {t: v * w for t, w in num.items()}, d * f.den)
         entries = []
         for k in f.num:
             entry = table.get(k)
             if entry is None:
-                need = max(k, default=0)
+                exps = unpack(k, self.n)
+                need = max(exps, default=0)
                 for col in powers:
                     while len(col) <= need:
                         col.append(kernels.poly_mul(col[-1], col[1]))
                 den = 1
-                for img, e in zip(images, k):
+                for img, e in zip(images, exps):
                     den *= img.den**e
                 image = _reduced(self.n, kernels.poly_substitute({k: 1}, powers, self.n), den)
                 entry = table[k] = (image.num, image.den)

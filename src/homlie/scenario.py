@@ -3,7 +3,7 @@ ordered list of verification tasks to run against it.
 
 All rationals are strings like "3/2" (or plain integers); polynomial
 values are lists of {"exp": [...], "coeff": "p/q"} with one exponent per
-declared variable; frame and structure indices are 1-based.  Unknown
+declared variable, each below `kernels.LIMIT`; frame and structure indices are 1-based.  Unknown
 keys are rejected with their JSON path.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .exterior import EndoMap, MultiVector, SectionTwist
 from .homalg import HomAlgebroid
+from .kernels import LIMIT
 from .poisson import Bivector
 from .polyring import AffineTwist, Poly
 
@@ -104,6 +105,7 @@ def _parse_poly(n, value, path) -> Poly:
             f"{ipath}.exp",
             f"expected {n} non-negative integer exponents",
         )
+        _require(all(e < LIMIT for e in exp), f"{ipath}.exp", f"exponents must be below {LIMIT}")
         c = _parse_rational(item["coeff"], f"{ipath}.coeff")
         key = tuple(exp)
         terms[key] = terms.get(key, 0) + c

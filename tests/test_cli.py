@@ -431,6 +431,18 @@ class TestCliProcess:
         assert f"scenario error: {path}: " in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_exit_two_on_exponent_at_the_limit(self, tmp_path):
+        from homlie.kernels import LIMIT
+
+        big = [[[{"exp": [0, LIMIT], "coeff": "1"}], "0"], ["0", "1"]]
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(s1_scenario_dict(anchor_matrix=big)))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert "scenario error: $.anchor_matrix[0][0][0].exp: " in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_exit_two_on_negative_probe_degree(self):
         out = self.run_cli("check", "scenarios/s0_axioms.json", "--probe-degree", "-1")
         assert out.returncode == 2

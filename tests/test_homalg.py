@@ -462,6 +462,21 @@ class TestWorkCounts:
         A.bracket(X, Y)
         assert len(calls) == len(X.coeffs) + len(Y.coeffs)
 
+    def test_axioms_pull_each_probe_function_back_once(self, monkeypatch):
+        # the dense_twist base map at its probe degree; the identities
+        # share one pullback per probe function, so the count is pinned
+        A = dense_tangent()
+        calls = [0]
+        original = AffineTwist.pullback
+
+        def counted(self, f):
+            calls[0] += 1
+            return original(self, f)
+
+        monkeypatch.setattr(AffineTwist, "pullback", counted)
+        assert check_axioms(A, 3).passed
+        assert calls[0] == 12746
+
     def test_leibniz_brackets_once_per_pair_and_function(self, monkeypatch):
         from homlie import homalg
 

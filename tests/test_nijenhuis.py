@@ -221,6 +221,26 @@ class TestIsHpn:
         pi = Bivector(MultiVector.zero(2, 2, 2))
         assert is_hpn(S1, pi, EndoMap.zero(2, 2)).passed
 
+    def test_prop_conditions_do_not_recheck_invariance(self, S1, monkeypatch):
+        from homlie import nijenhuis
+
+        calls = []
+        original = nijenhuis.twist_invariance
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(nijenhuis, "twist_invariance", counted)
+        conds = nijenhuis._prop_conditions(S1, std_pi(S1), diag(S1, 3, 3), 1)
+        assert calls == []
+        assert all(conds.values())
+
+    def test_bracket_Npi_refuses_non_invariant_endo(self, S1):
+        A = S1.algebroid
+        with pytest.raises(PreconditionError, match="requires a twist-invariant endomorphism"):
+            bracket_Npi(S1, std_pi(S1), noncommuting(S1), A.coframe(0), A.coframe(1))
+
     def test_kakansei_worked_values(self, S1):
         pi = std_pi(S1)
         N = diag(S1, 1, 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homlie import kernels
+from homlie.kernels import LIMIT, ExponentOverflow, pack, unpack
 from homlie.polyring import (
     AffineTwist,
     DimensionMismatch,
@@ -20,6 +21,16 @@ from homlie.polyring import (
 
 def P2(expr_terms):
     return Poly(2, expr_terms)
+
+
+def packed(terms):
+    """A term map keyed by exponent tuples, keyed by kernel keys."""
+    return {pack(k): v for k, v in terms.items()}
+
+
+def unpacked(terms, n=2):
+    """A kernel term map keyed by exponent tuples again."""
+    return {unpack(k, n): v for k, v in terms.items()}
 
 
 @pytest.fixture
@@ -73,7 +84,7 @@ class TestPolyArithmetic:
     @settings(max_examples=60)
     def test_constant_factor_matches_full_product(self, f, c):
         k = Poly.const(2, c)
-        want = Poly(2, kernels.poly_mul(f.terms, k.terms))
+        want = Poly(2, unpacked(kernels.poly_mul(packed(f.terms), packed(k.terms))))
         for got in (k * f, f * k):
             assert (got.num, got.den) == (want.num, want.den)
             assert_canonical(got)
@@ -169,11 +180,11 @@ def substitute_reference(phi, f):
     need = max((e for k in f.terms for e in k), default=0)
     powers = []
     for img in images:
-        col = [{(0,) * n: Fraction(1)}, img.terms]
+        col = [{pack((0,) * n): Fraction(1)}, packed(img.terms)]
         while len(col) <= need:
-            col.append(kernels.poly_mul(col[-1], img.terms))
+            col.append(kernels.poly_mul(col[-1], packed(img.terms)))
         powers.append(col)
-    return Poly(n, kernels.poly_substitute(f.terms, powers, n))
+    return Poly(n, unpacked(kernels.poly_substitute(packed(f.terms), powers, n), n))
 
 
 def dense_map():
@@ -240,8 +251,8 @@ class TestPullbackTable:
         pullback(phi, g)
         pullback(phi, f)
         inverse_pullback(phi, h)
-        assert set(phi._table) == {(2, 0), (1, 1), (0, 1), (0, 0)}
-        assert set(phi._inv_table) == {(0, 3)}
+        assert set(phi._table) == set(map(pack, [(2, 0), (1, 1), (0, 1), (0, 0)]))
+        assert set(phi._inv_table) == {pack((0, 3))}
         ident = AffineTwist.identity(2)
         pullback(ident, f)
         assert not ident._table and not ident._inv_table
@@ -279,8 +290,8 @@ class TestRepresentation:
             assert_canonical(p)
         # the same values reached another way share their representation
         same = [
-            (f + g, Poly(2, kernels.poly_add(f.terms, g.terms))),
-            (f * g, Poly(2, kernels.poly_mul(f.terms, g.terms))),
+            (f + g, Poly(2, unpacked(kernels.poly_add(packed(f.terms), packed(g.terms))))),
+            (f * g, Poly(2, unpacked(kernels.poly_mul(packed(f.terms), packed(g.terms))))),
             ((f + g) - g, f),
             (inverse_pullback(phi, pullback(phi, f)), f),
         ]
@@ -291,6 +302,104 @@ class TestRepresentation:
         half = Poly.const(2, Fraction(1, 2)) * x
         for z in (half - half, half * 0, Poly.zero(2), Poly(2, {(1, 0): 0})):
             assert (z.num, z.den) == ({}, 1)
+
+
+def render_reference(terms, n):
+    """The text of a tuple-keyed term map, written without Poly."""
+    names = ["x", "y", "z"][:n] if n <= 3 else [f"x{i + 1}" for i in range(n)]
+    out = ""
+    for exps, c in sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+        factors = "*".join(
+            names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exps) if e
+        )
+        body = str(c) if not factors else {1: "", -1: "-"}.get(c, f"{c}*") + factors
+        if not out:
+            out = body
+        else:
+            out += " - " + body[1:] if body.startswith("-") else " + " + body
+    return out or "0"
+
+
+@st.composite
+def wide_terms(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, LIMIT - 1)] * n)
+    return n, draw(st.dictionaries(exps, rationals.filter(bool), max_size=5))
+
+
+@st.composite
+def one_term(draw):
+    exps = tuple(draw(st.integers(0, 4)) for _ in range(2))
+    return Poly.monomial(2, exps, draw(rationals))
+
+
+class TestPackedKeys:
+    """Monomials are packed into one int per term; exponent tuples are
+    what every public accessor still sees."""
+
+    @given(wide_terms())
+    @settings(max_examples=80)
+    def test_round_trip(self, case):
+        n, terms = case
+        p = Poly(n, terms)
+        assert p.terms == terms
+        assert p.to_json() == [
+            {"exp": list(k), "coeff": str(v)} for k, v in sorted(terms.items())
+        ]
+        assert p.render() == render_reference(terms, n)
+        assert Poly.from_json(n, p.to_json()) == p
+        assert p.degree() == max((sum(k) for k in terms), default=0)
+
+    def test_exponent_at_the_limit_is_refused(self):
+        for make in (
+            lambda: Poly(2, {(0, LIMIT): 1}),
+            lambda: Poly.monomial(3, [LIMIT, 0, 0]),
+            lambda: Poly.from_json(1, [{"exp": [LIMIT], "coeff": "1"}]),
+        ):
+            with pytest.raises(ExponentOverflow):
+                make()
+        with pytest.raises(ValueError):
+            Poly(2, {(-1, 0): 1})
+        assert Poly.monomial(2, [LIMIT - 1, 0]).degree() == LIMIT - 1
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_product_past_the_limit_raises(self, i):
+        top = [0, 0, 0]
+        top[i] = LIMIT - 1
+        high = Poly.monomial(3, top) + Poly.const(3, 1)
+        var = Poly.variable(3, i)
+        for a, b in ((high, var), (var, high)):
+            with pytest.raises(ExponentOverflow):
+                a * b
+        with pytest.raises(ExponentOverflow):
+            high ** 2
+        # below the limit the same monomial multiplies and differentiates
+        lower = list(top)
+        lower[i] -= 1
+        assert (high * Poly.const(3, 2)).terms[tuple(top)] == 2
+        assert high.partial(i) == Poly.monomial(3, lower, LIMIT - 1)
+
+    @given(one_term(), st.booleans())
+    @settings(max_examples=80)
+    def test_one_term_fast_path_matches_general_loop(self, f, forward):
+        def pull(phi, g):
+            return pullback(phi, g) if forward else inverse_pullback(phi, g)
+
+        warm, cold = dense_map(), dense_map()
+        table = warm._table if forward else warm._inv_table
+        for k in f.num:
+            pull(warm, Poly(2, {unpack(k, 2): 1}) + x * y)  # fills the entry of k
+        entries = {k: (dict(num), d) for k, (num, d) in table.items()}
+        got = pull(warm, f)
+        want = pull(cold, f)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert all(got.num is not num for num, _ in table.values())
+        if f.is_constant():
+            assert got is f  # the pullback fixes constants
+            return
+        got.num.clear()
+        assert {k: (dict(num), d) for k, (num, d) in table.items()} == entries
+        assert pull(warm, f) == want
 
 
 class TestAffineTwist:
