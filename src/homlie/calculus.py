@@ -42,7 +42,19 @@ class CartanContext:
     The tables are filled on first use and hold at most one entry per
     basis form (2^rank each): d(eps^J), computed once by the Koszul
     formula, the dual twist of eps^J, and the twist of e_J.
+
+    `CartanContext.of(A)` is the one context of the algebroid object A,
+    which every caller in the package shares; the plain constructor
+    makes a fresh one, with its own tables and operator-cache owner.
     """
+
+    @classmethod
+    def of(cls, algebroid: HomAlgebroid) -> "CartanContext":
+        """The context of the algebroid, built on first use and kept on
+        it."""
+        if algebroid._context is None:
+            algebroid._context = cls(algebroid)
+        return algebroid._context
 
     def __init__(self, algebroid: HomAlgebroid):
         self.algebroid = algebroid
@@ -51,7 +63,6 @@ class CartanContext:
         self.dagger = algebroid.phiA.dual()
         self.dagger_inv = self.dagger.inverse()
         self.phiA_inv = algebroid.phiA.inverse()
-        self._inv_frame = [self.phiA_inv.apply(algebroid.frame(i)) for i in range(self.rank)]
         self._dagger_frame = [self.dagger.apply(algebroid.coframe(i)) for i in range(self.rank)]
         self._d_basis = {}
         self._dagger_basis = {}
@@ -81,12 +92,9 @@ class CartanContext:
         for k, c in self._derived:
             if k == key:
                 return c
-        c = CartanContext(build())
+        c = CartanContext.of(build())
         self._derived.append((key, c))
         return c
-
-    def inv_frame(self, i: int) -> MultiVector:
-        return self._inv_frame[i]
 
     def dagger_frame(self, i: int) -> Form:
         return self._dagger_frame[i]

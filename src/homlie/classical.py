@@ -154,19 +154,6 @@ def schouten_classical(D1: MultiVector, D2: MultiVector) -> MultiVector:
     return out
 
 
-def pushforward_vector(phi: AffineTwist, coeffs):
-    """Affine pushforward: the Jacobian hits the coefficients, then
-    everything is carried along the inverse map."""
-    n = phi.n
-    M = phi.matrix
-    return [
-        phi.inverse_pullback(
-            sum((Poly.const(n, M[i][j]) * coeffs[j] for j in range(n)), Poly.zero(n))
-        )
-        for i in range(n)
-    ]
-
-
 def pushforward_bivector(phi: AffineTwist, pi: MultiVector) -> MultiVector:
     n = phi.n
     M = phi.matrix

@@ -25,6 +25,7 @@ from .courant import (
 from .dirac import Subbundle, dirac_checks, graph, graph_theorem_check, maurer_cartan_defect
 from .fixtures import list_fixtures
 from .homalg import check_axioms
+from .kernels import ExponentOverflow
 from .nijenhuis import (
     bialgebroid_defect_checks,
     d_n_props,
@@ -51,9 +52,7 @@ class TaskError(ValueError):
 
 
 def _ctx(scn: Scenario) -> CartanContext:
-    if "ctx" not in scn.cache:
-        scn.cache["ctx"] = CartanContext(scn.algebroid)
-    return scn.cache["ctx"]
+    return CartanContext.of(scn.algebroid)
 
 
 def _need_pi(scn: Scenario):
@@ -313,7 +312,9 @@ def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:
                     if wit is not None
                     else {"identity": name, "inputs": {}, "residual": str(exc)}
                 )
-            except TheoremViolation as exc:
+            except (TheoremViolation, ExponentOverflow) as exc:
+                # an exponent below the input limit can still overflow in
+                # a product: the task errs and the next one runs
                 entry["verdict"] = "error"
                 entry["error"] = str(exc)
         if timings:

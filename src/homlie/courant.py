@@ -45,8 +45,8 @@ class BialgebroidPair:
             raise StructureError("paired algebroids must share the base map")
         self.A = A
         self.Astar = Astar
-        self.ctx = CartanContext(A)
-        self.dual_ctx = CartanContext(Astar)
+        self.ctx = CartanContext.of(A)
+        self.dual_ctx = CartanContext.of(Astar)
         if Astar.phiA.matrix != self.ctx.dagger.matrix:
             raise StructureError("dual twist must be the dagger of the primal twist")
 
@@ -64,9 +64,6 @@ class BialgebroidPair:
         the primal side."""
         out = differential(self.dual_ctx, reinterpret(D, Form))
         return reinterpret(out, MultiVector)
-
-    def primal_differential(self, omega: Form) -> Form:
-        return differential(self.ctx, omega)
 
     def dual_schouten(self, xi: Form, eta: Form) -> Form:
         out = schouten(
@@ -110,10 +107,10 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
         co = probes.coframes(A, probe_degree)
         for lx, xi in co:
             for ly, eta in co:
-                lhs = P.primal_differential(P.dual_bracket(xi, eta))
+                lhs = differential(ctx, P.dual_bracket(xi, eta))
                 rhs = P.dual_schouten(
-                    P.primal_differential(xi), ctx.dagger.apply_graded(eta)
-                ) + P.dual_schouten(ctx.dagger.apply_graded(xi), P.primal_differential(eta))
+                    differential(ctx, xi), ctx.dagger.apply_graded(eta)
+                ) + P.dual_schouten(ctx.dagger.apply_graded(xi), differential(ctx, eta))
                 yield {"xi": lx, "eta": ly}, lhs - rhs
 
     results = [

@@ -261,12 +261,6 @@ def eval_form(omega: Form, sections) -> Poly:
     return pair(omega, D)
 
 
-def eval_multivector(D: MultiVector, coforms) -> Poly:
-    """D(xi_1, ..., xi_k) for degree-1 form arguments."""
-    W = wedge_all(D.rank, D.n, coforms, Form)
-    return pair(W, D)
-
-
 def poly_mat_det(matrix) -> Poly:
     """Determinant of a square Poly matrix by cofactor expansion."""
     r = len(matrix)

@@ -142,7 +142,7 @@ def _build_s1_scalar_endo():
 
 def _build_s3_nonpoisson_pi():
     A = algebroid_s3()
-    ctx = CartanContext(A)
+    ctx = CartanContext.of(A)
     return {
         "algebroid": A,
         "pi": search_invariant_non_poisson_bivector(ctx),

@@ -201,6 +201,8 @@ class HomAlgebroid:
         self._phiA_frame = None
         self._anchor_phiA_frame = None
         self.is_zero_structure = not self.structure and not any(self.anchor_columns)
+        # the calculus.CartanContext of this object, set by CartanContext.of
+        self._context = None
 
     def _normalize_structure(self, structure) -> dict:
         table = {}

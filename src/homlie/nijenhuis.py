@@ -23,14 +23,12 @@ from .exterior import (
     MultiVector,
     pair,
     poly_mat_mul,
-    reinterpret,
     twist_invariance,
 )
 from .homalg import HomAlgebroid
 from .poisson import (
     Bivector,
     _as_bivector,
-    _dual_context,
     bracket_pi,
     dual_algebroid,
     is_hom_poisson,
@@ -46,22 +44,7 @@ from .report import (
 )
 
 
-class NijenhuisCandidate:
-    """An endomorphism with its cached transpose and twisted image."""
-
-    __slots__ = ("endo", "transpose", "twisted")
-
-    def __init__(self, ctx: CartanContext, endo: EndoMap):
-        if endo.kind != "multivector":
-            raise PreconditionError("candidate must act on the section side")
-        self.endo = endo
-        self.transpose = endo.transpose()
-        self.twisted = ctx.algebroid.phiA.apply_endo(endo)
-
-
 def _as_endo(ctx: CartanContext, N) -> EndoMap:
-    if isinstance(N, NijenhuisCandidate):
-        return N.endo
     if isinstance(N, EndoMap):
         return N
     return EndoMap(N, n=ctx.n)
@@ -461,16 +444,10 @@ def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2) -> Form:
 def _defect_operator(ctx: CartanContext, pi: Bivector, N: EndoMap):
     """The map (xi1, xi2) -> bialgebroid_defect(ctx, pi, N, xi1, xi2),
     built after refusing a non-Poisson pi and then a non-invariant N."""
-    dual_ctx = _dual_context(ctx, pi)
+    dual_schouten = BialgebroidPair(ctx.algebroid, dual_algebroid(ctx, pi)).dual_schouten
     _require_invariant(ctx, N)
     ctxN = _deformed_context(ctx, N)
     dag = ctx.dagger.apply_graded
-
-    def dual_schouten(a, b):
-        return reinterpret(
-            schouten(dual_ctx, reinterpret(a, MultiVector), reinterpret(b, MultiVector)),
-            Form,
-        )
 
     def defect(xi1, xi2) -> Form:
         xi1 = ctx.as_form(xi1)

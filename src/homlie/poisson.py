@@ -59,10 +59,6 @@ class Bivector:
         self.sharp = EndoMap(mat, kind="form")
 
     @classmethod
-    def from_coeffs(cls, rank: int, n: int, coeffs) -> "Bivector":
-        return cls(MultiVector(rank, n, 2, coeffs))
-
-    @classmethod
     def from_sharp(cls, matrix, n: int) -> "Bivector":
         """Recover the bivector from a sharp matrix; requires the matrix
         to be antisymmetric."""
@@ -258,7 +254,7 @@ def lift_bivector(phi: AffineTwist, pi_classical):
         pi_cl = pi_classical
     else:
         pi_cl = MultiVector(n, n, 2, pi_classical)
-    ctx = CartanContext(make_pullback_tangent(phi))
+    ctx = CartanContext.of(make_pullback_tangent(phi))
     lifted = MultiVector(n, n, 2, {I: phi.pullback(c) for I, c in pi_cl.coeffs.items()})
     return ctx, Bivector(lifted), pi_cl
 

@@ -161,7 +161,6 @@ class Scenario:
     endo: EndoMap | None = None
     dual_spec: object = "trivial"
     dirac_spec: dict | None = None
-    raw: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict)
 
 
@@ -331,7 +330,6 @@ def parse_scenario(data: dict) -> Scenario:
         endo=endo,
         dual_spec=dual_spec,
         dirac_spec=dirac_spec,
-        raw=data,
     )
 
 

@@ -214,6 +214,65 @@ class TestRepeatedWork:
         assert len(builds) == 1
 
 
+class TestOneContextPerAlgebroid:
+    """Every caller shares the one CartanContext of an algebroid object."""
+
+    def test_full_run_builds_one_context_per_algebroid_object(self, monkeypatch):
+        from homlie.calculus import CartanContext
+        from homlie.cli import _expand_tasks
+
+        owners = []
+        original = CartanContext.__init__
+
+        def counted(self, algebroid):
+            owners.append(algebroid)
+            original(self, algebroid)
+
+        monkeypatch.setattr(CartanContext, "__init__", counted)
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        report = run_scenario(scn, _expand_tasks(scn, ["full"]))
+        assert report["verdict"] == "pass"
+        # the scenario algebroid, the pi-dual, the deformation by N and
+        # the zero dual of the trivial pair
+        assert len({id(A) for A in owners}) == 4
+        assert len(owners) == 4
+
+    def test_of_returns_the_stored_context(self):
+        from homlie.calculus import CartanContext
+        from homlie.fixtures import algebroid_s1
+
+        A = algebroid_s1()
+        ctx = CartanContext.of(A)
+        assert CartanContext.of(A) is ctx
+        assert ctx.algebroid is A
+        # a fresh context neither is nor replaces the stored one
+        assert CartanContext(A) is not ctx
+        assert CartanContext.of(A) is ctx
+
+    def test_pairs_share_the_derived_contexts(self, monkeypatch):
+        from homlie import nijenhuis, poisson
+        from homlie.calculus import CartanContext
+        from homlie.courant import BialgebroidPair
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        ctx = CartanContext.of(scn.algebroid)
+        P = BialgebroidPair(scn.algebroid, poisson.dual_algebroid(ctx, scn.pi))
+        assert P.ctx is ctx
+        assert P.dual_ctx is poisson._dual_context(ctx, scn.pi)
+
+        pairs = []
+
+        def recorded(A, Astar):
+            pairs.append(BialgebroidPair(A, Astar))
+            return pairs[-1]
+
+        monkeypatch.setattr(nijenhuis, "BialgebroidPair", recorded)
+        assert nijenhuis.hpn_bialgebroid_equiv(ctx, scn.pi, scn.endo).passed
+        assert len(pairs) == 1
+        assert pairs[0].ctx is nijenhuis._deformed_context(ctx, scn.endo)
+        assert pairs[0].dual_ctx is poisson._dual_context(ctx, scn.pi)
+
+
 class TestFullExpansion:
     """"full" runs, in TASKS order, every task whose data the scenario
     holds."""
@@ -442,6 +501,24 @@ class TestCliProcess:
         assert "scenario error: $.anchor_matrix[0][0][0].exp: " in out.stderr
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
+
+    def test_overflow_inside_a_task_is_an_error_verdict(self, tmp_path):
+        # x^20000 is a valid exponent, but the anchor applied to itself
+        # reaches 2^15 inside check_axioms
+        data = json.loads((SCENARIOS / "s0_axioms.json").read_text())
+        data["anchor_matrix"] = [[[{"exp": [20000], "coeff": "1"}]]]
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p), "--format", "json")
+        assert out.returncode == 1
+        assert out.stderr == ""
+        tasks = json.loads(out.stdout)["tasks"]
+        assert tasks[0] == {
+            "task": "check_axioms",
+            "verdict": "error",
+            "error": "a product has an exponent of 32768 or more",
+        }
+        assert [t["task"] for t in tasks] == ["check_axioms", "check_differential_props"]
 
     def test_exit_two_on_negative_probe_degree(self):
         out = self.run_cli("check", "scenarios/s0_axioms.json", "--probe-degree", "-1")
