@@ -36,53 +36,37 @@ from .report import CheckResult, StructureError, until_first_failure
 
 
 class CartanContext:
-    """An algebroid with its cached twists and the structure tables of
+    """An algebroid with its cached twists and the structure table of
     the differential.
 
-    The tables are filled on first use and hold at most one entry per
-    basis form (2^rank each): d(eps^J), computed once by the Koszul
-    formula, the dual twist of eps^J, and the twist of e_J.
+    `CartanContext(A)` is the one context of the algebroid object A: it
+    is built on the first call and kept on A, and every later call
+    returns it.  The table d(eps^J) is filled on first use, computed
+    once per basis form (2^rank entries at most) by the Koszul formula;
+    the twists keep their own derived values (see `SectionTwist`).
 
-    `CartanContext.of(A)` is the one context of the algebroid object A,
-    which every caller in the package shares; the plain constructor
-    makes a fresh one, with its own tables and operator-cache owner.
+    The class has no __init__, which Python would rerun on every call.
     """
 
-    @classmethod
-    def of(cls, algebroid: HomAlgebroid) -> "CartanContext":
-        """The context of the algebroid, built on first use and kept on
-        it."""
-        if algebroid._context is None:
-            algebroid._context = cls(algebroid)
-        return algebroid._context
-
-    def __init__(self, algebroid: HomAlgebroid):
-        self.algebroid = algebroid
-        self.rank = algebroid.rank
-        self.n = algebroid.n
-        self.dagger = algebroid.phiA.dual()
-        self.dagger_inv = self.dagger.inverse()
-        self.phiA_inv = algebroid.phiA.inverse()
-        self._dagger_frame = [self.dagger.apply(algebroid.coframe(i)) for i in range(self.rank)]
-        self._d_basis = {}
-        self._dagger_basis = {}
-        self._twisted_basis = {}
-        self._derived = []
+    def __new__(cls, algebroid: HomAlgebroid) -> "CartanContext":
+        ctx = algebroid._context
+        if ctx is None:
+            ctx = algebroid._context = super().__new__(cls)
+            ctx.algebroid = algebroid
+            ctx.rank = algebroid.rank
+            ctx.n = algebroid.n
+            ctx.dagger = algebroid.phiA.dual()
+            ctx.dagger_inv = ctx.dagger.inverse()
+            ctx.phiA_inv = algebroid.phiA.inverse()
+            ctx._d_basis = {}
+            ctx._derived = []
+        return ctx
 
     def d_basis(self, J: tuple) -> Form:
         """d(eps^J) from the Koszul formula, computed once."""
         got = self._d_basis.get(J)
         if got is None:
             got = self._d_basis[J] = _koszul_differential(self, Form.basis(self.rank, self.n, J))
-        return got
-
-    def dagger_basis(self, J: tuple) -> Form:
-        """The dual twist of eps^J, computed once."""
-        got = self._dagger_basis.get(J)
-        if got is None:
-            got = self._dagger_basis[J] = self.dagger.apply_graded(
-                Form.basis(self.rank, self.n, J)
-            )
         return got
 
     def derived(self, key, build) -> "CartanContext":
@@ -92,12 +76,9 @@ class CartanContext:
         for k, c in self._derived:
             if k == key:
                 return c
-        c = CartanContext.of(build())
+        c = CartanContext(build())
         self._derived.append((key, c))
         return c
-
-    def dagger_frame(self, i: int) -> Form:
-        return self._dagger_frame[i]
 
     def as_form(self, x) -> Form:
         if isinstance(x, Poly):
@@ -234,7 +215,7 @@ def _differential(ctx: CartanContext, omega: Form) -> Form:
         for K, c in ctx.d_basis(J).coeffs.items():
             _accumulate(out, K, pf * c)
         pulled = [pb(f.partial(m)) for m in range(ctx.n)]
-        dag = ctx.dagger_basis(J).coeffs
+        dag = ctx.dagger.basis_image(J).coeffs
         for i, column in enumerate(A.anchor_columns):
             dfi = Poly.zero(ctx.n)
             for m, a in column:
@@ -313,7 +294,7 @@ def lie_derivative_tensor(ctx: CartanContext, X: MultiVector, T: EndoMap) -> End
     out = [[Poly.zero(n) for _ in range(r)] for _ in range(r)]
     for j in range(r):
         L_eps = lie_derivative_form(ctx, X, A.coframe(j))
-        dag_eps = ctx.dagger_frame(j)
+        dag_eps = ctx.dagger.basis_image((j,))
         for i in range(r):
             c = T.matrix[i][j]
             if c.is_zero():
@@ -380,7 +361,7 @@ def _sbr_mono(ctx, f: Poly, I: tuple, g: Poly, J: tuple) -> MultiVector:
     # peel the second slot: g e_J = (g e_{j0}) wedge e_{J'}
     j0, Jr = J[0], J[1:]
     sub1 = _sbr_mono(ctx, f, I, g, (j0,))
-    part1 = sub1.wedge(_twisted_basis(ctx, Jr))
+    part1 = sub1.wedge(A.phiA.basis_image(Jr))
     sub2 = _sbr_mono(ctx, f, I, Poly.const(ctx.n, 1), Jr)
     lead = A.phiA_frame(j0).scale(A.phi.pullback(g))
     part2 = lead.wedge(sub2)
@@ -396,18 +377,9 @@ def _sbr_fn_frame(ctx, f: Poly, J: tuple) -> MultiVector:
     head = _scalar_mv(ctx, -A.anchor_after_twist(j0).apply(f))
     if not Jr:
         return head
-    part1 = head.wedge(_twisted_basis(ctx, Jr))
+    part1 = head.wedge(A.phiA.basis_image(Jr))
     part2 = A.phiA_frame(j0).wedge(_sbr_fn_frame(ctx, f, Jr))
     return part1 - part2
-
-
-def _twisted_basis(ctx, J: tuple) -> MultiVector:
-    got = ctx._twisted_basis.get(J)
-    if got is None:
-        got = ctx._twisted_basis[J] = ctx.algebroid.phiA.apply_graded(
-            MultiVector.basis(ctx.rank, ctx.n, J)
-        )
-    return got
 
 
 def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> CheckResult:

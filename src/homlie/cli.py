@@ -52,7 +52,7 @@ class TaskError(ValueError):
 
 
 def _ctx(scn: Scenario) -> CartanContext:
-    return CartanContext.of(scn.algebroid)
+    return CartanContext(scn.algebroid)
 
 
 def _need_pi(scn: Scenario):
@@ -366,11 +366,20 @@ def cmd_check(args) -> int:
             print(f"scenario error: $.tasks: unknown task {t!r}", file=sys.stderr)
             return 2
     tasks = _expand_tasks(scn, args.task) if args.task else None
-    report = run_scenario(scn, tasks, timings=args.timings)
-    if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_text(report))
+    # parsing keeps the interpreter's int-to-str digit limit, but a
+    # witness may print coefficients longer than it
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        report = run_scenario(scn, tasks, timings=args.timings)
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            print(_render_text(report))
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
     return 0 if report["verdict"] == "pass" else 1
 
 

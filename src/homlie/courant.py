@@ -45,8 +45,8 @@ class BialgebroidPair:
             raise StructureError("paired algebroids must share the base map")
         self.A = A
         self.Astar = Astar
-        self.ctx = CartanContext.of(A)
-        self.dual_ctx = CartanContext.of(Astar)
+        self.ctx = CartanContext(A)
+        self.dual_ctx = CartanContext(Astar)
         if Astar.phiA.matrix != self.ctx.dagger.matrix:
             raise StructureError("dual twist must be the dagger of the primal twist")
 

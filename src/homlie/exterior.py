@@ -440,10 +440,13 @@ class SectionTwist:
     vector (f_j) goes to (sum_j P_ij * pullback(phi, f_j))_i.
 
     Invertibility requires det(P) to be a nonzero rational constant, so
-    the inverse matrix stays polynomial.
+    the inverse matrix stays polynomial.  Each value derived from the
+    twist is built once and kept on it.
     """
 
-    __slots__ = ("rank", "n", "matrix", "base", "kind", "det", "_minors")
+    __slots__ = (
+        "rank", "n", "matrix", "base", "kind", "det", "_minors", "_matrix_inv", "_inverse", "_dual", "_basis_images",
+    )
 
     def __init__(self, matrix, base: AffineTwist, kind: str = "multivector"):
         self.rank = len(matrix)
@@ -460,6 +463,10 @@ class SectionTwist:
         self.kind = kind
         self.det = poly_mat_det([list(r) for r in self.matrix]) if self.rank else Poly.const(self.n, 1)
         self._minors = {}
+        self._matrix_inv = None
+        self._inverse = None
+        self._dual = None
+        self._basis_images = {}
 
     @classmethod
     def identity(cls, rank: int, base: AffineTwist, kind: str = "multivector") -> "SectionTwist":
@@ -479,9 +486,12 @@ class SectionTwist:
                 f"twist determinant {self.det.render()} is not a nonzero rational constant"
             )
 
-    def matrix_inverse(self):
-        self._require_invertible()
-        return poly_mat_inverse([list(r) for r in self.matrix])
+    def matrix_inverse(self) -> tuple:
+        """P^-1 as a tuple of rows, computed once."""
+        if self._matrix_inv is None:
+            self._require_invertible()
+            self._matrix_inv = tuple(map(tuple, poly_mat_inverse([list(r) for r in self.matrix])))
+        return self._matrix_inv
 
     def apply(self, v: GradedElement) -> GradedElement:
         """Degree-1 action: matrix times pulled-back coefficients."""
@@ -517,6 +527,15 @@ class SectionTwist:
             self._minors[J] = col
         return col
 
+    def basis_image(self, J: tuple) -> GradedElement:
+        """The image of the basis element e_J (eps^J for a form twist),
+        computed once."""
+        got = self._basis_images.get(J)
+        if got is None:
+            cls = MultiVector if self.kind == "multivector" else Form
+            got = self._basis_images[J] = self.apply_graded(cls.basis(self.rank, self.n, J))
+        return got
+
     def apply_poly(self, f: Poly) -> Poly:
         return self.base.pullback(f)
 
@@ -529,21 +548,28 @@ class SectionTwist:
         return EndoMap(conj, kind=self.kind)
 
     def inverse(self) -> "SectionTwist":
-        inv = self.matrix_inverse()
-        phi_inv = self.base.inverse()
-        mat = [
-            [self.base.inverse_pullback(inv[i][j]) for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
-        return SectionTwist(mat, phi_inv, self.kind)
+        """The inverse twist, built once; its inverse is this twist."""
+        if self._inverse is None:
+            inv = self.matrix_inverse()
+            mat = [
+                [self.base.inverse_pullback(inv[i][j]) for j in range(self.rank)]
+                for i in range(self.rank)
+            ]
+            self._inverse = SectionTwist(mat, self.base.inverse(), self.kind)
+            self._inverse._inverse = self
+        return self._inverse
 
     def dual(self) -> "SectionTwist":
         """The twist on the dual frame defined by
-        <dual(xi), X> = pullback(phi, <xi, inverse(X)>)."""
-        inv = self.matrix_inverse()
-        mat = [[inv[j][i] for j in range(self.rank)] for i in range(self.rank)]
-        flipped = "form" if self.kind == "multivector" else "multivector"
-        return SectionTwist(mat, self.base, flipped)
+        <dual(xi), X> = pullback(phi, <xi, inverse(X)>), built once; its
+        dual is this twist."""
+        if self._dual is None:
+            inv = self.matrix_inverse()
+            mat = [[inv[j][i] for j in range(self.rank)] for i in range(self.rank)]
+            flipped = "form" if self.kind == "multivector" else "multivector"
+            self._dual = SectionTwist(mat, self.base, flipped)
+            self._dual._dual = self
+        return self._dual
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SectionTwist):

@@ -5,9 +5,10 @@ every checker's failure path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .calculus import CartanContext, schouten
 from .exterior import EndoMap, MultiVector, SectionTwist, twist_tensor, wedge
@@ -70,10 +71,9 @@ def search_invariant_non_poisson_bivector(
 class Fixture:
     name: str
     description: str
-    tags: list = field(default_factory=list)
-
-    def build(self) -> dict:
-        return _BUILDERS[self.name]()
+    tags: list
+    # builds the fixture's data: the algebroid and any objects checked on it
+    build: Callable[[], dict]
 
 
 def _build_s0():
@@ -142,7 +142,7 @@ def _build_s1_scalar_endo():
 
 def _build_s3_nonpoisson_pi():
     A = algebroid_s3()
-    ctx = CartanContext.of(A)
+    ctx = CartanContext(A)
     return {
         "algebroid": A,
         "pi": search_invariant_non_poisson_bivector(ctx),
@@ -155,32 +155,18 @@ def _build_s1_symmetric_graph():
     return {"algebroid": A, "H": EndoMap.identity(2, 2), "expect_dirac": False}
 
 
-_BUILDERS = {
-    "S0": _build_s0,
-    "S1": _build_s1,
-    "S2": _build_s2,
-    "S3": _build_s3,
-    "S1-perturbed-structure": _build_s1_perturbed,
-    "S1-noninvariant-pi": _build_s1_noninvariant_pi,
-    "S1-noncommuting-endo": _build_s1_noncommuting_endo,
-    "S1-incompatible-endo": _build_s1_incompatible_endo,
-    "S1-scalar-endo": _build_s1_scalar_endo,
-    "S3-nonpoisson-pi": _build_s3_nonpoisson_pi,
-    "S1-symmetric-graph": _build_s1_symmetric_graph,
-}
-
 CATALOG = [
-    Fixture("S0", "rank-1 trivial instance on one variable; every structure map vanishes", ["valid", "algebroid"]),
-    Fixture("S1", "pullback tangent instance of the plane map (x,y) -> (2x, y/2), with the standard frame bivector", ["valid", "algebroid", "poisson"]),
-    Fixture("S2", "tangent-plus-line instance of the plane map (x,y) -> (2x, y/2)", ["valid", "algebroid"]),
-    Fixture("S3", "classical tangent instance on three variables (identity base map)", ["valid", "algebroid", "classical"]),
-    Fixture("S1-perturbed-structure", "S1 with one structure constant overwritten to 1; fails the anchor compatibility with a witness", ["negative", "algebroid"]),
-    Fixture("S1-noninvariant-pi", "S1 with the coordinate-scaled bivector; the twist doubles it, so invariance fails", ["negative", "poisson"]),
-    Fixture("S1-noncommuting-endo", "S1 with the nilpotent endomorphism sending the first frame element to the second; does not commute with the twist", ["negative", "nijenhuis"]),
-    Fixture("S1-incompatible-endo", "S1 with the diagonal (1,2) endomorphism; torsion-free and invariant but fails the sharp commutation with the standard bivector", ["negative", "nijenhuis", "poisson"]),
-    Fixture("S1-scalar-endo", "S1 with a scalar endomorphism; fully compatible with the standard bivector", ["valid", "nijenhuis", "poisson"]),
-    Fixture("S3-nonpoisson-pi", "invariant bivector on the classical three-variable instance with nonzero graded square, found by deterministic search over monomial coefficients", ["negative", "poisson", "dirac"]),
-    Fixture("S1-symmetric-graph", "graph of the identity map on S1; not isotropic, used as the negative subbundle fixture", ["negative", "dirac"]),
+    Fixture("S0", "rank-1 trivial instance on one variable; every structure map vanishes", ["valid", "algebroid"], _build_s0),
+    Fixture("S1", "pullback tangent instance of the plane map (x,y) -> (2x, y/2), with the standard frame bivector", ["valid", "algebroid", "poisson"], _build_s1),
+    Fixture("S2", "tangent-plus-line instance of the plane map (x,y) -> (2x, y/2)", ["valid", "algebroid"], _build_s2),
+    Fixture("S3", "classical tangent instance on three variables (identity base map)", ["valid", "algebroid", "classical"], _build_s3),
+    Fixture("S1-perturbed-structure", "S1 with one structure constant overwritten to 1; fails the anchor compatibility with a witness", ["negative", "algebroid"], _build_s1_perturbed),
+    Fixture("S1-noninvariant-pi", "S1 with the coordinate-scaled bivector; the twist doubles it, so invariance fails", ["negative", "poisson"], _build_s1_noninvariant_pi),
+    Fixture("S1-noncommuting-endo", "S1 with the nilpotent endomorphism sending the first frame element to the second; does not commute with the twist", ["negative", "nijenhuis"], _build_s1_noncommuting_endo),
+    Fixture("S1-incompatible-endo", "S1 with the diagonal (1,2) endomorphism; torsion-free and invariant but fails the sharp commutation with the standard bivector", ["negative", "nijenhuis", "poisson"], _build_s1_incompatible_endo),
+    Fixture("S1-scalar-endo", "S1 with a scalar endomorphism; fully compatible with the standard bivector", ["valid", "nijenhuis", "poisson"], _build_s1_scalar_endo),
+    Fixture("S3-nonpoisson-pi", "invariant bivector on the classical three-variable instance with nonzero graded square, found by deterministic search over monomial coefficients", ["negative", "poisson", "dirac"], _build_s3_nonpoisson_pi),
+    Fixture("S1-symmetric-graph", "graph of the identity map on S1; not isotropic, used as the negative subbundle fixture", ["negative", "dirac"], _build_s1_symmetric_graph),
 ]
 
 

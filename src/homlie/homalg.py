@@ -198,10 +198,9 @@ class HomAlgebroid:
             for j in range(self.rank)
         )
         self.structure = self._normalize_structure(structure)
-        self._phiA_frame = None
         self._anchor_phiA_frame = None
         self.is_zero_structure = not self.structure and not any(self.anchor_columns)
-        # the calculus.CartanContext of this object, set by CartanContext.of
+        # the calculus.CartanContext of this object, set on its first call
         self._context = None
 
     def _normalize_structure(self, structure) -> dict:
@@ -251,9 +250,7 @@ class HomAlgebroid:
         return Form.basis(self.rank, self.n, (i,))
 
     def phiA_frame(self, i: int) -> MultiVector:
-        if self._phiA_frame is None:
-            self._phiA_frame = [self.phiA.apply(self.frame(k)) for k in range(self.rank)]
-        return self._phiA_frame[i]
+        return self.phiA.basis_image((i,))
 
     def anchor_field(self, X: MultiVector) -> PullbackVectorField:
         if X.degree != 1:

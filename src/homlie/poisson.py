@@ -254,7 +254,7 @@ def lift_bivector(phi: AffineTwist, pi_classical):
         pi_cl = pi_classical
     else:
         pi_cl = MultiVector(n, n, 2, pi_classical)
-    ctx = CartanContext.of(make_pullback_tangent(phi))
+    ctx = CartanContext(make_pullback_tangent(phi))
     lifted = MultiVector(n, n, 2, {I: phi.pullback(c) for I, c in pi_cl.coeffs.items()})
     return ctx, Bivector(lifted), pi_cl
 

@@ -303,21 +303,21 @@ class AffineTwist:
     Serves as the base map: its pullback acts on Poly by substitution
     and has an exact inverse because M is invertible over the rationals.
 
-    Each direction (pullback, inverse_pullback) keeps its own monomial
-    table: one entry per distinct packed monomial key that direction
-    has seen, mapping it to the (numerators, denominator) pair of that
-    monomial's image, filled once by the substitution kernel.  A
-    pullback is the sum of the scaled table entries of its terms,
-    accumulated into one fresh dict; a constant is returned as it is,
-    and one term already in the table is its entry scaled into a fresh
-    dict.  A table is never handed out, so its entries are never
-    mutated; it is bounded by the number of monomials of the inputs'
-    degree, C(n + d, d).
+    The map keeps one monomial table for its pullback: one entry per
+    distinct packed monomial key it has seen, mapping it to the
+    (numerators, denominator) pair of that monomial's image, filled once
+    by the substitution kernel.  The inverse map, built once by
+    `inverse()` and pointing back at this one, keeps the table of
+    `inverse_pullback`.  A pullback is the sum of the scaled table
+    entries of its terms, accumulated into one fresh dict; a constant is
+    returned as it is, and one term already in the table is its entry
+    scaled into a fresh dict.  A table is never handed out, so its
+    entries are never mutated; it is bounded by the number of monomials
+    of the inputs' degree, C(n + d, d).
     """
 
     __slots__ = (
-        "n", "matrix", "offset", "matrix_inv", "_images", "_inv_images",
-        "_pow", "_inv_pow", "_table", "_inv_table", "_is_id",
+        "n", "matrix", "offset", "matrix_inv", "_images", "_pow", "_table", "_is_id", "_inverse",
     )
 
     def __init__(self, matrix, offset=None):
@@ -337,19 +337,12 @@ class AffineTwist:
             + Poly.const(n, self.offset[i])
             for i in range(n)
         ]
-        inv_off = [-sum(self.matrix_inv[i][j] * self.offset[j] for j in range(n)) for i in range(n)]
-        self._inv_images = [
-            Poly(n, {tuple(1 if j == k else 0 for k in range(n)): self.matrix_inv[i][j] for j in range(n) if self.matrix_inv[i][j]})
-            + Poly.const(n, inv_off[i])
-            for i in range(n)
-        ]
         # numerator powers of the images for the substitution kernel,
         # grown on demand; the e-th power is over the image's den ** e
         self._pow = [[{0: 1}, p.num] for p in self._images]
-        self._inv_pow = [[{0: 1}, p.num] for p in self._inv_images]
         self._table = {}
-        self._inv_table = {}
         self._is_id = self.is_identity()
+        self._inverse = None
 
     @classmethod
     def identity(cls, n: int) -> "AffineTwist":
@@ -364,9 +357,13 @@ class AffineTwist:
         return ident and all(not b for b in self.offset)
 
     def inverse(self) -> "AffineTwist":
-        n = self.n
-        inv_off = [-sum(self.matrix_inv[i][j] * self.offset[j] for j in range(n)) for i in range(n)]
-        return AffineTwist(self.matrix_inv, inv_off)
+        """The inverse map, built once; its inverse is this map."""
+        if self._inverse is None:
+            n = self.n
+            inv_off = [-sum(self.matrix_inv[i][j] * self.offset[j] for j in range(n)) for i in range(n)]
+            self._inverse = AffineTwist(self.matrix_inv, inv_off)
+            self._inverse._inverse = self
+        return self._inverse
 
     def compose(self, other: "AffineTwist") -> "AffineTwist":
         """The map p |-> self(other(p))."""
@@ -380,7 +377,7 @@ class AffineTwist:
         b = [sum(self.matrix[i][k] * other.offset[k] for k in range(n)) + self.offset[i] for i in range(n)]
         return AffineTwist(m, b)
 
-    def _substitute(self, f: Poly, images, powers, table) -> Poly:
+    def _substitute(self, f: Poly) -> Poly:
         if f.n != self.n:
             raise DimensionMismatch("polynomial and base map dimensions differ")
         if self._is_id or not f.num:
@@ -389,11 +386,12 @@ class AffineTwist:
             [(k, v)] = f.num.items()
             if not k:
                 return f  # the pullback fixes constants
-            entry = table.get(k)
+            entry = self._table.get(k)
             if entry is not None:
                 num, d = entry
                 return _reduced(self.n, {t: v * w for t, w in num.items()}, d * f.den)
         entries = []
+        table, powers = self._table, self._pow
         for k in f.num:
             entry = table.get(k)
             if entry is None:
@@ -403,7 +401,7 @@ class AffineTwist:
                     while len(col) <= need:
                         col.append(kernels.poly_mul(col[-1], col[1]))
                 den = 1
-                for img, e in zip(images, exps):
+                for img, e in zip(self._images, exps):
                     den *= img.den**e
                 image = _reduced(self.n, kernels.poly_substitute({k: 1}, powers, self.n), den)
                 entry = table[k] = (image.num, image.den)
@@ -419,11 +417,11 @@ class AffineTwist:
 
     def pullback(self, f: Poly) -> Poly:
         """f composed with the map (substitute each variable's image)."""
-        return self._substitute(f, self._images, self._pow, self._table)
+        return self._substitute(f)
 
     def inverse_pullback(self, f: Poly) -> Poly:
-        """Two-sided inverse of pullback."""
-        return self._substitute(f, self._inv_images, self._inv_pow, self._inv_table)
+        """Two-sided inverse of pullback, through the inverse map's table."""
+        return self.inverse()._substitute(f)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AffineTwist):

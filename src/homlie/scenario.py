@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .exterior import EndoMap, MultiVector, SectionTwist
 from .homalg import HomAlgebroid
-from .kernels import LIMIT
+from .kernels import LIMIT, ExponentOverflow
 from .poisson import Bivector
 from .polyring import AffineTwist, Poly
 
@@ -206,9 +206,11 @@ def parse_scenario(data: dict) -> Scenario:
     rank = data["rank"]
     _require(_is_int(rank) and rank >= 1, "$.rank", "rank must be a positive integer")
 
-    phiA = SectionTwist(
-        _parse_matrix(n, rank, rank, data["phiA_matrix"], "$.phiA_matrix"), phi, "multivector"
-    )
+    phiA_matrix = _parse_matrix(n, rank, rank, data["phiA_matrix"], "$.phiA_matrix")
+    try:
+        phiA = SectionTwist(phiA_matrix, phi, "multivector")
+    except ExponentOverflow as exc:
+        raise ScenarioError("$.phiA_matrix", f"determinant: {exc}") from None
     if not phiA.is_invertible():
         raise ScenarioError(
             "$.phiA_matrix",
@@ -263,7 +265,10 @@ def parse_scenario(data: dict) -> Scenario:
             d_struct = _parse_structure(n, rank, spec.get("structure", []), "$.dual.structure")
             d_anchor = _parse_matrix(n, n, rank, spec.get("anchor", [[0] * rank] * n), "$.dual.anchor")
             # the dual side carries the dagger of the section twist
-            d_twist = SectionTwist(phiA.dual().matrix, phi)
+            try:
+                d_twist = SectionTwist(phiA.dual().matrix, phi)
+            except ExponentOverflow as exc:
+                raise ScenarioError("$.dual", f"dual twist: {exc}") from None
             try:
                 dual_spec = HomAlgebroid(phi, d_twist, d_anchor, d_struct)
             except ValueError as exc:
@@ -339,6 +344,8 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError("$", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal longer than the
+        # interpreter's digit limit
         raise ScenarioError("$", f"invalid JSON: {exc}") from None
     return parse_scenario(data)

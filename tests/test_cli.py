@@ -217,37 +217,55 @@ class TestRepeatedWork:
 class TestOneContextPerAlgebroid:
     """Every caller shares the one CartanContext of an algebroid object."""
 
-    def test_full_run_builds_one_context_per_algebroid_object(self, monkeypatch):
+    @staticmethod
+    def built_contexts(monkeypatch):
+        """The distinct contexts that CartanContext(...) calls return."""
         from homlie.calculus import CartanContext
+
+        returned = []
+        original = CartanContext.__new__
+
+        def recorded(cls, algebroid):
+            returned.append(original(cls, algebroid))
+            return returned[-1]
+
+        monkeypatch.setattr(CartanContext, "__new__", recorded)
+        # the list keeps every context alive, so no id is reused
+        return lambda: list({id(c): c for c in returned}.values())
+
+    def test_full_run_builds_one_context_per_algebroid_object(self, monkeypatch):
         from homlie.cli import _expand_tasks
 
-        owners = []
-        original = CartanContext.__init__
-
-        def counted(self, algebroid):
-            owners.append(algebroid)
-            original(self, algebroid)
-
-        monkeypatch.setattr(CartanContext, "__init__", counted)
+        built = self.built_contexts(monkeypatch)
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         report = run_scenario(scn, _expand_tasks(scn, ["full"]))
         assert report["verdict"] == "pass"
         # the scenario algebroid, the pi-dual, the deformation by N and
         # the zero dual of the trivial pair
-        assert len({id(A) for A in owners}) == 4
-        assert len(owners) == 4
+        assert len({id(c.algebroid) for c in built()}) == 4
+        assert len(built()) == 4
 
-    def test_of_returns_the_stored_context(self):
+    def test_defect_checks_share_the_callers_context(self, monkeypatch):
+        from homlie.calculus import CartanContext
+        from homlie.nijenhuis import bialgebroid_defect_checks
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        built = self.built_contexts(monkeypatch)
+        assert bialgebroid_defect_checks(CartanContext(scn.algebroid), scn.pi, scn.endo).passed
+        # the algebroid, its pi-dual and its deformation by N
+        assert len(built()) == 3
+
+    def test_constructor_returns_the_stored_context(self):
         from homlie.calculus import CartanContext
         from homlie.fixtures import algebroid_s1
 
         A = algebroid_s1()
-        ctx = CartanContext.of(A)
-        assert CartanContext.of(A) is ctx
-        assert ctx.algebroid is A
-        # a fresh context neither is nor replaces the stored one
-        assert CartanContext(A) is not ctx
-        assert CartanContext.of(A) is ctx
+        ctx = CartanContext(A)
+        assert CartanContext(A) is ctx
+        assert ctx.algebroid is A and A._context is ctx
+        # another algebroid object, even an equal one, has its own
+        assert CartanContext(algebroid_s1()) is not ctx
+        assert CartanContext(A) is ctx
 
     def test_pairs_share_the_derived_contexts(self, monkeypatch):
         from homlie import nijenhuis, poisson
@@ -255,7 +273,7 @@ class TestOneContextPerAlgebroid:
         from homlie.courant import BialgebroidPair
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
-        ctx = CartanContext.of(scn.algebroid)
+        ctx = CartanContext(scn.algebroid)
         P = BialgebroidPair(scn.algebroid, poisson.dual_algebroid(ctx, scn.pi))
         assert P.ctx is ctx
         assert P.dual_ctx is poisson._dual_context(ctx, scn.pi)
@@ -502,6 +520,58 @@ class TestCliProcess:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    def test_exit_two_on_integer_literal_over_the_digit_limit(self, tmp_path):
+        text = json.dumps(s1_scenario_dict())
+        p = tmp_path / "long_int.json"
+        p.write_text(text[:-1] + ', "probe_degree": ' + "1" * 5000 + "}")
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert "scenario error: $: invalid JSON: " in out.stderr
+        assert "Traceback" not in out.stderr
+
+    X20000 = [{"exp": [20000, 0], "coeff": "1"}]
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            # each exponent is valid, but the determinant squares x^20000
+            ({"phiA_matrix": [[X20000, "0"], ["0", X20000]]}, "$.phiA_matrix"),
+            # det = 1, but one adjugate entry of the dual twist squares it
+            (
+                {
+                    "rank": 3,
+                    "phiA_matrix": [["1", X20000, "0"], ["0", "1", X20000], ["0", "0", "1"]],
+                    "anchor_matrix": [["1", "0", "0"], ["0", "1", "0"]],
+                    "dual": {"structure": []},
+                },
+                "$.dual",
+            ),
+        ],
+        ids=["twist-determinant", "dual-twist"],
+    )
+    def test_exit_two_on_overflow_while_parsing(self, tmp_path, overrides, path):
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(s1_scenario_dict(**overrides)))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert f"scenario error: {path}: " in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+    def test_witness_prints_coefficients_over_the_digit_limit(self, tmp_path):
+        # the residual's coefficient is about 2^20001, which has 6,021
+        # digits; the interpreter refuses to print more than 4,300 by default
+        data = json.loads((SCENARIOS / "s1_full.json").read_text())
+        data["pi"] = [{"i": 1, "j": 2, "coeff": self.X20000}]
+        p = tmp_path / "long_witness.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p), "--task", "sharp_commutes")
+        assert out.returncode == 1
+        assert out.stderr == ""
+        assert out.stdout.startswith("sharp_commutes: fail [sharp-twist-commutation; alpha=eps1; ")
+        coeff = out.stdout.split("residual=(", 1)[1].split("*", 1)[0]
+        assert coeff.isdigit() and len(coeff) > 4300
+
     def test_overflow_inside_a_task_is_an_error_verdict(self, tmp_path):
         # x^20000 is a valid exponent, but the anchor applied to itself
         # reaches 2^15 inside check_axioms
@@ -556,10 +626,19 @@ class TestCliProcess:
         assert "scenario error: $.probe_degree: " in out.stderr
         assert "Traceback" not in out.stderr
 
-    @pytest.mark.parametrize("name", ["s0_axioms", "s1_bad_pi", "s1_full"])
-    def test_json_report_matches_golden(self, name):
-        out = self.run_cli("check", f"scenarios/{name}.json", "--format", "json")
-        golden = (ROOT / "tests" / "golden" / f"{name}.json").read_text()
+    @pytest.mark.parametrize(
+        "name, task",
+        [
+            pytest.param(name, task, id=name + ("_full" if task else ""))
+            for task in (None, "full")
+            for name in ("s0_axioms", "s1_bad_pi", "s1_full")
+        ],
+    )
+    def test_json_report_matches_golden(self, name, task):
+        args = ["--task", task] if task else []
+        out = self.run_cli("check", f"scenarios/{name}.json", "--format", "json", *args)
+        golden_name = name + ("_full" if task else "")
+        golden = (ROOT / "tests" / "golden" / f"{golden_name}.json").read_text()
         assert out.stdout == golden
         assert out.returncode == (1 if name == "s1_bad_pi" else 0)
 

@@ -155,6 +155,17 @@ class TestDualTwist:
         dd = dual_twist(dual_twist(s1_twist))
         assert dd == s1_twist
 
+    def test_derived_twists_are_built_once_and_point_back(self, s1_twist):
+        P = s1_twist
+        assert P.dual() is P.dual() and P.dual().dual() is P
+        assert P.inverse() is P.inverse() and P.inverse().inverse() is P
+        assert P.inverse().base is P.base.inverse()
+        assert P.matrix_inverse() is P.matrix_inverse()
+        for twist, basis in ((P, MultiVector.basis), (P.dual(), Form.basis)):
+            image = twist.basis_image((0, 1))
+            assert image == twist.apply_graded(basis(2, N, (0, 1)))
+            assert twist.basis_image((0, 1)) is image
+
     def test_defining_relation(self, s1_twist):
         d = dual_twist(s1_twist)
         inv = s1_twist.inverse()

@@ -252,10 +252,12 @@ class TestPullbackTable:
         pullback(phi, f)
         inverse_pullback(phi, h)
         assert set(phi._table) == set(map(pack, [(2, 0), (1, 1), (0, 1), (0, 0)]))
-        assert set(phi._inv_table) == {pack((0, 3))}
+        # the inverse map keeps the table of inverse_pullback
+        assert set(phi.inverse()._table) == {pack((0, 3))}
         ident = AffineTwist.identity(2)
         pullback(ident, f)
-        assert not ident._table and not ident._inv_table
+        inverse_pullback(ident, f)
+        assert not ident._table and not ident.inverse()._table
 
 
 def assert_canonical(p):
@@ -386,7 +388,7 @@ class TestPackedKeys:
             return pullback(phi, g) if forward else inverse_pullback(phi, g)
 
         warm, cold = dense_map(), dense_map()
-        table = warm._table if forward else warm._inv_table
+        table = (warm if forward else warm.inverse())._table
         for k in f.num:
             pull(warm, Poly(2, {unpack(k, 2): 1}) + x * y)  # fills the entry of k
         entries = {k: (dict(num), d) for k, (num, d) in table.items()}
@@ -406,6 +408,11 @@ class TestAffineTwist:
     def test_compose_with_inverse_is_identity(self, scale_map):
         assert scale_map.compose(scale_map.inverse()).is_identity()
         assert scale_map.inverse().compose(scale_map).is_identity()
+
+    def test_inverse_is_built_once_and_points_back(self):
+        phi = dense_map()
+        assert phi.inverse() is phi.inverse()
+        assert phi.inverse().inverse() is phi
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ValueError):
