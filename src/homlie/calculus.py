@@ -51,16 +51,20 @@ class CartanContext:
     def __new__(cls, algebroid: HomAlgebroid) -> "CartanContext":
         ctx = algebroid._context
         if ctx is None:
-            ctx = algebroid._context = super().__new__(cls)
+            ctx = super().__new__(cls)
             ctx.algebroid = algebroid
             ctx.rank = algebroid.rank
             ctx.n = algebroid.n
-            ctx.dagger = algebroid.phiA.dual()
-            ctx.dagger_inv = ctx.dagger.inverse()
-            ctx.phiA_inv = algebroid.phiA.inverse()
             ctx._d_basis = {}
             ctx._derived = []
+            algebroid._context = ctx
         return ctx
+
+    # phi_A's derived twists, built on first use and kept on phi_A, so a
+    # twist that cannot be built fails each use alike
+    dagger = property(lambda self: self.algebroid.phiA.dual())
+    dagger_inv = property(lambda self: self.algebroid.phiA.dual().inverse())
+    phiA_inv = property(lambda self: self.algebroid.phiA.inverse())
 
     def d_basis(self, J: tuple) -> Form:
         """d(eps^J) from the Koszul formula, computed once."""

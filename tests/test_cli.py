@@ -558,6 +558,27 @@ class TestCliProcess:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    def test_twist_overflow_errs_every_task_that_needs_it(self, tmp_path):
+        # without a "dual" key the dual twist is first built inside a
+        # task; each task that needs it errs the same way
+        data = s1_scenario_dict(
+            rank=3,
+            phiA_matrix=[["1", self.X20000, "0"], ["0", "1", self.X20000], ["0", "0", "1"]],
+            anchor_matrix=[["1", "0", "0"], ["0", "1", "0"]],
+            pi=[{"i": 1, "j": 2, "coeff": "1"}],
+            tasks=["check_differential_props", "sharp_commutes"],
+        )
+        p = tmp_path / "overflow.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p), "--format", "json")
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        error = {"verdict": "error", "error": "a product has an exponent of 32768 or more"}
+        assert json.loads(out.stdout)["tasks"] == [
+            {"task": "check_differential_props", **error},
+            {"task": "sharp_commutes", **error},
+        ]
+
     def test_witness_prints_coefficients_over_the_digit_limit(self, tmp_path):
         # the residual's coefficient is about 2^20001, which has 6,021
         # digits; the interpreter refuses to print more than 4,300 by default
