@@ -24,14 +24,13 @@ from .exterior import (
     EndoMap,
     Form,
     MultiVector,
-    _accumulate,
     _merge_sign,
     eval_form,
     pair,
     wedge_all,
 )
-from .homalg import HomAlgebroid
-from .polyring import Poly
+from .homalg import HomAlgebroid, derive
+from .polyring import Poly, sum_products
 from .report import CheckResult, StructureError, until_first_failure
 
 
@@ -214,23 +213,25 @@ def _differential(ctx: CartanContext, omega: Form) -> Form:
     if k + 1 > ctx.rank or A.is_zero_structure:
         return Form._raw(ctx.rank, ctx.n, k + 1, out)
     pb = A.phi.pullback
+    pairs = {}  # the products that sum to each coefficient of d omega
     for J, f in omega.coeffs.items():
         pf = pb(f)
         for K, c in ctx.d_basis(J).coeffs.items():
-            _accumulate(out, K, pf * c)
+            pairs.setdefault(K, []).append((pf, c))
         pulled = [pb(f.partial(m)) for m in range(ctx.n)]
         dag = ctx.dagger.basis_image(J).coeffs
         for i, column in enumerate(A.anchor_columns):
-            dfi = Poly.zero(ctx.n)
-            for m, a in column:
-                if not pulled[m].is_zero():
-                    dfi = dfi + a * pulled[m]
+            dfi = sum_products(ctx.n, [(a, pulled[m]) for m, a in column])
             if dfi.is_zero():
                 continue
             for L, c in dag.items():
                 K, sign = _merge_sign((i,), L)
                 if K is not None:
-                    _accumulate(out, K, dfi * c if sign > 0 else -(dfi * c))
+                    pairs.setdefault(K, []).append((dfi if sign > 0 else -dfi, c))
+    for K, p in pairs.items():
+        c = sum_products(ctx.n, p)
+        if not c.is_zero():
+            out[K] = c
     return Form._raw(ctx.rank, ctx.n, k + 1, out)
 
 
@@ -443,14 +444,19 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
         brackets = {}
         for la, alpha in probes.coframes(A, min(probe_degree, 2)):
             dag_alpha = ctx.dagger.apply_graded(alpha)
+            # phi* <alpha, phiA^-1 Y> per Y, with its partials: rho[x]
+            # applied to <alpha, phiA^-1 Y> is rho[x]'s flat field on it
+            pulled = [(A.phi.pullback(pair(alpha, v)), {}) for v in inv]
             for x, (lx, X) in enumerate(sections):
                 L_alpha = lie_derivative_form(ctx, X, alpha)
+                flat = rho[x].flat
                 for y, (ly, Y) in enumerate(sections):
                     br = brackets.get((x, y))
                     if br is None:
                         br = brackets[x, y] = schouten(ctx, X, inv[y])
                     lhs = pair(L_alpha, Y)
-                    rhs = rho[x].apply(pair(alpha, inv[y])) - pair(dag_alpha, br)
+                    pv, dpv = pulled[y]
+                    rhs = derive(flat, pv, dpv) - pair(dag_alpha, br)
                     yield {"alpha": la, "X": lx, "Y": ly}, lhs - rhs
 
     return until_first_failure(

@@ -23,7 +23,7 @@ from .courant import (
     jacobiator,
 )
 from .dirac import Subbundle, dirac_checks, graph, graph_theorem_check, maurer_cartan_defect
-from .fixtures import list_fixtures
+from .fixtures import fixture_tags, list_fixtures
 from .homalg import check_axioms
 from .kernels import ExponentOverflow
 from .nijenhuis import (
@@ -421,7 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fixtures = sub.add_parser("fixtures", help="list the built-in fixture catalog")
     fixtures.add_argument("--format", choices=("text", "json"), default="text")
-    fixtures.add_argument("--tag", default=None, help="only fixtures carrying this tag")
+    fixtures.add_argument(
+        "--tag", choices=fixture_tags(), default=None, help="only fixtures carrying this tag"
+    )
     fixtures.set_defaults(func=cmd_fixtures)
     return parser
 

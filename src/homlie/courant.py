@@ -22,7 +22,7 @@ from .calculus import (
 )
 from .exterior import Form, MultiVector, SectionTwist, reinterpret
 from .homalg import HomAlgebroid, PullbackVectorField, bracket_phistar_apply
-from .polyring import Poly, _mat_inverse, monomials
+from .polyring import Poly, _mat_inverse, monomials, sum_products
 from .report import (
     CheckResult,
     PreconditionError,
@@ -251,25 +251,21 @@ class CourantDouble:
         """The twist of the double.  It is phi*-linear, so it is fixed
         by its frame images: phiE(sum f_a E_a) = sum phi*(f_a) phiE(E_a)."""
         pb = self.phi.pullback
-        out = [Poly.zero(self.n)] * (2 * self.r)
+        pairs = [[] for _ in range(2 * self.r)]
         for a, f in enumerate(u.coeffs):
             if f.is_zero():
                 continue
             pf = pb(f)
             for b, c in enumerate(self.phiE_frame(a).coeffs):
-                if not c.is_zero():
-                    out[b] = out[b] + c * pf
-        return ESection(out, self.n)
+                pairs[b].append((c, pf))
+        return ESection([sum_products(self.n, p) for p in pairs], self.n)
 
     def pairing(self, u: ESection, v: ESection) -> Poly:
         """Half the sum of the two cross pairings <xi, Y> + <eta, X>."""
         r = self.r
-        total = Poly.zero(self.n)
-        for i in range(r):
-            for a, b in ((u.coeffs[r + i], v.coeffs[i]), (v.coeffs[r + i], u.coeffs[i])):
-                if not a.is_zero() and not b.is_zero():
-                    total = total + a * b
-        return total * Fraction(1, 2)
+        cross = [(u.coeffs[r + i], v.coeffs[i]) for i in range(r)]
+        cross += [(v.coeffs[r + i], u.coeffs[i]) for i in range(r)]
+        return sum_products(self.n, cross) * Fraction(1, 2)
 
     def rho_field(self, u: ESection) -> PullbackVectorField:
         X, xi = self.split(u)
@@ -346,14 +342,12 @@ class CourantDouble:
         inv = self.gram_inverse()
         half = Fraction(1, 2)
         rhs = [self.rho_frame(b).apply(f) * half for b in range(2 * self.r)]
-        coeffs = []
-        for a in range(2 * self.r):
-            c = Poly.zero(self.n)
-            for b in range(2 * self.r):
-                if inv[a][b] and not rhs[b].is_zero():
-                    c = c + rhs[b] * inv[a][b]
-            coeffs.append(c)
-        return ESection(coeffs, self.n)
+        n = self.n
+        coeffs = [
+            sum_products(n, [(g, Poly.const(n, m)) for g, m in zip(rhs, row) if m])
+            for row in inv
+        ]
+        return ESection(coeffs, n)
 
 
 def double(P: BialgebroidPair, verify: bool = True, probe_degree: int = 2) -> CourantDouble:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .polyring import AffineTwist, Poly
+from .polyring import AffineTwist, Poly, sum_products
 from .report import CheckResult, StructureError, first_nonzero
 
 
@@ -247,12 +247,8 @@ def pair(omega: Form, D: MultiVector) -> Poly:
         raise StructureError("pair() needs a Form and a MultiVector")
     if omega.degree != D.degree or omega.rank != D.rank:
         raise StructureError("pair() needs equal degrees and ranks")
-    out = Poly.zero(omega.n)
-    for k, f in omega.coeffs.items():
-        g = D.coeffs.get(k)
-        if g is not None:
-            out = out + f * g
-    return out
+    coeffs = D.coeffs
+    return sum_products(omega.n, [(f, coeffs[k]) for k, f in omega.coeffs.items() if k in coeffs])
 
 
 def eval_form(omega: Form, sections) -> Poly:
@@ -357,10 +353,7 @@ class EndoMap:
         )
 
     def _mat_apply(self, coeffs):
-        return [
-            sum((self.matrix[i][j] * coeffs[j] for j in range(self.rank)), Poly.zero(self.n))
-            for i in range(self.rank)
-        ]
+        return [sum_products(self.n, zip(row, coeffs)) for row in self.matrix]
 
     def apply(self, v: GradedElement) -> GradedElement:
         if v.degree != 1 or v.kind != self.kind:
@@ -507,11 +500,16 @@ class SectionTwist:
         cls = type(T)
         if k == 0:
             return cls.scalar(self.rank, self.n, self.base.pullback(T.scalar_value()))
-        out = {}
+        pairs = {}
         for J, v in T.coeffs.items():
             pv = self.base.pullback(v)
             for I, d in self._minor_column(J):
-                _accumulate(out, I, d * pv)
+                pairs.setdefault(I, []).append((d, pv))
+        out = {}
+        for I, p in pairs.items():
+            c = sum_products(self.n, p)
+            if not c.is_zero():
+                out[I] = c
         return cls._raw(self.rank, self.n, k, out)
 
     def _minor_column(self, J: tuple):

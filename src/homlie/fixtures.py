@@ -177,6 +177,11 @@ def get_fixture(name: str) -> Fixture:
     raise KeyError(f"unknown fixture {name!r}")
 
 
+def fixture_tags() -> list:
+    """Every tag of the catalog, sorted."""
+    return sorted({t for f in CATALOG for t in f.tags})
+
+
 def list_fixtures(tag: str | None = None):
     out = [f for f in CATALOG if tag is None or tag in f.tags]
     return out

@@ -7,8 +7,8 @@ trivial-line extension).
 from __future__ import annotations
 
 from . import probes
-from .exterior import Form, GradedElement, MultiVector, SectionTwist, _accumulate
-from .polyring import AffineTwist, Poly, monomials
+from .exterior import Form, GradedElement, MultiVector, SectionTwist
+from .polyring import AffineTwist, Poly, monomials, sum_products
 from .report import CheckResult, StructureError, until_first_failure
 
 # Pairwise-scaled probes grow quadratically, so they use a reduced
@@ -54,14 +54,10 @@ class PullbackVectorField:
         """The coefficients of the ordinary vector field X~ = M^-1 c."""
         if self._flat is None:
             n, inv = self.phi.n, self.phi.matrix_inv
-            flat = []
-            for k in range(n):
-                out = Poly.zero(n)
-                for i, c in enumerate(self.coeffs):
-                    if inv[k][i] and not c.is_zero():
-                        out = out + c * inv[k][i]
-                flat.append(out)
-            self._flat = tuple(flat)
+            self._flat = tuple(
+                sum_products(n, [(c, Poly.const(n, m)) for c, m in zip(self.coeffs, inv[k]) if m])
+                for k in range(n)
+            )
         return self._flat
 
     def apply(self, f: Poly) -> Poly:
@@ -99,7 +95,7 @@ def derive(flat, g: Poly, partials=None) -> Poly:
     """sum_k flat_k * dg/dx_k: the ordinary vector field with
     coefficients `flat` applied to g.  A dict `partials` keeps the
     partials of g for later calls on the same g."""
-    out = Poly.zero(g.n)
+    pairs = []
     for k, c in enumerate(flat):
         if c.is_zero():
             continue
@@ -109,9 +105,8 @@ def derive(flat, g: Poly, partials=None) -> Poly:
             dg = partials.get(k)
             if dg is None:
                 dg = partials[k] = g.partial(k)
-        if not dg.is_zero():
-            out = out + c * dg
-    return out
+        pairs.append((c, dg))
+    return sum_products(g.n, pairs)
 
 
 def _same_base(phi: AffineTwist, *fields) -> None:
@@ -149,13 +144,14 @@ def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVector
     return PullbackVectorField(phi, coeffs)
 
 
-def bracket_phistar_apply(phi, X, Y, f: Poly) -> Poly:
+def bracket_phistar_apply(phi, X, Y, f: Poly, partials=None) -> Poly:
     """The twisted commutator (phi* X phi^-1* Y - phi* Y phi^-1* X)
     phi^-1* applied to f.  Since X = X~ phi* and Y = Y~ phi*, this is
-    phi*(X~(Y~ f) - Y~(X~ f)): one pullback."""
+    phi*(X~(Y~ f) - Y~(X~ f)): one pullback.  A dict `partials` keeps
+    the partials of f, as in `derive`."""
     _same_base(phi, X, Y)
     fx, fy = X.flat, Y.flat
-    return phi.pullback(derive(fx, derive(fy, f)) - derive(fy, derive(fx, f)))
+    return phi.pullback(derive(fx, derive(fy, f, partials)) - derive(fy, derive(fx, f, partials)))
 
 
 def bracket_phistar(phi: AffineTwist, X: PullbackVectorField, Y: PullbackVectorField) -> PullbackVectorField:
@@ -255,11 +251,11 @@ class HomAlgebroid:
     def anchor_field(self, X: MultiVector) -> PullbackVectorField:
         if X.degree != 1:
             raise StructureError("anchor_field needs a degree-1 section")
-        out = [Poly.zero(self.n)] * self.n
+        pairs = [[] for _ in range(self.n)]
         for (j,), c in X.coeffs.items():
             for i, a in self.anchor_columns[j]:
-                out[i] = out[i] + a * c
-        return PullbackVectorField(self.phi, out)
+                pairs[i].append((a, c))
+        return PullbackVectorField(self.phi, [sum_products(self.n, p) for p in pairs])
 
     def anchor_apply(self, X: MultiVector, f: Poly) -> Poly:
         return self.anchor_field(X).apply(f)
@@ -284,31 +280,40 @@ class HomAlgebroid:
 
         Each coefficient is pulled back once and each of its partials
         taken at most once; rho(phiA e_i)(g) is the flat field of
-        rho(phiA e_i) applied to phi*(g) (see PullbackVectorField)."""
+        rho(phiA e_i) applied to phi*(g) (see PullbackVectorField).
+        The products are collected per output index and each
+        coefficient is summed once."""
         pb = self.phi.pullback
         xs = [(i, pb(f), {}) for (i,), f in X.coeffs.items()]
         ys = [(j, pb(g), {}) for (j,), g in Y.coeffs.items()]
-        out = {}
+        pairs = {}
         for i, pf, dpf in xs:
             for j, pg, dpg in ys:
                 if i != j:
                     lo, hi = min(i, j), max(i, j)
+                    fg = None
                     for k in range(self.rank):
                         c = self.structure.get((lo, hi, k))
                         if c is not None:
-                            term = c * (pf * pg)
-                            _accumulate(out, (k,), term if i < j else -term)
+                            if fg is None:
+                                fg = pf * pg if i < j else -(pf * pg)
+                            pairs.setdefault((k,), []).append((c, fg))
                 df = derive(self.anchor_after_twist(i).flat, pg, dpg)
                 if not df.is_zero():
                     w = pf * df
                     for K, a in self.phiA_frame(j).coeffs.items():
-                        _accumulate(out, K, a * w)
+                        pairs.setdefault(K, []).append((a, w))
                 dg = derive(self.anchor_after_twist(j).flat, pf, dpf)
                 if not dg.is_zero():
-                    w = pg * dg
+                    w = -(pg * dg)
                     for K, a in self.phiA_frame(i).coeffs.items():
-                        _accumulate(out, K, -(a * w))
-        return MultiVector._raw(self.rank, self.n, 1, {K: out[K] for K in sorted(out)})
+                        pairs.setdefault(K, []).append((a, w))
+        out = {}
+        for K in sorted(pairs):
+            c = sum_products(self.n, pairs[K])
+            if not c.is_zero():
+                out[K] = c
+        return MultiVector._raw(self.rank, self.n, 1, out)
 
     def __repr__(self) -> str:
         return f"HomAlgebroid(n={self.n}, rank={self.rank})"
@@ -359,26 +364,41 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
                         t = [a, b]
                         t.insert(pos, probe)
                         triples.append(tuple(t))
-        seen = set()
+        # the cyclic sum does not change when (X, Y, Z) is rotated, so
+        # each rotation class is summed once, when it is first met
+        residuals = {}
         for (lx, X), (ly, Y), (lz, Z) in triples:
-            key = (lx, ly, lz)
-            if key in seen:
-                continue
-            seen.add(key)
-            total = (
-                A.bracket(A.phiA.apply(X), A.bracket(Y, Z))
-                + A.bracket(A.phiA.apply(Y), A.bracket(Z, X))
-                + A.bracket(A.phiA.apply(Z), A.bracket(X, Y))
-            )
+            total = residuals.get((lx, ly, lz))
+            if total is None:
+                total = (
+                    A.bracket(A.phiA.apply(X), A.bracket(Y, Z))
+                    + A.bracket(A.phiA.apply(Y), A.bracket(Z, X))
+                    + A.bracket(A.phiA.apply(Z), A.bracket(X, Y))
+                )
+                for key in ((lx, ly, lz), (ly, lz, lx), (lz, lx, ly)):
+                    residuals[key] = total
             yield {"X": lx, "Y": ly, "Z": lz}, total
 
     def leibniz():
+        # [X, fY] once per distinct section fY, and rho(phiA X) once,
+        # while X stays the same
+        last_x, brackets, rho_x = None, {}, None
+
+        def bracket_x(X, Z):
+            key = Z.key()
+            got = brackets.get(key)
+            if got is None:
+                got = brackets[key] = A.bracket(X, Z)
+            return got
+
         for (lx, X), (ly, Y) in pairs:
-            br = A.bracket(X, Y)
+            if X is not last_x:
+                last_x, brackets = X, {}
+                rho_x = A.anchor_field(A.phiA.apply(X)).flat
+            br = bracket_x(X, Y)
             twisted_y = A.phiA.apply(Y)
-            rho_x = A.anchor_field(A.phiA.apply(X)).flat
             for f, (pf, dpf) in zip(funcs, pulled):
-                lhs = A.bracket(X, Y.scale(f))
+                lhs = bracket_x(X, Y.scale(f))
                 rhs = br.scale(pf) + twisted_y.scale(derive(rho_x, pf, dpf))
                 yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 
@@ -394,12 +414,13 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
                 yield {"X": label, "f": f}, lhs - rhs
 
     def anchor_bracket():
+        partials = [{} for _ in funcs]  # of each probe function itself
         for (lx, X), (ly, Y) in pairs:
             a_br = A.anchor_field(A.bracket(X, Y)).flat
             ax, ay = A.anchor_field(X), A.anchor_field(Y)
-            for f, (pf, dpf) in zip(funcs, pulled):
+            for f, (pf, dpf), df in zip(funcs, pulled, partials):
                 lhs = derive(a_br, pf, dpf)
-                rhs = bracket_phistar_apply(A.phi, ax, ay, f)
+                rhs = bracket_phistar_apply(A.phi, ax, ay, f, df)
                 yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
 
     return until_first_failure(

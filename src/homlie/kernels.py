@@ -104,6 +104,27 @@ def poly_mul(a, b):
     return out
 
 
+def poly_sum_products(triples):
+    """sum s * a * b over (s, a, b) triples of a scalar and two term
+    maps, accumulated into one fresh dict; zeros are dropped once at
+    the end, and a guarded key raises as in poly_mul."""
+    out = {}
+    get = out.get
+    for s, a, b in triples:
+        if len(a) > len(b):
+            a, b = b, a
+        for ka, va in a.items():
+            c = s * va
+            for kb, vb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + c * vb
+    out = {k: v for k, v in out.items() if v}
+    for k in out:
+        if k & GUARD:
+            raise ExponentOverflow(f"a product has an exponent of {LIMIT} or more")
+    return out
+
+
 def poly_partial(a, i):
     # exponent maps stay distinct under d/dx_i, so no merging is needed
     shift = F * i

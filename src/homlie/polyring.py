@@ -264,6 +264,22 @@ def _reduced(n: int, num: dict, den: int) -> Poly:
     return _poly(n, num, den)
 
 
+def sum_products(n: int, pairs) -> Poly:
+    """sum a * b over pairs of polynomials in n variables, in one pass:
+    the products of the numerators, each scaled to the lcm of the
+    product denominators, accumulate in one dict that is reduced once.
+    A single nonzero pair is the plain product `a * b`."""
+    pairs = [(a, b) for a, b in pairs if a.num and b.num]
+    if not pairs:
+        return _poly(n, {}, 1)
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return a * b
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    num = kernels.poly_sum_products((den // (a.den * b.den), a.num, b.num) for a, b in pairs)
+    return _reduced(n, num, den)
+
+
 def monomials(n: int, max_degree: int) -> list[Poly]:
     """All monomials of total degree <= max_degree in graded-lex order.
 

@@ -1,7 +1,8 @@
 """Scenario files: strict JSON schema describing an instance and the
 ordered list of verification tasks to run against it.
 
-All rationals are strings like "3/2" (or plain integers); polynomial
+All rationals are JSON integers or strings "p" or "p/q" with an
+optional sign and decimal digits only (`RATIONAL`); polynomial
 values are lists of {"exp": [...], "coeff": "p/q"} with one exponent per
 declared variable, each below `kernels.LIMIT`; frame and structure indices are 1-based.  Unknown
 keys are rejected with their JSON path.
@@ -10,7 +11,9 @@ keys are rejected with their JSON path.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .exterior import EndoMap, MultiVector, SectionTwist
 from .homalg import HomAlgebroid
@@ -77,12 +80,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_rational(value, path):
-    if not (_is_int(value) or isinstance(value, str)):
-        raise ScenarioError(path, f"expected a rational string or integer, got {value!r}")
-    try:
-        from fractions import Fraction
+# a rational string: an optional sign, decimal digits and an optional
+# "/" with a digit denominator; no spaces, points, exponents or "_"
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
+
+def _parse_rational(value, path):
+    if _is_int(value):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ScenarioError(path, f"expected a rational string or integer, got {value!r}")
+    if not RATIONAL.fullmatch(value):
+        raise ScenarioError(path, f"bad rational {value!r}: expected [+-]p or [+-]p/q in decimal digits")
+    try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(path, f"bad rational {value!r}: {exc}") from None

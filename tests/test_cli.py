@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,23 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(data)
         assert "$.phi.matrix[0][0]" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["2.5", "1e3", " 2 ", "1_000", "1e4000000", "1/2/3", "0x10", "", "½"])
+    def test_rational_outside_the_grammar_rejected(self, text):
+        data = s1_scenario_dict()
+        data["phi"]["matrix"][0][0] = text
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert err.value.path == "$.phi.matrix[0][0]"
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("3", 3), ("-3/2", Fraction(-3, 2)), ("+4/6", Fraction(2, 3)), ("007", 7), (5, 5)],
+    )
+    def test_rational_grammar_accepted(self, value, expected):
+        data = s1_scenario_dict()
+        data["phi"]["matrix"][0][0] = value
+        assert parse_scenario(data).algebroid.phi.matrix[0][0] == expected
 
     def test_bad_pi_indices(self):
         with pytest.raises(ScenarioError) as err:
@@ -694,6 +712,32 @@ class TestCliProcess:
         out = self.run_cli("fixtures", "--tag", "negative")
         assert "S1-perturbed-structure" in out.stdout
         assert "S0" not in out.stdout.split()
+
+    def test_exit_two_on_rational_outside_the_grammar(self, tmp_path):
+        data = s1_scenario_dict()
+        data["phi"]["offset"] = ["0", "2.5"]
+        p = tmp_path / "decimal.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert "scenario error: $.phi.offset[1]: " in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+    def test_fixtures_unknown_tag_exits_two(self):
+        out = self.run_cli("fixtures", "--tag", "nosuch")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        for tag in ("algebroid", "classical", "dirac", "negative", "nijenhuis", "poisson", "valid"):
+            assert repr(tag) in out.stderr
+
+    def test_fixtures_every_catalog_tag_is_accepted(self):
+        tags = sorted({t for f in CATALOG for t in f.tags})
+        for tag in tags:
+            out = self.run_cli("fixtures", "--tag", tag, "--format", "json")
+            assert out.returncode == 0
+            names = [f["name"] for f in json.loads(out.stdout)]
+            assert names == [f.name for f in list_fixtures(tag)] != []
 
     def test_fixtures_json(self):
         out = self.run_cli("fixtures", "--format", "json")

@@ -475,13 +475,13 @@ class TestWorkCounts:
 
         monkeypatch.setattr(AffineTwist, "pullback", counted)
         assert check_axioms(A, 3).passed
-        assert calls[0] == 12746
+        assert calls[0] == 7750
 
-    def test_leibniz_brackets_once_per_pair_and_function(self, monkeypatch):
+    @staticmethod
+    def bracket_counts(monkeypatch, A, degree):
+        """check_axioms(A, degree), passing; its bracket calls by identity."""
         from homlie import homalg
 
-        A = algebroid_s1()
-        degree = 2
         current = [None]
         counts = {}
         bracket, until_first_failure = A.bracket, homalg.until_first_failure
@@ -500,8 +500,28 @@ class TestWorkCounts:
         monkeypatch.setattr(A, "bracket", counted)
         monkeypatch.setattr(homalg, "until_first_failure", staged)
         assert check_axioms(A, degree).passed
-        singles = probes.sections(A, degree)
-        frame, scaled = singles[: A.rank], singles[A.rank :]
-        # at degree 2 the pairwise-scaled probes are the scaled ones
-        pairs = len(frame) ** 2 + 2 * len(frame) * len(scaled) + len(scaled) ** 2
-        assert counts["leibniz-rule"] == pairs * (1 + len(monomials(A.n, degree)))
+        return counts
+
+    def test_leibniz_brackets_once_per_pair_and_function(self, monkeypatch):
+        A = algebroid_s1()
+        counts = self.bracket_counts(monkeypatch, A, 2)
+        # [X, Y] once per pair and [X, fY] once per distinct fY while X
+        # stays the same; f = 1 makes [X, Y] one of them.  At degree 2
+        # the f are the 6 monomials of degree <= 2, and the X run over
+        # 2 frame elements with Y in the frame (12 sections fY each) or
+        # among the 10 scaled sections m*e_j (28: f*m has degree 1 to
+        # 4), then 10 scaled X with Y in the frame (12 each) or scaled
+        # (28 each): 2*12 + 2*28 + 10*12 + 10*28
+        assert counts["leibniz-rule"] == 480
+
+    def test_leibniz_and_jacobi_bracket_counts_on_the_dense_tangent(self, monkeypatch):
+        counts = self.bracket_counts(monkeypatch, dense_tangent(), 3)
+        # the same count at degree 3, with 10 functions f: 2 frame X
+        # with frame Y (20 sections fY each) or one of the 18 scaled Y
+        # (54), 18 scaled X with frame Y (20 each) and 10 pairwise-scaled
+        # X with pairwise-scaled Y (40 each): 2*20 + 2*54 + 18*20 + 10*40
+        assert counts["leibniz-rule"] == 908
+        # 224 triples fall into 76 rotation classes (4 of the 8 frame
+        # triples, and one per scaled probe and frame pair), 6 brackets
+        # each
+        assert counts["hom-jacobi"] == 456

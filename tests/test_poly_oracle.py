@@ -1,5 +1,6 @@
-"""Oracle test: Poly arithmetic, partial derivatives and the affine
-pullbacks agree with sympy's sparse polynomial rings over QQ."""
+"""Oracle test: Poly arithmetic, the fused sum of products, partial
+derivatives and the affine pullbacks agree with sympy's sparse
+polynomial rings over QQ."""
 
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homlie.polyring import AffineTwist, Poly
+from homlie.polyring import AffineTwist, Poly, sum_products
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ
@@ -57,6 +58,15 @@ settings_ = settings(max_examples=60, deadline=None)
 def test_add_and_mul_match_sympy(f, g):
     assert from_sympy(to_sympy(f) + to_sympy(g)) == f + g
     assert from_sympy(to_sympy(f) * to_sympy(g)) == f * g
+
+
+@settings_
+@given(st.lists(st.tuples(polys, polys), max_size=5))
+def test_sum_products_matches_sympy(pairs):
+    expected = R.zero
+    for f, g in pairs:
+        expected += to_sympy(f) * to_sympy(g)
+    assert from_sympy(expected) == sum_products(N, pairs)
 
 
 @settings_

@@ -16,6 +16,7 @@ from homlie.polyring import (
     partial,
     poly_divides,
     pullback,
+    sum_products,
 )
 
 
@@ -402,6 +403,68 @@ class TestPackedKeys:
         got.num.clear()
         assert {k: (dict(num), d) for k, (num, d) in table.items()} == entries
         assert pull(warm, f) == want
+
+
+def term_by_term(n, pairs):
+    out = Poly.zero(n)
+    for a, b in pairs:
+        out = out + a * b
+    return out
+
+
+class TestSumProducts:
+    """sum_products(n, pairs) is the sum of a * b over the pairs, reduced
+    once; the result is the canonical form of the term-by-term sum."""
+
+    @given(st.lists(st.tuples(polys(), polys()), max_size=5))
+    @settings(max_examples=80)
+    def test_matches_term_by_term_sum(self, pairs):
+        got = sum_products(2, pairs)
+        want = term_by_term(2, pairs)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert_canonical(got)
+
+    @given(polys(), polys(), polys())
+    @settings(max_examples=60)
+    def test_a_sum_that_cancels_is_the_zero_polynomial(self, f, g, h):
+        got = sum_products(2, [(f, g), (h, g), (-f - h, g)])
+        assert (got.num, got.den) == ({}, 1)
+
+    def test_mixed_denominators(self):
+        pairs = [
+            (Poly.const(2, Fraction(1, 6)), x + y),
+            (x * Fraction(1, 4), y * Fraction(2, 3)),
+            (Poly.const(2, Fraction(5, 6)), x + y * Fraction(1, 10)),
+        ]
+        got = sum_products(2, pairs)
+        # 1/6 x + 1/6 y + 1/6 xy + 5/6 x + 1/12 y = x + 1/4 y + 1/6 xy
+        assert got == x + y * Fraction(1, 4) + x * y * Fraction(1, 6)
+        assert (got.num, got.den) == (term_by_term(2, pairs).num, 12)
+        assert_canonical(got)
+
+    @given(polys(), polys())
+    @settings(max_examples=60)
+    def test_one_nonzero_pair_is_the_plain_product(self, f, g):
+        zero = Poly.zero(2)
+        got = sum_products(2, [(zero, g), (f, g), (f, zero)])
+        want = f * g
+        assert (got.num, got.den) == (want.num, want.den)
+        assert sum_products(2, []) == zero
+        assert sum_products(2, [(zero, f)]) == zero
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_product_past_the_limit_raises(self, i):
+        top = [0, 0, 0]
+        top[i] = LIMIT - 1
+        high = Poly.monomial(3, top) + Poly.const(3, 1)
+        var = Poly.variable(3, i)
+        one = Poly.const(3, 1)
+        with pytest.raises(ExponentOverflow):
+            sum_products(3, [(high, var), (one, one)])
+        with pytest.raises(ExponentOverflow):
+            sum_products(3, [(one, var), (var, high)])
+        with pytest.raises(ExponentOverflow):
+            kernels.poly_sum_products([(1, high.num, var.num)])
 
 
 class TestAffineTwist:
