@@ -140,7 +140,7 @@ def _task_differential_props(scn):
 
 @_task("is_hom_poisson", _has_pi)
 def _task_is_hom_poisson(scn):
-    return is_hom_poisson(_ctx(scn), _need_pi(scn), scn.probe_degree)
+    return is_hom_poisson(_ctx(scn), _need_pi(scn))
 
 
 @_task("sharp_commutes", _has_pi)

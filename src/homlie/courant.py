@@ -20,7 +20,7 @@ from .calculus import (
     lie_derivative_form,
     schouten,
 )
-from .exterior import Form, MultiVector, SectionTwist, reinterpret
+from .exterior import Form, MultiVector, dual_section_twist, reinterpret
 from .homalg import HomAlgebroid, PullbackVectorField, bracket_phistar_apply
 from .polyring import Poly, _mat_inverse, monomials, sum_products
 from .report import (
@@ -53,7 +53,7 @@ class BialgebroidPair:
     @classmethod
     def trivial(cls, A) -> "BialgebroidPair":
         """Dual side carries the zero bracket and zero anchor."""
-        twist = SectionTwist(A.phiA.dual().matrix, A.phi)
+        twist = dual_section_twist(A.phiA)
         anchor = [[Poly.zero(A.n)] * A.rank for _ in range(A.n)]
         return cls(A, HomAlgebroid(A.phi, twist, anchor, {}))
 

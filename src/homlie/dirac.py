@@ -3,14 +3,18 @@ closure under the bracket, the induced algebroid on a passing
 subbundle, graphs of dual-to-primal maps, and the gradient-type
 obstruction that characterizes which graphs pass.
 
-Span membership is decided by exact Gaussian elimination over the
-rational-function field with an explicit polynomiality check on the
-solution; graphs and factor subbundles always stay inside this
+Span membership: a full-rank generator matrix G has a nonzero r x r
+minor M on some rows R, found once per subbundle.  Over the
+rational-function field the only solution of G c = t is then
+c = adj(M) t_R / det(M), so t is a polynomial member exactly when
+G adj(M) t_R = det(M) t on every row and det(M) divides each entry of
+adj(M) t_R; graphs and factor subbundles always stay inside this
 restricted solver.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from . import probes
@@ -20,12 +24,13 @@ from .exterior import (
     EndoMap,
     MultiVector,
     SectionTwist,
+    poly_mat_adjugate,
     poly_mat_det,
     twist_invariance,
 )
 from .homalg import HomAlgebroid
 from .poisson import Bivector, _as_bivector
-from .polyring import Poly, poly_divides
+from .polyring import Poly, poly_divides, sum_products
 from .report import (
     CheckResult,
     PreconditionError,
@@ -36,87 +41,51 @@ from .report import (
 )
 
 
-class _RF:
-    """Rational function as an unreduced numerator/denominator pair;
-    enough arithmetic for small eliminations."""
+def _find_pivot(columns):
+    """The first row tuple R, in combinations order, on which the square
+    minor M of the columns is nonzero, with det(M) and adj(M); None when
+    the columns are rank-deficient."""
+    for rows in combinations(range(len(columns[0])), len(columns)):
+        minor = [[col[i] for col in columns] for i in rows]
+        det = poly_mat_det(minor)
+        if not det.is_zero():
+            return rows, det, poly_mat_adjugate(minor)
+    return None
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.const(num.n, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.num = num
-        self.den = den
+def _full_rank(pivot):
+    """The pivot, refusing rank-deficient generators."""
+    if pivot is None:
+        raise PreconditionError("generators are rank-deficient at the generic point")
+    return pivot
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
-    def __add__(self, other):
-        return _RF(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _RF(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _RF(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return _RF(self.num * other.den, self.den * other.num)
-
-    def as_poly(self):
-        """Exact polynomial value, or None when the reduced form is not
-        polynomial."""
-        return poly_divides(self.den, self.num)
+def _solve(columns, pivot, target):
+    """Over the rational functions the only solution is
+    c = adj(M) t_R / det(M); test it on every row, then for polynomiality."""
+    rows, det, adj = pivot
+    n = det.n
+    nums = [sum_products(n, zip(a, (target[i] for i in rows))) for a in adj]
+    for i, t in enumerate(target):
+        if sum_products(n, ((col[i], num) for col, num in zip(columns, nums))) != det * t:
+            return "not-member", i
+    coeffs = []
+    for j, num in enumerate(nums):
+        c = poly_divides(det, num)
+        if c is None:
+            return "non-polynomial", j
+        coeffs.append(c)
+    return "member", coeffs
 
 
 def solve_membership(columns, target):
     """Solve sum_j c_j columns[j] = target for polynomial c_j.
 
-    columns: list of coefficient tuples (length m); target: length-m
-    tuple.  Returns ("member", coeffs), ("not-member", residual_index)
-    or ("non-polynomial", column_index).
+    columns: list of coefficient tuples (length m) of full rank; target:
+    length-m tuple.  Returns ("member", coeffs), ("not-member",
+    row_index) or ("non-polynomial", column_index).
     """
-    m = len(target)
-    k = len(columns)
-    n = target[0].n
-    aug = [[_RF(columns[j][i]) for j in range(k)] + [_RF(target[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pivots.append(col)
-        for r in range(m):
-            if r != row and not aug[r][col].is_zero():
-                factor = aug[r][col] / aug[row][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        row += 1
-    solution = [_RF(Poly.zero(n))] * k
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][k] / aug[r][col]
-    for r in range(row, m):
-        if not aug[r][k].is_zero():
-            return "not-member", r
-    coeffs = []
-    for j, val in enumerate(solution):
-        p = val.as_poly()
-        if p is None:
-            return "non-polynomial", j
-        coeffs.append(p)
-    # defensive re-check of the full system
-    for i in range(m):
-        acc = Poly.zero(n)
-        for j in range(k):
-            acc = acc + columns[j][i] * coeffs[j]
-        if not (acc - target[i]).is_zero():
-            return "not-member", i
-    return "member", coeffs
+    return _solve(columns, _full_rank(_find_pivot(columns)), target)
 
 
 class Subbundle:
@@ -134,31 +103,22 @@ class Subbundle:
                 f"expected {host.r} generators for half-rank {host.r}, got {len(self.generators)}"
             )
 
-    def generator_matrix(self):
-        """Columns are generators, rows the 2r frame coefficients."""
-        return [
-            [g.coeffs[i] for g in self.generators] for i in range(2 * self.host.r)
-        ]
+    @cached_property
+    def _pivot(self):
+        return _find_pivot([g.coeffs for g in self.generators])
 
     def is_full_rank(self) -> bool:
-        cols = self.generator_matrix()
-        r = self.host.r
-        for rows in combinations(range(2 * r), r):
-            minor = [[cols[i][j] for j in range(r)] for i in rows]
-            if not poly_mat_det(minor).is_zero():
-                return True
-        return False
+        return self._pivot is not None
 
     def membership(self, section: ESection):
         cols = [g.coeffs for g in self.generators]
-        return solve_membership(cols, section.coeffs)
+        return _solve(cols, _full_rank(self._pivot), section.coeffs)
 
 
 def is_isotropic(L: Subbundle) -> CheckResult:
     """The pairing vanishes on every generator pair; with full rank this
     is maximal isotropy."""
-    if not L.is_full_rank():
-        raise PreconditionError("generators are rank-deficient at the generic point")
+    _full_rank(L._pivot)
     gens = L.generators
     pairings = (
         ({"g_i": f"g{i + 1}", "g_j": f"g{j + 1}"}, L.host.pairing(gens[i], gens[j]))
@@ -168,66 +128,51 @@ def is_isotropic(L: Subbundle) -> CheckResult:
     return first_nonzero("is_isotropic", pairings)
 
 
+_RESTRICTED = "fails (restricted solver): not a polynomial-frame member"
+
+
+def _span_check(name, L, cases, leaves, non_polynomial=_RESTRICTED):
+    """Every (inputs, section) case must be a polynomial member of the
+    span; the first that is not fails the check with its status."""
+    for inputs, section in cases:
+        status, _ = L.membership(section)
+        if status != "member":
+            reason = non_polynomial if status == "non-polynomial" else leaves
+            return CheckResult(name, False, Witness(name, {**inputs, "status": status}, reason))
+    return CheckResult(name, True)
+
+
 def is_phi_invariant(L: Subbundle) -> CheckResult:
     """Each twisted generator must stay inside the polynomial span of
     the generators."""
     name = "is_phi_invariant"
-    if not L.is_full_rank():
-        raise PreconditionError("generators are rank-deficient at the generic point")
-    for i, g in enumerate(L.generators):
-        status, _ = L.membership(L.host.phiE(g))
-        if status != "member":
-            reason = (
-                "fails (restricted solver): not a polynomial-frame member"
-                if status == "non-polynomial"
-                else "image leaves the span"
-            )
-            return CheckResult(
-                name,
-                False,
-                Witness(name, {"generator": f"g{i + 1}", "status": status}, reason),
-            )
-    return CheckResult(name, True)
+    _full_rank(L._pivot)
+    images = (({"generator": f"g{i + 1}"}, L.host.phiE(g)) for i, g in enumerate(L.generators))
+    return _span_check(name, L, images, "image leaves the span")
 
 
 def is_integrable(L: Subbundle, probe_degree: int = 1) -> CheckResult:
     """Brackets of generators stay in the span; closure under function
     multiples is additionally spot-checked."""
     name = "is_integrable"
-    if not L.is_full_rank():
-        raise PreconditionError("generators are rank-deficient at the generic point")
-    for i in range(len(L.generators)):
-        for j in range(i + 1, len(L.generators)):
-            br = L.host.bracket(L.generators[i], L.generators[j])
-            status, _ = L.membership(br)
-            if status != "member":
-                reason = (
-                    "fails (restricted solver): not a polynomial-frame member"
-                    if status == "non-polynomial"
-                    else "bracket leaves the span"
-                )
-                return CheckResult(
-                    name,
-                    False,
-                    Witness(name, {"pair": f"(g{i + 1},g{j + 1})", "status": status}, reason),
-                )
-    spot = probes.nonconstant_monomials(L.host.n, probe_degree)[:2]
-    for f in spot:
-        for i in range(min(2, len(L.generators))):
-            for j in range(len(L.generators)):
-                br = L.host.bracket(L.generators[i], L.generators[j].scale(f))
-                status, _ = L.membership(br)
-                if status != "member":
-                    return CheckResult(
-                        name,
-                        False,
-                        Witness(
-                            name,
-                            {"pair": f"(g{i + 1},({f.render()})g{j + 1})", "status": status},
-                            "scaled bracket leaves the span",
-                        ),
-                    )
-    return CheckResult(name, True)
+    _full_rank(L._pivot)
+    gens = L.generators
+    brackets = (
+        ({"pair": f"(g{i + 1},g{j + 1})"}, L.host.bracket(gens[i], gens[j]))
+        for i in range(len(gens))
+        for j in range(i + 1, len(gens))
+    )
+    scaled = (
+        ({"pair": f"(g{i + 1},({f.render()})g{j + 1})"}, L.host.bracket(gens[i], gens[j].scale(f)))
+        for f in probes.nonconstant_monomials(L.host.n, probe_degree)[:2]
+        for i in range(min(2, len(gens)))
+        for j in range(len(gens))
+    )
+    found = _span_check(name, L, brackets, "bracket leaves the span")
+    if not found.passed:
+        return found
+    scaled_leaves = "scaled bracket leaves the span"
+    return _span_check(name, L, scaled, scaled_leaves, scaled_leaves)
 
 
 def dirac_checks(L: Subbundle) -> CheckResult:

@@ -287,24 +287,29 @@ def poly_mat_mul(a, b):
     ]
 
 
+def poly_mat_adjugate(matrix):
+    """Cofactor adjugate of a square Poly matrix: adj(M) . M = det(M) . I."""
+    r = len(matrix)
+    n = matrix[0][0].n
+    if r == 1:
+        return [[Poly.const(n, 1)]]
+    adj = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            minor = [[matrix[a][b] for b in range(r) if b != j] for a in range(r) if a != i]
+            cof = poly_mat_det(minor)
+            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return adj
+
+
 def poly_mat_inverse(matrix):
     """Inverse of a Poly matrix whose determinant is a nonzero rational
     constant (adjugate over determinant, entries stay polynomial)."""
     det = poly_mat_det(matrix)
     if not det.is_constant() or det.is_zero():
         raise StructureError("determinant is not a nonzero rational constant")
-    r = len(matrix)
-    n = matrix[0][0].n
     inv_det = Fraction(1) / det.constant_value()
-    if r == 1:
-        return [[Poly.const(n, inv_det)]]
-    adj = [[Poly.zero(n) for _ in range(r)] for _ in range(r)]
-    for i in range(r):
-        for j in range(r):
-            minor = [[matrix[a][b] for b in range(r) if b != j] for a in range(r) if a != i]
-            cof = poly_mat_det(minor)
-            adj[j][i] = (cof if (i + j) % 2 == 0 else -cof) * inv_det
-    return adj
+    return [[x * inv_det for x in row] for row in poly_mat_adjugate(matrix)]
 
 
 class EndoMap:
@@ -567,6 +572,7 @@ class SectionTwist:
             flipped = "form" if self.kind == "multivector" else "multivector"
             self._dual = SectionTwist(mat, self.base, flipped)
             self._dual._dual = self
+            self._dual._matrix_inv = tuple(zip(*self.matrix))
         return self._dual
 
     def __eq__(self, other) -> bool:
@@ -583,6 +589,16 @@ class SectionTwist:
 
 def dual_twist(Phi: SectionTwist) -> SectionTwist:
     return Phi.dual()
+
+
+def dual_section_twist(Phi: SectionTwist) -> SectionTwist:
+    """The dual of a section twist, carried as a twist on sections: the
+    twist of a dual-side algebroid, whose sections are the coframe.  Its
+    inverse matrix, the transpose of Phi's, is handed over."""
+    dagger = Phi.dual()
+    out = SectionTwist(dagger.matrix, Phi.base)
+    out._matrix_inv = dagger.matrix_inverse()
+    return out
 
 
 def twist_tensor(T, Phi: SectionTwist):

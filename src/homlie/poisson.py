@@ -18,7 +18,7 @@ from .exterior import (
     EndoMap,
     Form,
     MultiVector,
-    SectionTwist,
+    dual_section_twist,
     pair,
     poly_mat_mul,
     reinterpret,
@@ -101,7 +101,7 @@ def _as_bivector(ctx: CartanContext, pi) -> Bivector:
     return Bivector(pi)
 
 
-def is_hom_poisson(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult:
+def is_hom_poisson(ctx: CartanContext, pi) -> CheckResult:
     """Vanishing self-bracket plus twist invariance, both as exact
     residuals."""
     pi = _as_bivector(ctx, pi)
@@ -185,7 +185,7 @@ def _dual_candidate(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
     }
     return HomAlgebroid(
         A.phi,
-        SectionTwist(ctx.dagger.matrix, A.phi),
+        dual_section_twist(A.phiA),
         poly_mat_mul(A.anchor, pi.sharp.matrix),
         structure,
     )

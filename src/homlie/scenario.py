@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exterior import EndoMap, MultiVector, SectionTwist
+from .exterior import EndoMap, MultiVector, SectionTwist, dual_section_twist
 from .homalg import HomAlgebroid
 from .kernels import LIMIT, ExponentOverflow
 from .poisson import Bivector
@@ -276,7 +276,7 @@ def parse_scenario(data: dict) -> Scenario:
             d_anchor = _parse_matrix(n, n, rank, spec.get("anchor", [[0] * rank] * n), "$.dual.anchor")
             # the dual side carries the dagger of the section twist
             try:
-                d_twist = SectionTwist(phiA.dual().matrix, phi)
+                d_twist = dual_section_twist(phiA)
             except ExponentOverflow as exc:
                 raise ScenarioError("$.dual", f"dual twist: {exc}") from None
             try:

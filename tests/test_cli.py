@@ -205,6 +205,26 @@ class TestRepeatedWork:
         assert len(poisson_calls) == 4
         assert len(nijenhuis_calls) == 4
 
+    def test_hierarchy_reuses_its_base_check(self, monkeypatch):
+        from homlie import nijenhuis
+        from homlie.cli import _task_hierarchy
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        hpn_calls = self.counted(monkeypatch, nijenhuis, "_hpn")
+        assert _task_hierarchy(scn).passed
+        # 4 stages by 4 powers; the base check is stage 0, power 1
+        assert len(hpn_calls) == 16
+
+    def test_is_hpn_evaluates_the_compatibility_tensor_once(self, monkeypatch):
+        from homlie import nijenhuis, probes
+        from homlie.cli import _task_is_hpn
+
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        calls = self.counted(monkeypatch, nijenhuis, "compat_C")
+        res = _task_is_hpn(scn)
+        assert res.passed and res.details["cond-compat-tensor"] is True
+        assert len(calls) == len(probes.coframes(scn.algebroid, 1)) ** 2
+
     def test_d_n_props_checks_twist_invariance_once(self, monkeypatch):
         from homlie import nijenhuis
         from homlie.cli import _task_d_n_props

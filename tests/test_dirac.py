@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlie.calculus import CartanContext, schouten
+from homlie import dirac
 from homlie.courant import BialgebroidPair, CourantDouble, ESection
 from homlie.dirac import (
     Subbundle,
@@ -18,7 +21,7 @@ from homlie.dirac import (
 )
 from homlie.exterior import EndoMap, MultiVector, wedge
 from homlie.homalg import check_axioms, make_pullback_tangent
-from homlie.poisson import Bivector, dual_algebroid
+from homlie.poisson import Bivector, dual_algebroid, lift_bivector
 from homlie.polyring import AffineTwist, Poly
 from homlie.report import PreconditionError
 
@@ -85,6 +88,74 @@ class TestMembershipSolver:
         assert status == "non-polynomial"
 
 
+MONOMIALS = [Poly.const(2, 1), x, y, x * y, x * x]
+polys = st.lists(st.integers(-3, 3), min_size=len(MONOMIALS), max_size=len(MONOMIALS)).map(
+    lambda cs: sum((m * c for m, c in zip(MONOMIALS, cs)), Poly.zero(2))
+)
+
+
+@st.composite
+def full_rank_columns(draw):
+    """r full-rank columns of length m > r: a graph (identity block over
+    random polynomials) mixed by a unipotent polynomial matrix, which
+    keeps the span, with the rows shuffled.  Also returns the indices of
+    the rows from the random block: a unit added on one of them leaves
+    the span."""
+    r = draw(st.integers(1, 3))
+    m = r + draw(st.integers(1, 2))
+    graph_cols = [
+        [Poly.const(2, int(i == j)) for i in range(r)] + [draw(polys) for _ in range(m - r)]
+        for j in range(r)
+    ]
+    cols = []
+    for j in range(r):
+        col = list(graph_cols[j])
+        for i in range(j):
+            u = draw(polys)
+            col = [a + u * b for a, b in zip(col, graph_cols[i])]
+        cols.append(col)
+    order = draw(st.permutations(range(m)))
+    return [tuple(col[order[i]] for i in range(m)) for col in cols], [
+        i for i in range(m) if order[i] >= r
+    ]
+
+
+def combine(coeffs, cols):
+    return tuple(
+        sum((c * col[i] for c, col in zip(coeffs, cols)), Poly.zero(2)) for i in range(len(cols[0]))
+    )
+
+
+class TestMembershipProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(full_rank_columns(), st.data())
+    def test_member_not_member_non_polynomial(self, columns, data):
+        cols, free_rows = columns
+        coeffs = [data.draw(polys) for _ in cols]
+        target = combine(coeffs, cols)
+        assert solve_membership(cols, target) == ("member", coeffs)
+
+        row = data.draw(st.sampled_from(free_rows))
+        off = tuple(t + 1 if i == row else t for i, t in enumerate(target))
+        assert solve_membership(cols, off)[0] == "not-member"
+
+        # the first column scaled by x: reaching the old first column
+        # needs the coefficient 1/x
+        scaled = [tuple(c * x for c in cols[0])] + cols[1:]
+        target = combine([Poly.const(2, 1)] + coeffs[1:], cols)
+        assert solve_membership(scaled, target) == ("non-polynomial", 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(full_rank_columns(), st.data())
+    def test_rank_deficient_columns_raise(self, columns, data):
+        cols, _ = columns
+        # the last column becomes a combination of the others (zero at r = 1)
+        weights = [data.draw(polys) for _ in cols[:-1]] + [Poly.zero(2)]
+        dependent = cols[:-1] + [combine(weights, cols)]
+        with pytest.raises(PreconditionError, match="rank-deficient"):
+            solve_membership(dependent, cols[0])
+
+
 class TestFactorSubbundles:
     def test_primal_factor_is_dirac(self, S1_E):
         L = Subbundle(S1_E, [S1_E.frame_section(0), S1_E.frame_section(1)])
@@ -100,6 +171,67 @@ class TestFactorSubbundles:
         L = Subbundle(S1_E, [S1_E.frame_section(0), S1_E.frame_section(0)])
         with pytest.raises(PreconditionError):
             is_isotropic(L)
+
+    def test_pivot_is_found_once_per_subbundle(self, S1_E, S1_alg, monkeypatch):
+        calls = []
+        original = dirac._find_pivot
+
+        def counted(columns):
+            calls.append(len(columns))
+            return original(columns)
+
+        monkeypatch.setattr(dirac, "_find_pivot", counted)
+        L = graph(S1_E, std_pi(S1_alg).sharp)
+        assert dirac_checks(L).passed
+        dirac_to_algebroid(L)
+        assert L.is_full_rank()
+        assert calls == [2]
+
+
+class TestRankFourSpan:
+    """The graph of the lift of d1^d2 + d3^d4 along
+    phi = diag(2, 1/2, 3, 1/3), on the double of the lift and its
+    pi-dual, with the generators mixed by a unipotent polynomial matrix:
+    the same subbundle in a frame where no minor is the identity."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        phi = AffineTwist(
+            [
+                [2, 0, 0, 0],
+                [0, Fraction(1, 2), 0, 0],
+                [0, 0, 3, 0],
+                [0, 0, 0, Fraction(1, 3)],
+            ]
+        )
+        one = Poly.const(4, 1)
+        ctx, pi, _ = lift_bivector(phi, {(0, 1): one, (2, 3): one})
+        E = CourantDouble(BialgebroidPair(ctx.algebroid, dual_algebroid(ctx, pi)))
+        g = graph(E, pi.sharp).generators
+        v = [Poly.variable(4, i) for i in range(4)]
+        mixed = [
+            g[0] + g[1].scale(v[0] * v[1]) + g[3].scale(v[2]),
+            g[1] + g[2].scale(v[3]),
+            g[2] + g[3].scale(v[0] * v[0]),
+            g[3],
+        ]
+        return E, mixed, v
+
+    def test_mixed_span_is_dirac(self, setup):
+        E, mixed, _ = setup
+        assert dirac_checks(Subbundle(E, mixed)).passed
+
+    def test_perturbed_generator_fails_with_witness(self, setup):
+        E, mixed, v = setup
+        res = dirac_checks(Subbundle(E, [mixed[0].scale(v[0])] + mixed[1:]))
+        assert not res.passed
+        assert res.witness.render() == (
+            "identity=is_integrable; pair=(g1,g2); status=non-polynomial; "
+            "residual=fails (restricted solver): not a polynomial-frame member"
+        )
+        res = dirac_checks(Subbundle(E, [mixed[0] + E.frame_section(0).scale(v[1])] + mixed[1:]))
+        assert not res.passed
+        assert res.witness.identity == "is_isotropic"
 
 
 class TestGraph:

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homlie import exterior
 from homlie.exterior import (
     EndoMap,
     Form,
     MultiVector,
     SectionTwist,
+    dual_section_twist,
     dual_twist,
     pair,
+    poly_mat_adjugate,
     poly_mat_det,
+    poly_mat_mul,
     twist_tensor,
     wedge,
 )
@@ -185,6 +189,19 @@ class TestDualTwist:
                 rhs = s1_twist.base.pullback(pair(xi, X))
                 assert lhs == rhs
 
+    def test_dual_knows_its_inverse(self, monkeypatch):
+        one, zero = Poly.const(N, 1), Poly.zero(N)
+        P = SectionTwist([[one, x * y], [zero, one]], AffineTwist.identity(N))
+        D, S = P.dual(), dual_section_twist(P)
+        calls = []
+        monkeypatch.setattr(exterior, "poly_mat_inverse", calls.append)
+        transpose = ((one, zero), (x * y, one))
+        assert D.matrix_inverse() == transpose
+        assert S.matrix_inverse() == transpose
+        assert calls == []
+        assert poly_mat_mul(D.matrix, transpose) == [[one, zero], [zero, one]]
+        assert (S.matrix, S.kind, S.base) == (D.matrix, "multivector", P.base)
+
     def test_noninvertible_rejected(self):
         phi = AffineTwist.identity(N)
         t = SectionTwist([[x, Poly.zero(N)], [Poly.zero(N), Poly.const(N, 1)]], phi)
@@ -213,6 +230,17 @@ class TestEndoMap:
     def test_poly_mat_det(self):
         m = [[x, y], [Poly.const(N, 1), x]]
         assert poly_mat_det(m) == x * x - y
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_poly_mat_adjugate(self, r, data):
+        entry = st.sampled_from([Poly.zero(N), Poly.const(N, 1), Poly.const(N, -2), x, y, x * y + 1])
+        m = [[data.draw(entry) for _ in range(r)] for _ in range(r)]
+        det = poly_mat_det(m)
+        scalar = [[det if i == j else Poly.zero(N) for j in range(r)] for i in range(r)]
+        adj = poly_mat_adjugate(m)
+        assert poly_mat_mul(adj, m) == scalar
+        assert poly_mat_mul(m, adj) == scalar
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 """Import hygiene: no module of the package imports a name it never
-uses (the package's `__init__.py` re-exports by design), and none reads
-the environment, so a run depends only on its inputs."""
+uses (the package's `__init__.py` re-exports by design), none reads
+the environment, so a run depends only on its inputs, and no private
+function, class or method is left without a reference."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -81,3 +83,67 @@ def test_detects_an_environment_read():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_reads_no_environment(path):
     assert environment_reads(path.read_text()) == []
+
+
+def _references(node) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private(sources: dict) -> list[str]:
+    """Private (one leading underscore, not a dunder) top-level functions
+    and classes, and private methods, that no `Name` or `Attribute` node
+    of the sources refers to outside their own definition.  A function
+    registered through a decorator call, like the CLI's `@_task(...)`,
+    counts as referenced."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, tree in trees.items():
+        nodes = [node for node in tree.body if isinstance(node, defs)]
+        nodes += [
+            member
+            for node in nodes
+            if isinstance(node, ast.ClassDef)
+            for member in node.body
+            if isinstance(member, defs[:2])
+        ]
+        for node in nodes:
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if any(isinstance(d, ast.Call) for d in node.decorator_list):
+                continue
+            if total[name] == _references(node)[name]:
+                found.append(f"{module}:{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_detects_unreferenced_private_code():
+    a = (
+        "def _used(): pass\n"
+        "def _recursive(k): return _recursive(k - 1)\n"
+        "class _Dead:\n"
+        "    def _helper(self): pass\n"
+        "    def __init__(self): self._helper\n"
+        "    def _orphan(self): pass\n"
+        "@register('name')\n"
+        "def _registered(): pass\n"
+    )
+    b = "from a import _used\n_used()\n"
+    assert unreferenced_private({"a": a, "b": b}) == [
+        "a:_Dead (line 3)",
+        "a:_orphan (line 6)",
+        "a:_recursive (line 2)",
+    ]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []

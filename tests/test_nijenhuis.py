@@ -232,7 +232,7 @@ class TestIsHpn:
             return original(*args)
 
         monkeypatch.setattr(nijenhuis, "twist_invariance", counted)
-        conds = nijenhuis._prop_conditions(S1, std_pi(S1), diag(S1, 3, 3), 1)
+        conds = nijenhuis._prop_conditions(S1, std_pi(S1), diag(S1, 3, 3), 1, True)
         assert calls == []
         assert all(conds.values())
 

@@ -28,7 +28,7 @@ from homlie.nijenhuis import (
     is_hpn,
     lemma_checks,
 )
-from homlie.poisson import check_bialgebroid_pair, is_hom_poisson, sharp_commutes
+from homlie.poisson import check_bialgebroid_pair, sharp_commutes
 from homlie.polyring import monomials
 
 BUILDERS = {"S0": algebroid_s0, "S1": algebroid_s1, "S2": algebroid_s2, "S3": algebroid_s3}
@@ -125,7 +125,6 @@ def test_forms_each_basis_then_its_scalings(inst):
 CHECKERS = [
     check_axioms,
     check_differential_props,
-    is_hom_poisson,
     sharp_commutes,
     check_bialgebroid_pair,
     is_hom_nijenhuis,
