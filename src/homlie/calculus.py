@@ -29,7 +29,7 @@ from .exterior import (
     pair,
     wedge_all,
 )
-from .homalg import HomAlgebroid, derive
+from .homalg import HomAlgebroid
 from .polyring import Poly, sum_products
 from .report import CheckResult, StructureError, until_first_failure
 
@@ -141,15 +141,23 @@ def cached_call(fn, owner, *args):
     return got
 
 
-def _koszul_at(ctx: CartanContext, omega: Form, dag_omega: Form, args) -> Poly:
+def _slots(ctx: CartanContext, args):
+    """The phiA^-1 images and the anchor fields of section arguments."""
+    A = ctx.algebroid
+    return [ctx.phiA_inv.apply(X) for X in args], [A.anchor_field(X) for X in args]
+
+
+def _koszul_at(ctx: CartanContext, omega: Form, dag_omega: Form, args, inv_args, fields, brackets) -> Poly:
     """Right side of the twisted evaluation formula at the given
-    degree-1 section arguments."""
+    degree-1 section arguments, with their phiA^-1 images and anchor
+    fields (see `_slots`).  `brackets` maps a slot pair (a, b), a < b,
+    to [inv_args[a], inv_args[b]] where the caller already has it; the
+    other brackets are computed here."""
     A = ctx.algebroid
     k1 = len(args)
-    inv_args = [ctx.phiA_inv.apply(X) for X in args]
     val = Poly.zero(ctx.n)
     for a in range(k1):
-        field = A.anchor_field(args[a])
+        field = fields[a]
         if field.is_zero():
             continue
         rest = [inv_args[b] for b in range(k1) if b != a]
@@ -159,7 +167,9 @@ def _koszul_at(ctx: CartanContext, omega: Form, dag_omega: Form, args) -> Poly:
             val = val + (term if a % 2 == 0 else -term)
     for a in range(k1):
         for b in range(a + 1, k1):
-            br = A.bracket(inv_args[a], inv_args[b])
+            br = brackets.get((a, b))
+            if br is None:
+                br = A.bracket(inv_args[a], inv_args[b])
             if br.is_zero():
                 continue
             rest = [args[c] for c in range(k1) if c != a and c != b]
@@ -178,7 +188,8 @@ def _koszul_differential(ctx: CartanContext, omega: Form) -> Form:
     if k + 1 <= ctx.rank and not A.is_zero_structure:
         dag_omega = ctx.dagger.apply_graded(omega)
         for I in combinations(range(ctx.rank), k + 1):
-            val = _koszul_at(ctx, omega, dag_omega, [A.frame(i) for i in I])
+            args = [A.frame(i) for i in I]
+            val = _koszul_at(ctx, omega, dag_omega, args, *_slots(ctx, args), {})
             if not val.is_zero():
                 out[I] = val
     return Form._raw(ctx.rank, ctx.n, k + 1, out)
@@ -236,10 +247,11 @@ def _differential(ctx: CartanContext, omega: Form) -> Form:
 
 
 def differential_at(ctx: CartanContext, omega, args) -> Poly:
-    """The defining formula at arbitrary section arguments (used by the
-    tensoriality check)."""
+    """The defining formula at arbitrary section arguments: the Koszul
+    reference that the tensoriality check evaluates at scaled frames."""
     omega = ctx.as_form(omega)
-    return _koszul_at(ctx, omega, ctx.dagger.apply_graded(omega), list(args))
+    args = list(args)
+    return _koszul_at(ctx, omega, ctx.dagger.apply_graded(omega), args, *_slots(ctx, args), {})
 
 
 def interior(ctx: CartanContext, D, omega: Form) -> Form:
@@ -397,17 +409,33 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
     sections = probes.sections(A, min(probe_degree, 2))
 
     def tensorial():
+        # the Koszul formula at frame arguments with one slot scaled by
+        # f; the dual twist of omega, and the phiA^-1 images, anchor
+        # fields and brackets of the unscaled frame arguments, do not
+        # depend on f, so each is computed once per (omega, I)
         funcs = probes.nonconstant_monomials(ctx.n, min(probe_degree, 2))
         for label, om in small_forms:
             if om.degree >= ctx.rank:
                 continue
             d_om = differential(ctx, om)
+            dag_om = ctx.dagger.apply_graded(om)
             for I in combinations(range(ctx.rank), om.degree + 1):
+                frame = [A.frame(i) for i in I]
+                inv_frame, frame_fields = _slots(ctx, frame)
+                frame_brackets = {
+                    (a, b): A.bracket(inv_frame[a], inv_frame[b])
+                    for a, b in combinations(range(len(I)), 2)
+                }
                 for pos in range(len(I)):
+                    known = {ab: br for ab, br in frame_brackets.items() if pos not in ab}
                     for f in funcs:
-                        args = [A.frame(i) for i in I]
-                        args[pos] = args[pos].scale(f)
-                        direct = differential_at(ctx, om, args)
+                        args = list(frame)
+                        args[pos] = frame[pos].scale(f)
+                        inv_args = list(inv_frame)
+                        inv_args[pos] = ctx.phiA_inv.apply(args[pos])
+                        fields = list(frame_fields)
+                        fields[pos] = A.anchor_field(args[pos])
+                        direct = _koszul_at(ctx, om, dag_om, args, inv_args, fields, known)
                         tens = pair(d_om, wedge_all(ctx.rank, ctx.n, args, MultiVector))
                         inputs = {
                             "omega": label,
@@ -438,26 +466,31 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
 
     def pairing_identity():
         # alpha-independent values, each computed once: phiA^-1(Y) per
-        # Y, rho(phiA X) per X, and [X, phiA^-1 Y] per (X, Y) on first use
+        # Y, the flat field of -rho(phiA X) per X, and [X, phiA^-1 Y] per
+        # (X, Y) on first use
         inv = [ctx.phiA_inv.apply(Y) for _, Y in sections]
-        rho = [A.anchor_field(A.phiA.apply(X)) for _, X in sections]
+        rho = [[-c for c in A.anchor_field(A.phiA.apply(X)).flat] for _, X in sections]
         brackets = {}
         for la, alpha in probes.coframes(A, min(probe_degree, 2)):
-            dag_alpha = ctx.dagger.apply_graded(alpha)
-            # phi* <alpha, phiA^-1 Y> per Y, with its partials: rho[x]
+            dag_alpha = ctx.dagger.apply_graded(alpha).coeffs
+            # the partials of phi* <alpha, phiA^-1 Y> per Y: rho[x]
             # applied to <alpha, phiA^-1 Y> is rho[x]'s flat field on it
-            pulled = [(A.phi.pullback(pair(alpha, v)), {}) for v in inv]
+            partials = []
+            for v in inv:
+                pv = A.phi.pullback(pair(alpha, v))
+                partials.append([pv.partial(k) for k in range(ctx.n)])
             for x, (lx, X) in enumerate(sections):
-                L_alpha = lie_derivative_form(ctx, X, alpha)
-                flat = rho[x].flat
+                L_alpha = lie_derivative_form(ctx, X, alpha).coeffs
                 for y, (ly, Y) in enumerate(sections):
                     br = brackets.get((x, y))
                     if br is None:
                         br = brackets[x, y] = schouten(ctx, X, inv[y])
-                    lhs = pair(L_alpha, Y)
-                    pv, dpv = pulled[y]
-                    rhs = derive(flat, pv, dpv) - pair(dag_alpha, br)
-                    yield {"alpha": la, "X": lx, "Y": ly}, lhs - rhs
+                    # <L_X alpha, Y> + <alpha^dagger, [X, phiA^-1 Y]>
+                    # - rho(phiA X)<alpha, phiA^-1 Y>, in one sum
+                    terms = [(c, Y.coeffs[K]) for K, c in L_alpha.items() if K in Y.coeffs]
+                    terms += [(c, br.coeffs[K]) for K, c in dag_alpha.items() if K in br.coeffs]
+                    terms += zip(rho[x], partials[y])
+                    yield {"alpha": la, "X": lx, "Y": ly}, sum_products(ctx.n, terms)
 
     return until_first_failure(
         "check_differential_props",

@@ -240,6 +240,25 @@ def wedge_all(rank: int, n: int, factors, cls=MultiVector) -> GradedElement:
     return out
 
 
+def combine(terms) -> GradedElement:
+    """sum_t f_t * G_t over (Poly, GradedElement) terms of one kind and
+    shape, the first term fixing both.  Each coefficient is one
+    `sum_products`, so no intermediate element is built."""
+    terms = list(terms)
+    first = terms[0][1]
+    pairs = {}
+    for f, G in terms:
+        first._check_compatible(G)
+        for K, c in G.coeffs.items():
+            pairs.setdefault(K, []).append((f, c))
+    out = {}
+    for K, p in pairs.items():
+        c = sum_products(first.n, p)
+        if not c.is_zero():
+            out[K] = c
+    return first._raw(first.rank, first.n, first.degree, out)
+
+
 def pair(omega: Form, D: MultiVector) -> Poly:
     """Full contraction with the determinant convention: dual frame
     wedges pair to the identity on increasing index tuples."""

@@ -7,7 +7,7 @@ trivial-line extension).
 from __future__ import annotations
 
 from . import probes
-from .exterior import Form, GradedElement, MultiVector, SectionTwist
+from .exterior import Form, GradedElement, MultiVector, SectionTwist, combine
 from .polyring import AffineTwist, Poly, monomials, sum_products
 from .report import CheckResult, StructureError, until_first_failure
 
@@ -144,21 +144,23 @@ def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVector
     return PullbackVectorField(phi, coeffs)
 
 
-def bracket_phistar_apply(phi, X, Y, f: Poly, partials=None) -> Poly:
-    """The twisted commutator (phi* X phi^-1* Y - phi* Y phi^-1* X)
-    phi^-1* applied to f.  Since X = X~ phi* and Y = Y~ phi*, this is
-    phi*(X~(Y~ f) - Y~(X~ f)): one pullback.  A dict `partials` keeps
-    the partials of f, as in `derive`."""
-    _same_base(phi, X, Y)
-    fx, fy = X.flat, Y.flat
-    return phi.pullback(derive(fx, derive(fy, f, partials)) - derive(fy, derive(fx, f, partials)))
-
-
 def bracket_phistar(phi: AffineTwist, X: PullbackVectorField, Y: PullbackVectorField) -> PullbackVectorField:
-    """Twisted commutator on pullback vector fields; antisymmetric by
-    construction, coefficients extracted on coordinates."""
+    """The twisted commutator (phi* X phi^-1* Y - phi* Y phi^-1* X)
+    phi^-1* on pullback vector fields; antisymmetric by construction.
+
+    Since X = X~ phi* and Y = Y~ phi*, it sends f to
+    phi*(X~(Y~ f) - Y~(X~ f)) = phi*(Z f), where Z = [X~, Y~] is the
+    ordinary commutator of the flat fields.  So its coefficients are
+    phi*(Z_l) = phi*(X~(Y~_l) - Y~(X~_l)), one sum of products and one
+    pullback each."""
+    _same_base(phi, X, Y)
     n = phi.n
-    coeffs = [bracket_phistar_apply(phi, X, Y, Poly.variable(n, k)) for k in range(n)]
+    fx, fy = X.flat, Y.flat
+    coeffs = []
+    for l in range(n):
+        pairs = [(a, fy[l].partial(k)) for k, a in enumerate(fx) if not a.is_zero()]
+        pairs += [(-b, fx[l].partial(k)) for k, b in enumerate(fy) if not b.is_zero()]
+        coeffs.append(phi.pullback(sum_products(n, pairs)))
     return PullbackVectorField(phi, coeffs)
 
 
@@ -330,10 +332,14 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     frame, scaled = singles[: A.rank], singles[A.rank :]
     scaled_small = probes.sections(A, min(probe_degree, PAIRWISE_PROBE_DEGREE))[A.rank :]
     funcs = monomials(A.n, probe_degree)
+    one = Poly.const(A.n, 1)
     # phi* of each probe function, pulled back once for every identity;
     # an anchor field applied to f is its flat field applied to phi*f,
     # so each also keeps the partials of phi*f
     pulled = [(A.phi.pullback(f), {}) for f in funcs]
+    # phiA of each probe section, once per label for every identity
+    # (the pairwise-scaled probes are a prefix of the scaled ones)
+    twisted = {label: A.phiA.apply(X) for label, X in singles}
     pairs = (
         [(x, y) for x in frame for y in frame]
         + [(x, y) for x in frame for y in scaled]
@@ -342,17 +348,18 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     )
 
     def linearity():
+        # phiA(fX) from the images of the frame, against phi*f phiA(X)
+        pb = A.phi.pullback
         for label, X in singles:
-            twisted = A.phiA.apply(X)
             for f, (pf, _) in zip(funcs, pulled):
-                lhs = A.phiA.apply(X.scale(f))
-                rhs = twisted.scale(pf)
-                yield {"X": label, "f": f}, lhs - rhs
+                terms = [(pb(f * c), A.phiA_frame(j)) for (j,), c in X.coeffs.items()]
+                terms.append((-pf, twisted[label]))
+                yield {"X": label, "f": f}, combine(terms)
 
     def hom():
         for (lx, X), (ly, Y) in pairs:
             lhs = A.phiA.apply(A.bracket(X, Y))
-            rhs = A.bracket(A.phiA.apply(X), A.phiA.apply(Y))
+            rhs = A.bracket(twisted[lx], twisted[ly])
             yield {"X": lx, "Y": ly}, lhs - rhs
 
     def jacobi():
@@ -371,9 +378,9 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
             total = residuals.get((lx, ly, lz))
             if total is None:
                 total = (
-                    A.bracket(A.phiA.apply(X), A.bracket(Y, Z))
-                    + A.bracket(A.phiA.apply(Y), A.bracket(Z, X))
-                    + A.bracket(A.phiA.apply(Z), A.bracket(X, Y))
+                    A.bracket(twisted[lx], A.bracket(Y, Z))
+                    + A.bracket(twisted[ly], A.bracket(Z, X))
+                    + A.bracket(twisted[lz], A.bracket(X, Y))
                 )
                 for key in ((lx, ly, lz), (ly, lz, lx), (lz, lx, ly)):
                     residuals[key] = total
@@ -381,7 +388,8 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
 
     def leibniz():
         # [X, fY] once per distinct section fY, and rho(phiA X) once,
-        # while X stays the same
+        # while X stays the same; each residual
+        # [X, fY] - phi*f [X, Y] - rho(phiA X)(f) phiA(Y) is one sum
         last_x, brackets, rho_x = None, {}, None
 
         def bracket_x(X, Z):
@@ -394,19 +402,21 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
         for (lx, X), (ly, Y) in pairs:
             if X is not last_x:
                 last_x, brackets = X, {}
-                rho_x = A.anchor_field(A.phiA.apply(X)).flat
+                rho_x = A.anchor_field(twisted[lx]).flat
             br = bracket_x(X, Y)
-            twisted_y = A.phiA.apply(Y)
             for f, (pf, dpf) in zip(funcs, pulled):
-                lhs = bracket_x(X, Y.scale(f))
-                rhs = br.scale(pf) + twisted_y.scale(derive(rho_x, pf, dpf))
-                yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
+                terms = [
+                    (one, bracket_x(X, Y.scale(f))),
+                    (-pf, br),
+                    (-derive(rho_x, pf, dpf), twisted[ly]),
+                ]
+                yield {"X": lx, "Y": ly, "f": f}, combine(terms)
 
     def anchor_twist():
         # phi* phi^-1* f, the input of the untwisted anchor field
         round_trip = [(A.phi.pullback(A.phi.inverse_pullback(f)), {}) for f in funcs]
         for label, X in singles:
-            a_tw = A.anchor_field(A.phiA.apply(X)).flat
+            a_tw = A.anchor_field(twisted[label]).flat
             a_raw = A.anchor_field(X).flat
             for f, (pf, dpf), (rf, drf) in zip(funcs, pulled, round_trip):
                 lhs = derive(a_tw, pf, dpf)
@@ -414,14 +424,14 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
                 yield {"X": label, "f": f}, lhs - rhs
 
     def anchor_bracket():
-        partials = [{} for _ in funcs]  # of each probe function itself
+        # both sides are pullback vector fields, and a field applied to
+        # f is its flat field applied to phi*f: so one difference of
+        # flat fields per pair, and no pullback per f
         for (lx, X), (ly, Y) in pairs:
-            a_br = A.anchor_field(A.bracket(X, Y)).flat
-            ax, ay = A.anchor_field(X), A.anchor_field(Y)
-            for f, (pf, dpf), df in zip(funcs, pulled, partials):
-                lhs = derive(a_br, pf, dpf)
-                rhs = bracket_phistar_apply(A.phi, ax, ay, f, df)
-                yield {"X": lx, "Y": ly, "f": f}, lhs - rhs
+            twisted_commutator = bracket_phistar(A.phi, A.anchor_field(X), A.anchor_field(Y))
+            diff = (A.anchor_field(A.bracket(X, Y)) - twisted_commutator).flat
+            for f, (pf, dpf) in zip(funcs, pulled):
+                yield {"X": lx, "Y": ly, "f": f}, derive(diff, pf, dpf)
 
     return until_first_failure(
         "check_axioms",

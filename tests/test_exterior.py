@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from homlie.exterior import (
     Form,
     MultiVector,
     SectionTwist,
+    combine,
     dual_section_twist,
     dual_twist,
     pair,
@@ -105,6 +107,59 @@ class TestPair:
     def test_degree_mismatch(self):
         with pytest.raises(StructureError):
             pair(eps(1), wedge(e(1), e(2)))
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def small_polys(draw):
+    """A polynomial in N variables with up to 3 terms of degree <= 2 each."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[(draw(st.integers(0, 2)), draw(st.integers(0, 2)))] = draw(small_rationals)
+    return Poly(N, terms)
+
+
+@st.composite
+def graded_terms(draw):
+    """1 to 4 (Poly, GradedElement) terms of one kind, rank 3 and degree."""
+    cls = draw(st.sampled_from([MultiVector, Form]))
+    degree = draw(st.integers(0, 3))
+    keys = list(itertools.combinations(range(3), degree))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = {K: draw(small_polys()) for K in keys if draw(st.booleans())}
+        terms.append((draw(small_polys()), cls(3, N, degree, coeffs)))
+    return terms
+
+
+def running_sum(terms):
+    """The sum term by term with `scale` and `+`."""
+    out = terms[0][1].zero(3, N, terms[0][1].degree)
+    for f, G in terms:
+        out = out + G.scale(f)
+    return out
+
+
+class TestCombine:
+    @given(graded_terms())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_running_sum(self, terms):
+        assert combine(terms) == running_sum(terms)
+
+    @given(graded_terms())
+    @settings(max_examples=40, deadline=None)
+    def test_cancelling_sum_is_zero(self, terms):
+        # each term again with its coefficient negated: every index cancels
+        got = combine(terms + [(-f, G) for f, G in terms])
+        assert got.is_zero()
+        assert got == running_sum(terms).zero(3, N, terms[0][1].degree)
+        assert type(got) is type(terms[0][1])
+
+    def test_mixed_kinds_rejected(self):
+        with pytest.raises(StructureError):
+            combine([(x, e(1)), (y, eps(1))])
 
 
 class TestSectionTwist:

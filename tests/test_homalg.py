@@ -14,7 +14,6 @@ from homlie.homalg import (
     ad_twist,
     ad_twist_inverse,
     bracket_phistar,
-    bracket_phistar_apply,
     check_axioms,
     make_pullback_tangent,
     make_tm_r,
@@ -126,7 +125,7 @@ class TestBracketPhistar:
         assert bracket_phistar(phi, e1, e2).is_zero()
         # both composites act as second partials composed with the map
         for f in monomials(2, 3):
-            assert bracket_phistar_apply(phi, e1, e2, f).is_zero()
+            assert reference_composite(phi, e1, e2, f) == reference_composite(phi, e2, e1, f)
 
     def test_reduces_to_commutator_at_identity(self):
         phi = AffineTwist.identity(2)
@@ -145,7 +144,8 @@ class TestBracketPhistar:
         Y = PullbackVectorField(phi, [Poly.zero(2), x * y])
         br = bracket_phistar(phi, X, Y)
         for f in monomials(2, 3):
-            assert br.apply(f) == bracket_phistar_apply(phi, X, Y, f)
+            expected = reference_composite(phi, X, Y, f) - reference_composite(phi, Y, X, f)
+            assert br.apply(f) == expected
 
 
 class TestConstructors:
@@ -398,6 +398,39 @@ def map_fields_function(draw):
     return phi, X, Y, draw(polys(n, 3))
 
 
+@st.composite
+def dense_map_fields_function(draw):
+    """A dense affine map of 2 or 3 variables (every matrix and offset
+    entry nonzero), two pullback vector fields over it and a function."""
+    n = draw(st.integers(2, 3))
+    matrix = [[draw(nonzero_rationals) for _ in range(n)] for _ in range(n)]
+    try:
+        phi = AffineTwist(matrix, [draw(nonzero_rationals) for _ in range(n)])
+    except ValueError:
+        assume(False)
+    X = PullbackVectorField(phi, [draw(polys(n, 2)) for _ in range(n)])
+    Y = PullbackVectorField(phi, [draw(polys(n, 2)) for _ in range(n)])
+    return phi, X, Y, draw(polys(n, 3))
+
+
+def nested_commutator(phi, X, Y, f):
+    """phi*(X~(Y~ f) - Y~(X~ f)), with X~ = M^-1 c and each flat field
+    applied term by term through partials."""
+    n = phi.n
+
+    def flat(Z):
+        return [
+            sum((Poly.const(n, phi.matrix_inv[k][i]) * c for i, c in enumerate(Z.coeffs)), Poly.zero(n))
+            for k in range(n)
+        ]
+
+    def apply(field, g):
+        return sum((c * g.partial(k) for k, c in enumerate(field)), Poly.zero(n))
+
+    fx, fy = flat(X), flat(Y)
+    return phi.pullback(apply(fx, apply(fy, f)) - apply(fy, apply(fx, f)))
+
+
 class TestChainRule:
     @given(map_fields_function())
     @settings(max_examples=60, deadline=None)
@@ -410,7 +443,13 @@ class TestChainRule:
     def test_bracket_apply_matches_composites(self, case):
         phi, X, Y, f = case
         expected = reference_composite(phi, X, Y, f) - reference_composite(phi, Y, X, f)
-        assert bracket_phistar_apply(phi, X, Y, f) == expected
+        assert bracket_phistar(phi, X, Y).apply(f) == expected
+
+    @given(dense_map_fields_function())
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_phistar_matches_nested_flat_fields(self, case):
+        phi, X, Y, f = case
+        assert bracket_phistar(phi, X, Y).apply(f) == nested_commutator(phi, X, Y, f)
 
     @pytest.mark.parametrize(
         "build",
@@ -431,11 +470,10 @@ class TestChainRule:
         phi, psi = s1_base(), AffineTwist([[1, 1], [0, 1]], [1, 0])
         X = PullbackVectorField.coordinate(phi, 0)
         Y = PullbackVectorField.coordinate(psi, 1)
-        f = Poly.variable(2, 0) * Poly.variable(2, 1)
         with pytest.raises(StructureError):
-            bracket_phistar_apply(phi, X, Y, f)
+            bracket_phistar(phi, X, Y)
         with pytest.raises(StructureError):
-            bracket_phistar_apply(psi, X, Y, f)
+            bracket_phistar(psi, X, Y)
         with pytest.raises(StructureError):
             X + Y
         with pytest.raises(StructureError):
@@ -462,33 +500,19 @@ class TestWorkCounts:
         A.bracket(X, Y)
         assert len(calls) == len(X.coeffs) + len(Y.coeffs)
 
-    def test_axioms_pull_each_probe_function_back_once(self, monkeypatch):
-        # the dense_twist base map at its probe degree; the identities
-        # share one pullback per probe function, so the count is pinned
-        A = dense_tangent()
-        calls = [0]
-        original = AffineTwist.pullback
-
-        def counted(self, f):
-            calls[0] += 1
-            return original(self, f)
-
-        monkeypatch.setattr(AffineTwist, "pullback", counted)
-        assert check_axioms(A, 3).passed
-        assert calls[0] == 7750
-
     @staticmethod
-    def bracket_counts(monkeypatch, A, degree):
-        """check_axioms(A, degree), passing; its bracket calls by identity."""
+    def identity_counts(monkeypatch, A, degree, owner, method):
+        """check_axioms(A, degree), passing; the calls of owner.method by
+        identity, those made before the first identity under None."""
         from homlie import homalg
 
         current = [None]
         counts = {}
-        bracket, until_first_failure = A.bracket, homalg.until_first_failure
+        original, until_first_failure = getattr(owner, method), homalg.until_first_failure
 
-        def counted(X, Y):
+        def counted(*args):
             counts[current[0]] = counts.get(current[0], 0) + 1
-            return bracket(X, Y)
+            return original(*args)
 
         def tagged(identity, cases):
             current[0] = identity
@@ -497,14 +521,71 @@ class TestWorkCounts:
         def staged(name, identities):
             return until_first_failure(name, [(i, tagged(i, c)) for i, c in identities])
 
-        monkeypatch.setattr(A, "bracket", counted)
+        monkeypatch.setattr(owner, method, counted)
         monkeypatch.setattr(homalg, "until_first_failure", staged)
         assert check_axioms(A, degree).passed
         return counts
 
+    def test_axioms_pull_each_probe_function_back_once(self, monkeypatch):
+        # the dense_twist base map at its probe degree.  A probe section
+        # has one coefficient and its twist two, and each bracket pulls
+        # back every coefficient of its two arguments.  The identities
+        # share one pullback per probe function and one twist per probe
+        # section, so before the first identity: the 10 probe functions
+        # of degree <= 3 and the 20 probe sections.
+        counts = self.identity_counts(monkeypatch, dense_tangent(), 3, AffineTwist, "pullback")
+        assert counts == {
+            None: 10 + 20,
+            # f*X once per (X, f), and the 2 frame images on first use
+            "phiA-function-linearity": 20 * 10 + 2,
+            # per pair, [X, Y] (2) and [phiA X, phiA Y] (4), and phiA of
+            # the 316 nonzero coefficients of the 176 brackets [X, Y]
+            "phiA-bracket-homomorphism": 176 * (2 + 4) + 316,
+            # per rotation class, 3 inner brackets (2 each) and 3 outer
+            # ones (2, and the 288 coefficients of the 228 inner ones)
+            "hom-jacobi": 76 * 3 * (2 + 2) + 288,
+            "leibniz-rule": 908 * 2,
+            # phi* phi^-1* f per f, and phi* of rho(X) phi^-1* f per (X, f)
+            "anchor-twist-compatibility": 10 + 20 * 10,
+            # per pair, [X, Y] and the 2 coefficients of the twisted
+            # commutator; see test_anchor_bracket_pulls_no_probe_function_back
+            "anchor-bracket-compatibility": 176 * (2 + 2),
+        }
+        assert sum(counts.values()) == 5534
+
+    def test_axioms_twist_each_probe_section_once(self, monkeypatch):
+        # phiA of each of the 20 probe sections (2 frame, 18 scaled) once,
+        # before the first identity; then only phiA [X, Y], once for each
+        # of the 176 pairs: 2*2 + 2*18 + 18*2 + 10*10 (frame and scaled
+        # probes, then the 10 pairwise-scaled ones with each other)
+        A = dense_tangent()
+        twisted = []
+        original = SectionTwist.apply
+
+        def recorded(self, v):
+            twisted.append(v.key())
+            return original(self, v)
+
+        monkeypatch.setattr(SectionTwist, "apply", recorded)
+        counts = self.identity_counts(monkeypatch, A, 3, SectionTwist, "apply")
+        assert counts == {None: 20, "phiA-bracket-homomorphism": 176}
+        assert twisted[:20] == [X.key() for _, X in probes.sections(A, 3)]
+
+    @pytest.mark.parametrize(
+        "degree, pairs",
+        [(1, 2 * 2 + 2 * 4 + 4 * 2 + 4 * 4), (2, 2 * 2 + 2 * 10 + 10 * 2 + 10 * 10)],
+    )
+    def test_anchor_bracket_pulls_no_probe_function_back(self, monkeypatch, degree, pairs):
+        # S1 has 3 probe functions at degree 1 and 6 at degree 2, but the
+        # identity compares one difference of flat fields per pair: its
+        # pullbacks are the 2 coefficients of [X, Y] and the 2 of the
+        # twisted commutator of rho(X) and rho(Y), whatever the functions
+        counts = self.identity_counts(monkeypatch, algebroid_s1(), degree, AffineTwist, "pullback")
+        assert counts["anchor-bracket-compatibility"] == pairs * (2 + 2)
+
     def test_leibniz_brackets_once_per_pair_and_function(self, monkeypatch):
         A = algebroid_s1()
-        counts = self.bracket_counts(monkeypatch, A, 2)
+        counts = self.identity_counts(monkeypatch, A, 2, A, "bracket")
         # [X, Y] once per pair and [X, fY] once per distinct fY while X
         # stays the same; f = 1 makes [X, Y] one of them.  At degree 2
         # the f are the 6 monomials of degree <= 2, and the X run over
@@ -515,7 +596,8 @@ class TestWorkCounts:
         assert counts["leibniz-rule"] == 480
 
     def test_leibniz_and_jacobi_bracket_counts_on_the_dense_tangent(self, monkeypatch):
-        counts = self.bracket_counts(monkeypatch, dense_tangent(), 3)
+        A = dense_tangent()
+        counts = self.identity_counts(monkeypatch, A, 3, A, "bracket")
         # the same count at degree 3, with 10 functions f: 2 frame X
         # with frame Y (20 sections fY each) or one of the 18 scaled Y
         # (54), 18 scaled X with frame Y (20 each) and 10 pairwise-scaled
@@ -525,3 +607,64 @@ class TestWorkCounts:
         # triples, and one per scaled probe and frame pair), 6 brackets
         # each
         assert counts["hom-jacobi"] == 456
+
+
+# -- a rank-3 dense tangent and two perturbations of it -------------------
+
+
+def rank3_tangent():
+    """The pullback tangent bundle of the rank-3 dense affine map of the
+    ROADMAP's scale table."""
+    phi = AffineTwist(
+        [
+            [Fraction(3, 2), Fraction(1, 2), 0],
+            [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)],
+            [0, Fraction(1, 4), 2],
+        ],
+        [Fraction(1, 3), Fraction(1, 2), Fraction(-1, 5)],
+    )
+    return make_pullback_tangent(phi)
+
+
+class TestRankThreeWitnesses:
+    """Verdicts and witnesses at rank 3, degree 1.  The witnesses are
+    pinned as the term-by-term residuals gave them, so the fused
+    residuals must reproduce them byte for byte."""
+
+    @staticmethod
+    def verdicts(A):
+        from homlie.calculus import CartanContext, check_differential_props
+
+        return check_axioms(A, 1), check_differential_props(CartanContext(A), 1)
+
+    def test_tangent_passes(self):
+        axioms, differential = self.verdicts(rank3_tangent())
+        assert axioms.passed and differential.passed
+
+    def test_changed_structure_function_fails(self):
+        A = rank3_tangent()
+        structure = dict(A.structure)
+        structure[(0, 1, 2)] = Poly.variable(3, 0)
+        axioms, differential = self.verdicts(HomAlgebroid(A.phi, A.phiA, A.anchor, structure))
+        assert axioms.witness.render() == (
+            "identity=phiA-bracket-homomorphism; X=e1; Y=e2; residual="
+            "(-2/17*x - 2/51*y - 4/153) e[1] + (6/17*x + 2/17*y + 4/51) e[2]"
+            " + (28/17*x + 4/17*y + 8/51) e[3]"
+        )
+        assert differential.witness.render() == (
+            "identity=differential-square-zero; omega=(y)*eps[]; residual="
+            "(1/3*x) eps[1,2] + (-1/6*x) eps[1,3] + (-1/18*x) eps[2,3]"
+        )
+
+    def test_changed_anchor_entry_fails(self):
+        A = rank3_tangent()
+        anchor = [list(row) for row in A.anchor]
+        anchor[2][0] = Poly.variable(3, 1)
+        axioms, differential = self.verdicts(HomAlgebroid(A.phi, A.phiA, anchor, A.structure))
+        assert axioms.witness.render() == (
+            "identity=phiA-bracket-homomorphism; X=e1; Y=(y)*e1; residual="
+            "(-1597696/20295603*y) e[1] + (480320/6765201*y) e[2] + (-27808/6765201*y) e[3]"
+        )
+        assert differential.witness.render() == (
+            "identity=differential-square-zero; omega=(z)*eps[]; residual=(-3/2) eps[1,2]"
+        )
