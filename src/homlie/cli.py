@@ -44,7 +44,7 @@ from .poisson import (
 )
 from .courant import check_bialgebroid
 from .report import CheckResult, PreconditionError, TheoremViolation, Witness, first_nonzero
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, check_probe_degree, load_scenario
 
 
 class TaskError(ValueError):
@@ -350,17 +350,11 @@ def _render_text(report: dict) -> str:
 def cmd_check(args) -> int:
     try:
         scn = load_scenario(args.scenario)
+        if args.probe_degree is not None:
+            scn.probe_degree = check_probe_degree(args.probe_degree, "--probe-degree")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    if args.probe_degree is not None:
-        if args.probe_degree < 1:
-            print(
-                "scenario error: --probe-degree: expected an integer >= 1 (the x_j*e_i probes are needed)",
-                file=sys.stderr,
-            )
-            return 2
-        scn.probe_degree = args.probe_degree
     for t in args.task or []:
         if t not in TASKS and t != "full":
             print(f"scenario error: $.tasks: unknown task {t!r}", file=sys.stderr)

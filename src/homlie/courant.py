@@ -30,6 +30,7 @@ from .report import (
     TheoremViolation,
     first_failure,
     first_nonzero,
+    require,
     until_first_failure,
 )
 
@@ -170,8 +171,8 @@ class ESection:
 
 class CourantDouble:
     """The rank-2r doubled structure.  The product comes either from the
-    bialgebroid formula or from an explicit frame table extended by the
-    function-multiplication rules."""
+    bialgebroid formula or from an explicit frame table {(a, b): ESection}
+    extended by the function-multiplication rules."""
 
     def __init__(self, pair: BialgebroidPair, product_table=None):
         self.pair = pair
@@ -180,12 +181,10 @@ class CourantDouble:
         self.phi = pair.A.phi
         self.product_table = None
         if product_table is not None:
-            table = {}
-            for (a, b), sec in product_table.items():
+            for a, b in product_table:
                 if not (0 <= a < 2 * self.r and 0 <= b < 2 * self.r):
                     raise StructureError(f"product table index ({a},{b}) out of range")
-                table[(a, b)] = sec if isinstance(sec, ESection) else ESection(list(sec), self.n)
-            self.product_table = table
+            self.product_table = dict(product_table)
         self._frames = [self.frame_section(a) for a in range(2 * self.r)]
         self._phiE_frames = None
         self._rho_frames = None
@@ -354,11 +353,7 @@ def double(P: BialgebroidPair, verify: bool = True, probe_degree: int = 2) -> Co
     """Double a compatible pair; refuses pairs that fail the
     compatibility identity when verification is on."""
     if verify:
-        ok = check_bialgebroid(P, probe_degree)
-        if not ok.passed:
-            raise PreconditionError(
-                "pair is not a bialgebroid: " + ok.witness.render(), ok.witness
-            )
+        require(check_bialgebroid(P, probe_degree), "pair is not a bialgebroid")
     return CourantDouble(P)
 
 

@@ -29,7 +29,7 @@ from .exterior import (
     twist_invariance,
 )
 from .homalg import HomAlgebroid
-from .poisson import Bivector, _as_bivector
+from .poisson import Bivector
 from .polyring import Poly, poly_divides, sum_products
 from .report import (
     CheckResult,
@@ -38,6 +38,7 @@ from .report import (
     Witness,
     first_failure,
     first_nonzero,
+    require,
 )
 
 
@@ -185,12 +186,7 @@ def dirac_to_algebroid(L: Subbundle) -> HomAlgebroid:
     result is expressed in the generator frame.  The restricted twist
     matrix may fail to be invertible; its invertibility is reported by
     the twist itself."""
-    verdict = dirac_checks(L)
-    if not verdict.passed:
-        raise PreconditionError(
-            "subbundle is not a valid graph-type structure: " + verdict.witness.render(),
-            verdict.witness,
-        )
+    require(dirac_checks(L), "subbundle is not a valid graph-type structure")
     host = L.host
     r = host.r
     gens = L.generators
@@ -208,27 +204,24 @@ def dirac_to_algebroid(L: Subbundle) -> HomAlgebroid:
     return HomAlgebroid(host.phi, phiA, anchor, structure)
 
 
-def graph(E: CourantDouble, H) -> Subbundle:
+def graph(E: CourantDouble, H: EndoMap | list) -> Subbundle:
     """Span of the sections (H applied to a dual frame element) plus that
-    element; automatically full rank."""
+    element; automatically full rank.  H is an EndoMap or an r x r list
+    of Poly rows."""
     if isinstance(H, EndoMap):
         H = H.matrix
     r = E.r
     gens = []
     for i in range(r):
-        coeffs = [
-            H[k][i] if isinstance(H[k][i], Poly) else Poly.const(E.n, H[k][i])
-            for k in range(r)
-        ]
+        coeffs = [H[k][i] for k in range(r)]
         coeffs += [Poly.const(E.n, 1 if k == i else 0) for k in range(r)]
         gens.append(ESection(coeffs, E.n))
     return Subbundle(E, gens)
 
 
-def maurer_cartan_defect(P: BialgebroidPair, pi) -> MultiVector:
+def maurer_cartan_defect(P: BialgebroidPair, pi: Bivector) -> MultiVector:
     """Dual differential of the bivector plus half its graded square."""
     ctx = P.ctx
-    pi = _as_bivector(ctx, pi)
     inv = twist_invariance("pi", pi.table, P.A.phiA)
     if not inv.passed:
         raise PreconditionError(
@@ -238,16 +231,12 @@ def maurer_cartan_defect(P: BialgebroidPair, pi) -> MultiVector:
     return P.dual_differential(pi.table) + schouten(ctx, pi.table, pi.table).scale(half)
 
 
-def graph_theorem_check(P: BialgebroidPair, H) -> CheckResult:
+def graph_theorem_check(P: BialgebroidPair, H: EndoMap | list) -> CheckResult:
     """Evaluate both characterizations independently: the three
     subbundle checks on the graph, versus skewness, sharp commutation
-    and the vanishing gradient obstruction; the verdicts must agree."""
-    if isinstance(H, EndoMap):
-        H_mat = [list(r) for r in H.matrix]
-    else:
-        H_mat = [
-            [x if isinstance(x, Poly) else Poly.const(P.A.n, x) for x in row] for row in H
-        ]
+    and the vanishing gradient obstruction; the verdicts must agree.
+    H is an EndoMap or an r x r list of Poly rows."""
+    H_mat = [list(r) for r in (H.matrix if isinstance(H, EndoMap) else H)]
     E = CourantDouble(P)
     L = graph(E, H_mat)
     side_a = dirac_checks(L)

@@ -55,8 +55,6 @@ class GradedElement:
             k = tuple(k)
             if len(k) != degree or list(k) != sorted(set(k)) or (k and not (0 <= k[0] and k[-1] < rank)):
                 raise StructureError(f"bad index tuple {k} for degree {degree}, rank {rank}")
-            if not isinstance(v, Poly):
-                v = Poly.const(n, v)
             if not v.is_zero():
                 clean[k] = v
         self.coeffs = clean
@@ -88,8 +86,6 @@ class GradedElement:
             raise StructureError(f"bad index tuple {(rank,)} for degree 1, rank {rank}")
         out = {}
         for i, c in enumerate(coeffs):
-            if not isinstance(c, Poly):
-                c = Poly.const(n, c)
             if not c.is_zero():
                 out[(i,)] = c
         return cls._raw(rank, n, 1, out)
@@ -338,15 +334,15 @@ class EndoMap:
 
     __slots__ = ("rank", "n", "matrix", "kind")
 
-    def __init__(self, matrix, n=None, kind: str = "multivector"):
+    def __init__(self, matrix, kind: str = "multivector"):
         self.rank = len(matrix)
         rows = []
         for row in matrix:
             if len(row) != self.rank:
                 raise StructureError("endomorphism matrix is not square")
-            rows.append(tuple(x if isinstance(x, Poly) else Poly.const(n, x) for x in row))
+            rows.append(tuple(row))
         self.matrix = tuple(rows)
-        self.n = self.matrix[0][0].n if self.rank else n
+        self.n = self.matrix[0][0].n if self.rank else None
         self.kind = kind
 
     @classmethod

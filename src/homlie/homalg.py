@@ -34,9 +34,7 @@ class PullbackVectorField:
 
     def __init__(self, phi: AffineTwist, coeffs):
         self.phi = phi
-        self.coeffs = tuple(
-            c if isinstance(c, Poly) else Poly.const(phi.n, c) for c in coeffs
-        )
+        self.coeffs = tuple(coeffs)
         if len(self.coeffs) != phi.n:
             raise StructureError("coefficient count must match the base dimension")
         self._flat = None
@@ -116,9 +114,9 @@ def _same_base(phi: AffineTwist, *fields) -> None:
 
 
 def pullback_section(phi: AffineTwist, coeffs) -> PullbackVectorField:
-    """Pullback of a classical vector field: each coefficient is pulled
-    back, matching the pointwise definition of the pullback section."""
-    coeffs = [c if isinstance(c, Poly) else Poly.const(phi.n, c) for c in coeffs]
+    """Pullback of a classical vector field with Poly coefficients: each
+    coefficient is pulled back, matching the pointwise definition of the
+    pullback section."""
     return PullbackVectorField(phi, [phi.pullback(c) for c in coeffs])
 
 
@@ -171,9 +169,10 @@ class HomAlgebroid:
     The type admits invalid candidates on purpose; check_axioms decides
     whether the data actually satisfies the axioms.
 
-    The structure is given as functions {(i, j, k): C_ij^k} or as frame
-    brackets {(i, j): [e_i, e_j]}, each a degree-1 multivector or form or
-    a coefficient list; every derived algebroid is built from the latter.
+    The anchor is an n x rank matrix of Poly.  The structure is given as
+    functions {(i, j, k): C_ij^k} or as frame brackets {(i, j): [e_i, e_j]},
+    each a degree-1 multivector or form or a list of Poly; every derived
+    algebroid is built from the latter.
     """
 
     def __init__(self, phi: AffineTwist, phiA: SectionTwist, anchor, structure):
@@ -183,10 +182,7 @@ class HomAlgebroid:
         self.rank = phiA.rank
         if phiA.kind != "multivector":
             raise StructureError("section twist must act on the section side")
-        self.anchor = tuple(
-            tuple(x if isinstance(x, Poly) else Poly.const(self.n, x) for x in row)
-            for row in anchor
-        )
+        self.anchor = tuple(tuple(row) for row in anchor)
         if len(self.anchor) != self.n or any(len(row) != self.rank for row in self.anchor):
             raise StructureError("anchor matrix must be n x rank")
         # nonzero anchor entries by frame index: anchor_columns[j] lists
@@ -213,22 +209,17 @@ class HomAlgebroid:
                 else:
                     i, j, k = key
                     self._store_entry(table, i, j, k, value)
-        out = {}
-        for (i, j, k), c in table.items():
-            c = c if isinstance(c, Poly) else Poly.const(self.n, c)
-            if not c.is_zero():
-                out[(i, j, k)] = c
-        return out
+        return {key: c for key, c in table.items() if not c.is_zero()}
 
     def _store_entry(self, table, i, j, k, c):
         if not (0 <= i < self.rank and 0 <= j < self.rank and 0 <= k < self.rank):
             raise StructureError(f"structure index ({i},{j},{k}) out of range")
         if i == j:
-            if (not isinstance(c, Poly) and c) or (isinstance(c, Poly) and not c.is_zero()):
+            if not c.is_zero():
                 raise StructureError(f"structure constant C[{i},{i}] must vanish")
             return
         if i > j:
-            i, j, c = j, i, -(c if isinstance(c, Poly) else Poly.const(self.n, c))
+            i, j, c = j, i, -c
         prev = table.get((i, j, k))
         if prev is not None and not (prev - c).is_zero():
             raise StructureError(f"structure table is not antisymmetric at ({i},{j},{k})")
@@ -237,9 +228,7 @@ class HomAlgebroid:
     # -- frame helpers -------------------------------------------------
 
     def section(self, coeffs) -> MultiVector:
-        return MultiVector.from_vector(self.rank, self.n, [
-            c if isinstance(c, Poly) else Poly.const(self.n, c) for c in coeffs
-        ])
+        return MultiVector.from_vector(self.rank, self.n, coeffs)
 
     def frame(self, i: int) -> MultiVector:
         return MultiVector.basis(self.rank, self.n, (i,))

@@ -1,7 +1,8 @@
 """Torsion-free twist-invariant endomorphisms and their interaction
 with Poisson bivectors: deformed algebroids, compatibility tensors, the
 bivector hierarchy, and the deformed-dual bialgebroid equivalence with
-its graded defect.
+its graded defect.  Every entry point takes the bivector as a Bivector
+and the endomorphism as an EndoMap.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .exterior import (
 from .homalg import HomAlgebroid
 from .poisson import (
     Bivector,
-    _as_bivector,
     bracket_pi,
     dual_algebroid,
     is_hom_poisson,
@@ -41,18 +41,12 @@ from .report import (
     Witness,
     first_failure,
     first_nonzero,
+    require,
 )
 
 
-def _as_endo(ctx: CartanContext, N) -> EndoMap:
-    if isinstance(N, EndoMap):
-        return N
-    return EndoMap(N, n=ctx.n)
-
-
-def torsion_value(ctx: CartanContext, N, X: MultiVector, Y: MultiVector) -> MultiVector:
+def torsion_value(ctx: CartanContext, N: EndoMap, X: MultiVector, Y: MultiVector) -> MultiVector:
     """[NX,NY] - N[NX,Y] - N[X,NY] + N^2[X,Y]."""
-    N = _as_endo(ctx, N)
     A = ctx.algebroid
     NX, NY = N.apply(X), N.apply(Y)
     out = A.bracket(NX, NY)
@@ -61,7 +55,7 @@ def torsion_value(ctx: CartanContext, N, X: MultiVector, Y: MultiVector) -> Mult
     return out + N.apply(N.apply(A.bracket(X, Y)))
 
 
-def torsion(ctx: CartanContext, N) -> dict:
+def torsion(ctx: CartanContext, N: EndoMap) -> dict:
     """Frame table of the torsion."""
     A = ctx.algebroid
     return {
@@ -71,10 +65,16 @@ def torsion(ctx: CartanContext, N) -> dict:
     }
 
 
-def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResult:
+def _commutes_with_twist(A: HomAlgebroid, N: EndoMap, sections) -> bool:
+    """N(phi_A X) = phi_A(N X) on every labelled probe section X."""
+    return all(
+        (N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))).is_zero() for _, X in sections
+    )
+
+
+def is_hom_nijenhuis(ctx: CartanContext, N: EndoMap, probe_degree: int = 2) -> CheckResult:
     """Vanishing torsion plus twist invariance; the invariance verdict
     is cross-checked against twist commutation on probe sections."""
-    N = _as_endo(ctx, N)
     A = ctx.algebroid
     sections = probes.sections(A, min(probe_degree, 1))
     frame_table = (
@@ -91,9 +91,7 @@ def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResul
         twist_invariance("N", N, A.phiA),
     ]
     invariant = results[1].passed
-    commutes = all(
-        (N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))).is_zero() for _, X in sections
-    )
+    commutes = _commutes_with_twist(A, N, sections)
     if commutes != invariant:
         raise TheoremViolation(
             f"twist commutation ({commutes}) disagrees with invariance ({invariant})"
@@ -103,11 +101,11 @@ def is_hom_nijenhuis(ctx: CartanContext, N, probe_degree: int = 2) -> CheckResul
     return merged
 
 
-def lemma_checks(ctx: CartanContext, N, Nprime, probe_degree: int = 2) -> CheckResult:
+def lemma_checks(
+    ctx: CartanContext, N: EndoMap, Nprime: EndoMap, probe_degree: int = 2
+) -> CheckResult:
     """The five structural identities tying the twist to endomorphisms,
     their transposes and their composites."""
-    N = _as_endo(ctx, N)
-    Nprime = _as_endo(ctx, Nprime)
     A = ctx.algebroid
     twN = A.phiA.apply_endo(N)
     twNt = ctx.dagger.apply_endo(N.transpose())
@@ -132,10 +130,7 @@ def lemma_checks(ctx: CartanContext, N, Nprime, probe_degree: int = 2) -> CheckR
     ]
 
     invariant = (twN - N).is_zero()
-    commutes = all(
-        (N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))).is_zero()
-        for _, X in sections
-    )
+    commutes = _commutes_with_twist(A, N, sections)
     results.append(
         CheckResult(
             "invariance-equivalence",
@@ -153,9 +148,8 @@ def lemma_checks(ctx: CartanContext, N, Nprime, probe_degree: int = 2) -> CheckR
     return first_failure("lemma_checks", results)
 
 
-def deformed_bracket(ctx: CartanContext, N, X: MultiVector, Y: MultiVector) -> MultiVector:
+def deformed_bracket(ctx: CartanContext, N: EndoMap, X: MultiVector, Y: MultiVector) -> MultiVector:
     """[NX,Y] + [X,NY] - N[X,Y]."""
-    N = _as_endo(ctx, N)
     A = ctx.algebroid
     return (
         A.bracket(N.apply(X), Y)
@@ -194,23 +188,16 @@ def _require_invariant(ctx: CartanContext, N: EndoMap) -> None:
         )
 
 
-def deformed_algebroid(ctx: CartanContext, N, probe_degree: int = 2) -> HomAlgebroid:
+def deformed_algebroid(ctx: CartanContext, N: EndoMap, probe_degree: int = 2) -> HomAlgebroid:
     """The deformed structure; refuses candidates that are not
     torsion-free and invariant."""
-    N = _as_endo(ctx, N)
-    ok = is_hom_nijenhuis(ctx, N, probe_degree)
-    if not ok.passed:
-        raise PreconditionError(
-            "endomorphism is not a valid deformation: " + ok.witness.render(),
-            ok.witness,
-        )
+    require(is_hom_nijenhuis(ctx, N, probe_degree), "endomorphism is not a valid deformation")
     return _deformed_context(ctx, N).algebroid
 
 
-def d_n_props(ctx: CartanContext, N, probe_degree: int = 3) -> CheckResult:
+def d_n_props(ctx: CartanContext, N: EndoMap, probe_degree: int = 3) -> CheckResult:
     """The deformed differential acts on functions through the
     transpose, and anticommutes with the original differential there."""
-    N = _as_endo(ctx, N)
     deformed_algebroid(ctx, N, min(probe_degree, 2))  # refuses an invalid N first
     ctxN = _deformed_context(ctx, N)
     Nt = N.transpose()
@@ -233,10 +220,8 @@ def d_n_props(ctx: CartanContext, N, probe_degree: int = 3) -> CheckResult:
     return first_failure("d_n_props", results)
 
 
-def compat_C(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
+def compat_C(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
     """Difference of the two deformed covector brackets."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     Nt = N.transpose()
     s_alpha = N.apply(pi.sharp_apply(alpha))
     s_beta = N.apply(pi.sharp_apply(beta))
@@ -255,8 +240,6 @@ def compat_C(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
 
 def _sharp_commutation_residual(ctx, pi, N):
     """N . sharp - sharp . transpose as a matrix residual."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     lhs = poly_mat_mul([list(r) for r in N.matrix], [list(r) for r in pi.sharp.matrix])
     rhs = poly_mat_mul(
         [list(r) for r in pi.sharp.matrix], [list(r) for r in N.transpose().matrix]
@@ -266,11 +249,9 @@ def _sharp_commutation_residual(ctx, pi, N):
     ]
 
 
-def compat_Cprime(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
+def compat_Cprime(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
     """Equivalent compatibility tensor built from Lie derivatives of the
     endomorphism; requires the sharp commutation."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     res = _sharp_commutation_residual(ctx, pi, N)
     if any(not x.is_zero() for row in res for x in row):
         raise PreconditionError("sharp commutation fails; the tensor is undefined")
@@ -284,11 +265,9 @@ def compat_Cprime(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
     return out - differential(ctx, pair(beta, pi.sharp_apply(Nt.apply(alpha))))
 
 
-def bracket_Npi(ctx: CartanContext, pi, N, alpha: Form, beta: Form) -> Form:
+def bracket_Npi(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
     """Covector bracket of the deformed structure driven by the original
     sharp map."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     _require_invariant(ctx, N)
     return _bracket_Npi(_deformed_context(ctx, N), pi, alpha, beta)
 
@@ -303,14 +282,16 @@ def _bracket_Npi(ctxN: CartanContext, pi: Bivector, alpha: Form, beta: Form) -> 
 
 
 def is_hpn(
-    ctx: CartanContext, pi, N, probe_degree: int = 2, check_equivalence: bool = True
+    ctx: CartanContext,
+    pi: Bivector,
+    N: EndoMap,
+    probe_degree: int = 2,
+    check_equivalence: bool = True,
 ) -> CheckResult:
     """Full compatibility verdict: both structures, the sharp
     commutation, and the vanishing compatibility tensor.  When the
     hypotheses hold, the four equivalent formulations are evaluated and
     their agreement recorded."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     ok_pi = is_hom_poisson(ctx, pi)
     ok_N = is_hom_nijenhuis(ctx, N, probe_degree)
     return _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence)
@@ -385,13 +366,11 @@ def _prop_conditions(ctx, pi, N, probe_degree, compat_tensor):
     return cond
 
 
-def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
+def hierarchy(ctx: CartanContext, pi: Bivector, N: EndoMap, depth: int, probe_degree: int = 1):
     """Bivector tower through repeated sharp composition.  Every stage
     is checked to be antisymmetric; every pair of stages must commute
     under the graded bracket and stay compatible with every power of the
     endomorphism."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     towers = [pi]
     powers = {1: N}
     # is_hom_poisson per stage and is_hom_nijenhuis per (power, degree),
@@ -410,11 +389,7 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
         return _hpn(ctx, towers[k], powers[p], ok_pi, ok_N, degree, check_equivalence=False)
 
     base_degree = max(probe_degree, 1)
-    base = hpn(0, 1, base_degree)
-    if not base.passed:
-        raise PreconditionError(
-            "hierarchy requires a compatible pair: " + base.witness.render(), base.witness
-        )
+    base = require(hpn(0, 1, base_degree), "hierarchy requires a compatible pair")
     H = [list(r) for r in pi.sharp.matrix]
     for _ in range(depth):
         H = poly_mat_mul([list(r) for r in N.matrix], H)
@@ -436,12 +411,12 @@ def hierarchy(ctx: CartanContext, pi, N, depth: int, probe_degree: int = 1):
     return towers, first_failure("hierarchy", results)
 
 
-def bialgebroid_defect(ctx: CartanContext, pi, N, xi1, xi2) -> Form:
+def bialgebroid_defect(ctx: CartanContext, pi: Bivector, N: EndoMap, xi1, xi2) -> Form:
     """Graded defect measuring how far the deformed differential is from
     being a twisted derivation of the dual graded bracket; the
     undifferentiated slot carries the dagger twist so that the defect
     vanishes exactly on compatible pairs."""
-    return _defect_operator(ctx, _as_bivector(ctx, pi), _as_endo(ctx, N))(xi1, xi2)
+    return _defect_operator(ctx, pi, N)(xi1, xi2)
 
 
 def _defect_operator(ctx: CartanContext, pi: Bivector, N: EndoMap):
@@ -469,13 +444,11 @@ def _defect_operator(ctx: CartanContext, pi: Bivector, N: EndoMap):
 
 
 def bialgebroid_defect_checks(
-    ctx: CartanContext, pi, N, probe_degree: int = 1
+    ctx: CartanContext, pi: Bivector, N: EndoMap, probe_degree: int = 1
 ) -> CheckResult:
     """The five displayed properties of the defect: values on function
     pairs, on differential-function pairs, the wedge rule with the
     doubly-twisted tail, and graded antisymmetry."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
     defect = _defect_operator(ctx, pi, N)  # refuses before any probe runs
     A = ctx.algebroid
     Nt = N.transpose()
@@ -552,24 +525,15 @@ def bialgebroid_defect_checks(
 
 
 def hpn_bialgebroid_equiv(
-    ctx: CartanContext, pi, N, probe_degree: int = 1
+    ctx: CartanContext, pi: Bivector, N: EndoMap, probe_degree: int = 1
 ) -> CheckResult:
     """Three verdicts that must coincide: the compatibility of the pair,
     and the bialgebroid identity for the deformed algebroid against the
     dual structure, in both orders."""
-    pi = _as_bivector(ctx, pi)
-    N = _as_endo(ctx, N)
-    ok_pi = is_hom_poisson(ctx, pi)
-    if not ok_pi.passed:
-        raise PreconditionError(
-            "bivector is not Poisson: " + ok_pi.witness.render(), ok_pi.witness
-        )
-    ok_N = is_hom_nijenhuis(ctx, N, probe_degree)
-    if not ok_N.passed:
-        raise PreconditionError(
-            "endomorphism is not a valid deformation: " + ok_N.witness.render(),
-            ok_N.witness,
-        )
+    ok_pi = require(is_hom_poisson(ctx, pi), "bivector is not Poisson")
+    ok_N = require(
+        is_hom_nijenhuis(ctx, N, probe_degree), "endomorphism is not a valid deformation"
+    )
     hpn = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence=False)
     A_N = _deformed_context(ctx, N).algebroid
     dual = dual_algebroid(ctx, pi)

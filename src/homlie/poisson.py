@@ -1,7 +1,8 @@
 """Twist-invariant Poisson bivectors on a Hom-Lie algebroid: the sharp
 map, the induced bracket on covectors, the dual algebroid, the induced
 degree-raising operator on multivectors, and the correspondence with
-classical Poisson pairs on the pullback tangent instance.
+classical Poisson pairs on the pullback tangent instance.  Every entry
+point on an algebroid takes the bivector as a Bivector.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .report import (
     Witness,
     first_failure,
     first_nonzero,
+    require,
 )
 
 
@@ -95,16 +97,9 @@ class Bivector:
         return f"Bivector({self.render()})"
 
 
-def _as_bivector(ctx: CartanContext, pi) -> Bivector:
-    if isinstance(pi, Bivector):
-        return pi
-    return Bivector(pi)
-
-
-def is_hom_poisson(ctx: CartanContext, pi) -> CheckResult:
+def is_hom_poisson(ctx: CartanContext, pi: Bivector) -> CheckResult:
     """Vanishing self-bracket plus twist invariance, both as exact
     residuals."""
-    pi = _as_bivector(ctx, pi)
     results = [
         twist_invariance("pi", pi.table, ctx.algebroid.phiA),
         first_nonzero("self-bracket", [({"pi": pi}, schouten(ctx, pi.table, pi.table))]),
@@ -112,10 +107,9 @@ def is_hom_poisson(ctx: CartanContext, pi) -> CheckResult:
     return first_failure("is_hom_poisson", results)
 
 
-def sharp_commutes(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult:
+def sharp_commutes(ctx: CartanContext, pi: Bivector, probe_degree: int = 3) -> CheckResult:
     """Twist-sharp commutation on probe covectors, reported alongside
     invariance; the two verdicts must agree."""
-    pi = _as_bivector(ctx, pi)
     A = ctx.algebroid
 
     def cases():
@@ -141,21 +135,20 @@ def sharp_commutes(ctx: CartanContext, pi, probe_degree: int = 3) -> CheckResult
     return result
 
 
-def bracket_pi(ctx: CartanContext, pi, xi: Form, eta: Form) -> Form:
+def bracket_pi(ctx: CartanContext, pi: Bivector, xi: Form, eta: Form) -> Form:
     """Covector bracket induced by the bivector."""
-    pi = _as_bivector(ctx, pi)
     s_xi = pi.sharp_apply(xi)
     s_eta = pi.sharp_apply(eta)
     out = lie_derivative_form(ctx, s_xi, eta) - lie_derivative_form(ctx, s_eta, xi)
     return out - differential(ctx, pair(eta, s_xi))
 
 
-def dual_algebroid(ctx: CartanContext, pi) -> HomAlgebroid:
+def dual_algebroid(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
     """The dual-frame algebroid carried by a Poisson bivector: dagger
     twist, covector bracket, anchor through the sharp map.  Refuses
     non-Poisson input with the failing residual.  Built once per context
     and bivector."""
-    return _dual_context(ctx, _as_bivector(ctx, pi)).algebroid
+    return _dual_context(ctx, pi).algebroid
 
 
 def _dual_context(ctx: CartanContext, pi: Bivector) -> CartanContext:
@@ -165,11 +158,7 @@ def _dual_context(ctx: CartanContext, pi: Bivector) -> CartanContext:
 
 
 def _dual_data(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
-    ok = is_hom_poisson(ctx, pi)
-    if not ok.passed:
-        raise PreconditionError(
-            f"bivector is not Poisson: {ok.witness.render()}", ok.witness
-        )
+    require(is_hom_poisson(ctx, pi), "bivector is not Poisson")
     return _dual_candidate(ctx, pi)
 
 
@@ -191,13 +180,12 @@ def _dual_candidate(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
     )
 
 
-def d_pi(ctx: CartanContext, pi, D) -> MultiVector:
+def d_pi(ctx: CartanContext, pi: Bivector, D) -> MultiVector:
     """Degree-raising operator on multivectors driven by the bivector:
     the differential of the dual candidate (the Koszul formula run on
     the dual side), defined for every twist-invariant bivector.  The
     result is cross-checked against the graded bracket with the
     bivector on every call."""
-    pi = _as_bivector(ctx, pi)
     inv = twist_invariance("pi", pi.table, ctx.algebroid.phiA)
     if not inv.passed:
         raise PreconditionError(
@@ -215,12 +203,11 @@ def d_pi(ctx: CartanContext, pi, D) -> MultiVector:
     return out
 
 
-def pi_pi_cases(ctx: CartanContext, pi, pairs):
+def pi_pi_cases(ctx: CartanContext, pi: Bivector, pairs):
     """(inputs, residual) for each covector pair (alpha, beta): half the
     self-bracket contracted against the twisted covectors, minus the
     sharp-commutator defect.  The self-bracket does not depend on the
     pair, so it is computed once for all of them."""
-    pi = _as_bivector(ctx, pi)
     A = ctx.algebroid
     sq = schouten(ctx, pi.table, pi.table)
     half = Poly.const(ctx.n, "1/2")
@@ -238,7 +225,7 @@ def pi_pi_cases(ctx: CartanContext, pi, pairs):
         yield {"alpha": alpha, "beta": beta}, lhs - rhs
 
 
-def pi_pi_identity(ctx: CartanContext, pi, alpha: Form, beta: Form) -> CheckResult:
+def pi_pi_identity(ctx: CartanContext, pi: Bivector, alpha: Form, beta: Form) -> CheckResult:
     """Half the self-bracket contracted against twisted covectors equals
     the sharp-commutator defect; holds whether or not the self-bracket
     vanishes."""
@@ -246,20 +233,18 @@ def pi_pi_identity(ctx: CartanContext, pi, alpha: Form, beta: Form) -> CheckResu
     return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 
-def lift_bivector(phi: AffineTwist, pi_classical):
+def lift_bivector(phi: AffineTwist, pi_classical: dict):
     """Pullback tangent instance together with the lifted bivector
-    (coefficients pulled back along the base map)."""
+    (coefficients pulled back along the base map).  pi_classical is the
+    classical coefficient table {(i, j): Poly} with i < j."""
     n = phi.n
-    if isinstance(pi_classical, MultiVector):
-        pi_cl = pi_classical
-    else:
-        pi_cl = MultiVector(n, n, 2, pi_classical)
+    pi_cl = MultiVector(n, n, 2, pi_classical)
     ctx = CartanContext(make_pullback_tangent(phi))
     lifted = MultiVector(n, n, 2, {I: phi.pullback(c) for I, c in pi_cl.coeffs.items()})
     return ctx, Bivector(lifted), pi_cl
 
 
-def classical_poisson_lift(phi: AffineTwist, pi_classical) -> CheckResult:
+def classical_poisson_lift(phi: AffineTwist, pi_classical: dict) -> CheckResult:
     """Build the pullback tangent instance, lift the classical bivector,
     and report whether the classical verdict (vanishing self-bracket and
     invariance under the pushforward) matches the twisted verdict."""
@@ -288,12 +273,11 @@ def classical_poisson_lift(phi: AffineTwist, pi_classical) -> CheckResult:
     )
 
 
-def check_bialgebroid_pair(ctx: CartanContext, pi, probe_degree: int = 2) -> CheckResult:
+def check_bialgebroid_pair(ctx: CartanContext, pi: Bivector, probe_degree: int = 2) -> CheckResult:
     """Compatibility of the algebroid with the dual structure carried by
     the bivector, checked in both directions."""
     from .courant import BialgebroidPair, check_bialgebroid
 
-    pi = _as_bivector(ctx, pi)
     dual = dual_algebroid(ctx, pi)
     pair_ = BialgebroidPair(ctx.algebroid, dual)
     sub = check_bialgebroid(pair_, probe_degree)

@@ -79,6 +79,14 @@ class CheckResult:
         return out
 
 
+def require(result: CheckResult, reason: str) -> CheckResult:
+    """The result when it passed; otherwise a PreconditionError whose
+    message is the reason followed by the rendered witness."""
+    if not result.passed:
+        raise PreconditionError(f"{reason}: {result.witness.render()}", result.witness)
+    return result
+
+
 def first_nonzero(identity: str, cases) -> CheckResult:
     """Check one identity on lazily evaluated (inputs, residual) cases.
 

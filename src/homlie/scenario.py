@@ -4,7 +4,8 @@ ordered list of verification tasks to run against it.
 All rationals are JSON integers or strings "p" or "p/q" with an
 optional sign and decimal digits only (`RATIONAL`); polynomial
 values are lists of {"exp": [...], "coeff": "p/q"} with one exponent per
-declared variable, each below `kernels.LIMIT`; frame and structure indices are 1-based.  Unknown
+declared variable, each below `kernels.LIMIT`; frame and structure indices are 1-based.  The
+probe degree is an integer from 1 to `kernels.LIMIT` - 1.  Unknown
 keys are rejected with their JSON path.
 """
 
@@ -96,6 +97,16 @@ def _parse_rational(value, path):
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScenarioError(path, f"bad rational {value!r}: {exc}") from None
+
+
+def check_probe_degree(value, path: str) -> int:
+    """A probe degree d: the x_j*e_i probes need d >= 1, and the probe
+    monomials include x_1^d, so d must be below LIMIT."""
+    _require(
+        _is_int(value) and value >= 1, path, "expected an integer >= 1 (the x_j*e_i probes are needed)"
+    )
+    _require(value < LIMIT, path, f"expected an integer below {LIMIT} (x_1^d must fit a monomial key)")
+    return value
 
 
 def _parse_poly(n, value, path) -> Poly:
@@ -310,12 +321,7 @@ def parse_scenario(data: dict) -> Scenario:
                 parsed.append([_parse_poly(n, x, f"{path}[{i}]") for i, x in enumerate(row)])
             dirac_spec = {"type": "span", "generators": parsed}
 
-    probe_degree = data.get("probe_degree", 3)
-    _require(
-        _is_int(probe_degree) and probe_degree >= 1,
-        "$.probe_degree",
-        "expected an integer >= 1 (the x_j*e_i probes are needed)",
-    )
+    probe_degree = check_probe_degree(data.get("probe_degree", 3), "$.probe_degree")
     hierarchy_depth = data.get("hierarchy_depth", 3)
     _require(
         _is_int(hierarchy_depth) and hierarchy_depth >= 0,

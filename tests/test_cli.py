@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,6 +40,16 @@ class TestScenarioParsing:
         scn = parse_scenario(s1_scenario_dict())
         assert scn.n == 2 and scn.algebroid.rank == 2
         assert scn.tasks == ["check_axioms"]
+
+    def test_probe_degree_must_fit_a_monomial_key(self):
+        # the probe monomials include x_1^d; parsing builds no probe, so
+        # the largest degree a key holds is accepted here
+        from homlie.kernels import LIMIT
+
+        assert parse_scenario(s1_scenario_dict(probe_degree=LIMIT - 1)).probe_degree == LIMIT - 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(s1_scenario_dict(probe_degree=LIMIT))
+        assert err.value.path == "$.probe_degree"
 
     def test_unknown_top_key_rejected(self):
         with pytest.raises(ScenarioError) as err:
@@ -654,6 +665,41 @@ class TestCliProcess:
         assert out.returncode == 2
         assert "--probe-degree" in out.stderr
         assert out.stdout == ""
+
+    def test_exit_two_on_probe_degree_at_the_key_limit(self, tmp_path):
+        # refused before any probe is built: x_1^32768 fits no monomial key
+        out = self.run_cli("check", "scenarios/s0_axioms.json", "--probe-degree", "32768")
+        assert out.returncode == 2
+        assert out.stderr.startswith("scenario error: --probe-degree: ")
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+        data = json.loads((SCENARIOS / "s0_axioms.json").read_text())
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(dict(data, probe_degree=32768)))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert out.stderr.startswith("scenario error: $.probe_degree: ")
+        assert out.stdout == ""
+
+    def test_timings_only_add_seconds(self):
+        args = ("check", "scenarios/s1_bad_pi.json", "--task", "full")
+        plain = self.run_cli(*args, "--format", "json")
+        timed = self.run_cli(*args, "--format", "json", "--timings")
+        assert timed.returncode == plain.returncode == 1
+        report = json.loads(timed.stdout)
+        for entry in report["tasks"]:
+            seconds = entry.pop("seconds")
+            assert isinstance(seconds, float) and seconds >= 0
+        assert report == json.loads(plain.stdout)
+
+        plain = self.run_cli(*args)
+        timed = self.run_cli(*args, "--timings")
+        assert timed.returncode == plain.returncode == 1
+        *task_lines, overall = timed.stdout.splitlines()
+        suffix = re.compile(r" \([0-9]+\.[0-9]+s\)$")
+        assert task_lines and all(suffix.search(line) for line in task_lines)
+        stripped = [suffix.sub("", line) for line in task_lines] + [overall]
+        assert stripped == plain.stdout.splitlines()
 
     def test_probe_degree_zero_refused(self, tmp_path):
         # S1 with C_12^1 = x is no algebroid, but only the x_j*e_i probes

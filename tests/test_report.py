@@ -1,10 +1,20 @@
 """The one residual loop: `first_nonzero` turns lazily evaluated
 (inputs, residual) cases into a check result with a witness, and
-`until_first_failure` runs identities in order up to the first failure."""
+`until_first_failure` runs identities in order up to the first failure.
+`require` is the one way a failed precondition refuses."""
+
+import pytest
 
 from homlie.exterior import EndoMap
 from homlie.polyring import Poly
-from homlie.report import CheckResult, first_failure, first_nonzero, until_first_failure
+from homlie.report import (
+    CheckResult,
+    PreconditionError,
+    first_failure,
+    first_nonzero,
+    require,
+    until_first_failure,
+)
 
 x = Poly.variable(2, 0)
 y = Poly.variable(2, 1)
@@ -76,3 +86,17 @@ def test_until_first_failure_stops_after_failing_identity():
     assert res.details == {"a": "pass", "b": "FAIL"}
     assert res.witness.identity == "b"
     assert res == first_failure("all", [CheckResult("a", True), first_nonzero("b", [({}, x)])])
+
+
+def test_require_returns_a_passing_result_itself():
+    res = first_nonzero("id", [({"f": x}, zero)])
+    assert require(res, "never shown") is res
+
+
+def test_require_refuses_a_failing_result_with_its_witness():
+    res = first_nonzero("id", [({"f": x}, zero), ({"f": y}, x * y)])
+    with pytest.raises(PreconditionError) as err:
+        require(res, "f is not valid")
+    assert err.value.witness is res.witness
+    assert str(err.value) == "f is not valid: identity=id; f=y; residual=x*y"
+    assert str(err.value) == "f is not valid: " + res.witness.render()
