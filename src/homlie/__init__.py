@@ -11,7 +11,6 @@ from .calculus import (
     differential,
     interior,
     lie_derivative_form,
-    lie_derivative_multivector,
     lie_derivative_tensor,
     schouten,
 )
@@ -20,10 +19,8 @@ from .exterior import (
     Form,
     MultiVector,
     SectionTwist,
-    dual_twist,
     pair,
     twist_tensor,
-    wedge,
 )
 from .homalg import (
     HomAlgebroid,
@@ -35,7 +32,7 @@ from .homalg import (
     make_tm_r,
     pullback_section,
 )
-from .polyring import AffineTwist, Poly, inverse_pullback, monomials, partial, pullback
+from .polyring import AffineTwist, Poly, monomials
 from .report import CheckResult, PreconditionError, StructureError, TheoremViolation, Witness
 
 __version__ = "0.1.0"
@@ -64,20 +61,14 @@ __all__ = [
     "check_axioms",
     "check_differential_props",
     "differential",
-    "dual_twist",
     "interior",
-    "inverse_pullback",
     "lie_derivative_form",
-    "lie_derivative_multivector",
     "lie_derivative_tensor",
     "make_pullback_tangent",
     "make_tm_r",
     "monomials",
     "pair",
-    "partial",
-    "pullback",
     "pullback_section",
     "schouten",
     "twist_tensor",
-    "wedge",
 ]

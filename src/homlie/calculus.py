@@ -297,10 +297,6 @@ def _lie_derivative_form(ctx: CartanContext, X, eta: Form) -> Form:
     return t1 + t2
 
 
-def lie_derivative_multivector(ctx: CartanContext, X: MultiVector, D) -> MultiVector:
-    return schouten(ctx, X, D)
-
-
 def lie_derivative_tensor(ctx: CartanContext, X: MultiVector, T: EndoMap) -> EndoMap:
     """Lie derivative of a (1,1)-tensor: the derivative hits one slot
     while every other slot is twisted."""
@@ -339,7 +335,8 @@ def _mono_terms(D: MultiVector):
 def schouten(ctx: CartanContext, D1, D2) -> MultiVector:
     """Graded bracket on multivectors: the unique extension of the
     section bracket by the twisted wedge Leibniz rule, with functions
-    as degree-0 factors."""
+    as degree-0 factors.  For a section X it is the Lie derivative on
+    multivectors: L_X D = [X, D]."""
     D1 = ctx.as_multivector(D1)
     D2 = ctx.as_multivector(D2)
     deg = D1.degree + D2.degree - 1

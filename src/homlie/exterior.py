@@ -185,26 +185,6 @@ class GradedElement:
             parts.append(f"({body})" + (f" {label}" if label else ""))
         return " + ".join(parts)
 
-    def to_json(self):
-        """Coefficient table as a list of {indices, coeff}; indices are
-        1-based, constants serialize as bare rational strings."""
-        out = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            coeff = str(c.constant_value()) if c.is_constant() else c.to_json()
-            out.append({"indices": [i + 1 for i in k], "coeff": coeff})
-        return out
-
-    @classmethod
-    def from_json(cls, rank: int, n: int, degree: int, data):
-        coeffs = {}
-        for item in data:
-            key = tuple(i - 1 for i in item["indices"])
-            c = Poly.from_json(n, item["coeff"])
-            prev = coeffs.get(key)
-            coeffs[key] = c if prev is None else prev + c
-        return cls(rank, n, degree, coeffs)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(deg={self.degree}, {self.render()})"
 
@@ -223,10 +203,6 @@ class Form(GradedElement):
 
     def render(self, names=None, frame: str = "eps") -> str:
         return super().render(names, frame)
-
-
-def wedge(a: GradedElement, b: GradedElement) -> GradedElement:
-    return a.wedge(b)
 
 
 def wedge_all(rank: int, n: int, factors, cls=MultiVector) -> GradedElement:
@@ -450,7 +426,7 @@ class EndoMap:
 
 class SectionTwist:
     """phi*-function-linear invertible map on sections: the coefficient
-    vector (f_j) goes to (sum_j P_ij * pullback(phi, f_j))_i.
+    vector (f_j) goes to (sum_j P_ij * phi*(f_j))_i.
 
     Invertibility requires det(P) to be a nonzero rational constant, so
     the inverse matrix stays polynomial.  Each value derived from the
@@ -554,11 +530,8 @@ class SectionTwist:
             got = self._basis_images[J] = self.apply_graded(cls.basis(self.rank, self.n, J))
         return got
 
-    def apply_poly(self, f: Poly) -> Poly:
-        return self.base.pullback(f)
-
     def apply_endo(self, N: EndoMap) -> EndoMap:
-        """Induced action on (1,1)-tensors: P . pullback(N) . P^{-1}."""
+        """Induced action on (1,1)-tensors: P . phi*(N) . P^{-1}."""
         if N.kind != self.kind:
             raise StructureError("endomorphism kind does not match the twist")
         pulled = [[self.base.pullback(x) for x in row] for row in N.matrix]
@@ -579,7 +552,7 @@ class SectionTwist:
 
     def dual(self) -> "SectionTwist":
         """The twist on the dual frame defined by
-        <dual(xi), X> = pullback(phi, <xi, inverse(X)>), built once; its
+        <dual(xi), X> = phi*<xi, inverse(X)>, built once; its
         dual is this twist."""
         if self._dual is None:
             inv = self.matrix_inverse()
@@ -602,10 +575,6 @@ class SectionTwist:
         return f"SectionTwist(kind={self.kind}, [" + "; ".join(rows) + "])"
 
 
-def dual_twist(Phi: SectionTwist) -> SectionTwist:
-    return Phi.dual()
-
-
 def dual_section_twist(Phi: SectionTwist) -> SectionTwist:
     """The dual of a section twist, carried as a twist on sections: the
     twist of a dual-side algebroid, whose sections are the coframe.  Its
@@ -622,7 +591,7 @@ def twist_tensor(T, Phi: SectionTwist):
     if Phi.kind != "multivector":
         raise StructureError("twist_tensor expects the twist on the section side")
     if isinstance(T, Poly):
-        return Phi.apply_poly(T)
+        return Phi.base.pullback(T)
     if isinstance(T, MultiVector):
         return Phi.apply_graded(T)
     if isinstance(T, Form):

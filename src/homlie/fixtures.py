@@ -11,7 +11,7 @@ from itertools import product
 from typing import Callable
 
 from .calculus import CartanContext, schouten
-from .exterior import EndoMap, MultiVector, SectionTwist, twist_tensor, wedge
+from .exterior import EndoMap, MultiVector, SectionTwist, twist_tensor
 from .homalg import HomAlgebroid, make_pullback_tangent, make_tm_r
 from .poisson import Bivector
 from .polyring import AffineTwist, Poly, monomials
@@ -39,7 +39,7 @@ def algebroid_s3() -> HomAlgebroid:
 
 
 def standard_pi(A: HomAlgebroid) -> Bivector:
-    return Bivector(wedge(A.frame(0), A.frame(1)))
+    return Bivector(A.frame(0).wedge(A.frame(1)))
 
 
 def search_invariant_non_poisson_bivector(
@@ -104,7 +104,7 @@ def _build_s1_noninvariant_pi():
     x = Poly.variable(2, 0)
     return {
         "algebroid": A,
-        "pi": Bivector(wedge(A.frame(0), A.frame(1)).scale(x)),
+        "pi": Bivector(A.frame(0).wedge(A.frame(1)).scale(x)),
         "expect_poisson": False,
     }
 

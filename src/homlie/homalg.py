@@ -248,9 +248,6 @@ class HomAlgebroid:
                 pairs[i].append((a, c))
         return PullbackVectorField(self.phi, [sum_products(self.n, p) for p in pairs])
 
-    def anchor_apply(self, X: MultiVector, f: Poly) -> Poly:
-        return self.anchor_field(X).apply(f)
-
     def anchor_after_twist(self, i: int) -> PullbackVectorField:
         """The field rho(phiA(e_i)), built once."""
         if self._anchor_phiA_frame is None:
@@ -402,15 +399,14 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
                 yield {"X": lx, "Y": ly, "f": f}, combine(terms)
 
     def anchor_twist():
-        # phi* phi^-1* f, the input of the untwisted anchor field
-        round_trip = [(A.phi.pullback(A.phi.inverse_pullback(f)), {}) for f in funcs]
+        # both sides are pullback vector fields: rho(phiA X) against
+        # phi* rho(X) phi^-1*, which is the conjugate ad_twist(phi, rho(X)).
+        # So one difference of flat fields per section, and no pullback per f
         for label, X in singles:
-            a_tw = A.anchor_field(twisted[label]).flat
-            a_raw = A.anchor_field(X).flat
-            for f, (pf, dpf), (rf, drf) in zip(funcs, pulled, round_trip):
-                lhs = derive(a_tw, pf, dpf)
-                rhs = A.phi.pullback(derive(a_raw, rf, drf))
-                yield {"X": label, "f": f}, lhs - rhs
+            conj = ad_twist(A.phi, A.anchor_field(X))
+            diff = (A.anchor_field(twisted[label]) - conj).flat
+            for f, (pf, dpf) in zip(funcs, pulled):
+                yield {"X": label, "f": f}, derive(diff, pf, dpf)
 
     def anchor_bracket():
         # both sides are pullback vector fields, and a field applied to

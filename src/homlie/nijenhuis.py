@@ -286,7 +286,6 @@ def is_hpn(
     pi: Bivector,
     N: EndoMap,
     probe_degree: int = 2,
-    check_equivalence: bool = True,
 ) -> CheckResult:
     """Full compatibility verdict: both structures, the sharp
     commutation, and the vanishing compatibility tensor.  When the
@@ -294,7 +293,7 @@ def is_hpn(
     their agreement recorded."""
     ok_pi = is_hom_poisson(ctx, pi)
     ok_N = is_hom_nijenhuis(ctx, N, probe_degree)
-    return _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence)
+    return _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence=True)
 
 
 def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence):

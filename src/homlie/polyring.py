@@ -49,7 +49,7 @@ class Poly:
 
     Exponent tuples appear only at the boundary: the constructors pack
     them, refusing an exponent of `kernels.LIMIT` or more, and `terms`,
-    `sorted_terms`, `degree`, `render` and `to_json` unpack them.
+    `sorted_terms`, `degree` and `render` unpack them.
     """
 
     __slots__ = ("n", "num", "den")
@@ -226,22 +226,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.n}, {self.render()!r})"
-
-    def to_json(self):
-        return [
-            {"exp": list(k), "coeff": str(v)}
-            for k, v in sorted(self.terms.items())
-        ]
-
-    @classmethod
-    def from_json(cls, n: int, data) -> "Poly":
-        if isinstance(data, (str, int)):
-            return cls.const(n, data)
-        terms = {}
-        for item in data:
-            k = tuple(item["exp"])
-            terms[k] = _as_fraction(item["coeff"]) + terms.get(k, Fraction(0))
-        return cls(n, terms)
 
 
 def _poly(n: int, num: dict, den: int) -> Poly:
@@ -448,18 +432,6 @@ class AffineTwist:
 
     def __repr__(self) -> str:
         return f"AffineTwist(matrix={self.matrix}, offset={self.offset})"
-
-
-def pullback(phi: AffineTwist, f: Poly) -> Poly:
-    return phi.pullback(f)
-
-
-def inverse_pullback(phi: AffineTwist, f: Poly) -> Poly:
-    return phi.inverse_pullback(f)
-
-
-def partial(f: Poly, i: int) -> Poly:
-    return f.partial(i)
 
 
 def poly_divides(g: Poly, f: Poly):

@@ -70,14 +70,6 @@ class CheckResult:
             out += f" ({extras})"
         return out
 
-    def to_json(self) -> dict:
-        out = {"name": self.name, "passed": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json()
-        if self.details:
-            out["details"] = {k: str(v) for k, v in sorted(self.details.items())}
-        return out
-
 
 def require(result: CheckResult, reason: str) -> CheckResult:
     """The result when it passed; otherwise a PreconditionError whose
@@ -102,9 +94,9 @@ def first_nonzero(identity: str, cases) -> CheckResult:
     return CheckResult(identity, True)
 
 
-def first_failure(name: str, results, details=None) -> CheckResult:
+def first_failure(name: str, results) -> CheckResult:
     """Merge sub-results with a fixed ordering; first failure wins."""
-    merged = CheckResult(name, True, details=dict(details or {}))
+    merged = CheckResult(name, True)
     for res in results:
         merged.details[res.name] = "pass" if res.passed else "FAIL"
         if not res.passed and merged.passed:

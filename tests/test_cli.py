@@ -139,6 +139,32 @@ class TestRunScenario:
         report = run_scenario(scn)
         assert report["verdict"] == "fail"
 
+    @pytest.mark.parametrize(
+        "name, refusals",
+        [
+            ("s0_axioms", {"a pi": 12, "an N": 3}),
+            ("s1_bad_pi", {"an N": 7}),
+        ],
+    )
+    def test_every_task_refuses_exactly_when_its_data_is_missing(self, name, refusals):
+        # each task run alone: it refuses, with a witness that names the
+        # missing key, exactly when its needs do not hold, so `needs`
+        # and the task's own reads state the same data
+        from homlie.cli import TASKS
+
+        scn = load_scenario(str(SCENARIOS / f"{name}.json"))
+        missing = {}
+        for task, fn in TASKS.items():
+            entry = run_scenario(scn, [task])["tasks"][0]
+            residual = entry.get("witness", {}).get("residual", "")
+            key = re.fullmatch(r"task needs (a pi|an N) key in the scenario", residual)
+            assert (key is not None) == (not fn.needs(scn)), task
+            if key is not None:
+                assert entry["verdict"] == "fail"
+                assert entry["witness"] == {"identity": task, "inputs": {}, "residual": residual}
+                missing[key.group(1)] = missing.get(key.group(1), 0) + 1
+        assert missing == refusals
+
 
 class TestRepeatedWork:
     """Values that do not change inside a task are computed once."""

@@ -19,7 +19,7 @@ from homlie.dirac import (
     maurer_cartan_defect,
     solve_membership,
 )
-from homlie.exterior import EndoMap, MultiVector, wedge
+from homlie.exterior import EndoMap, MultiVector
 from homlie.homalg import check_axioms, make_pullback_tangent
 from homlie.poisson import Bivector, dual_algebroid, lift_bivector
 from homlie.polyring import AffineTwist, Poly
@@ -50,7 +50,7 @@ def S3_pair():
 
 
 def std_pi(alg):
-    return Bivector(wedge(alg.frame(0), alg.frame(1)))
+    return Bivector(alg.frame(0).wedge(alg.frame(1)))
 
 
 def nonpoisson_pi_s3():

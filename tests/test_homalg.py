@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -501,14 +502,13 @@ class TestWorkCounts:
         assert len(calls) == len(X.coeffs) + len(Y.coeffs)
 
     @staticmethod
-    def identity_counts(monkeypatch, A, degree, owner, method):
-        """check_axioms(A, degree), passing; the calls of owner.method by
+    def identity_counts(monkeypatch, A, degree, owner, method, check=check_axioms):
+        """check(A, degree), passing; the calls of owner.method by
         identity, those made before the first identity under None."""
-        from homlie import homalg
-
+        module = sys.modules[check.__module__]
         current = [None]
         counts = {}
-        original, until_first_failure = getattr(owner, method), homalg.until_first_failure
+        original, until_first_failure = getattr(owner, method), module.until_first_failure
 
         def counted(*args):
             counts[current[0]] = counts.get(current[0], 0) + 1
@@ -522,8 +522,8 @@ class TestWorkCounts:
             return until_first_failure(name, [(i, tagged(i, c)) for i, c in identities])
 
         monkeypatch.setattr(owner, method, counted)
-        monkeypatch.setattr(homalg, "until_first_failure", staged)
-        assert check_axioms(A, degree).passed
+        monkeypatch.setattr(module, "until_first_failure", staged)
+        assert check(A, degree).passed
         return counts
 
     def test_axioms_pull_each_probe_function_back_once(self, monkeypatch):
@@ -545,13 +545,16 @@ class TestWorkCounts:
             # ones (2, and the 288 coefficients of the 228 inner ones)
             "hom-jacobi": 76 * 3 * (2 + 2) + 288,
             "leibniz-rule": 908 * 2,
-            # phi* phi^-1* f per f, and phi* of rho(X) phi^-1* f per (X, f)
-            "anchor-twist-compatibility": 10 + 20 * 10,
+            # per section, the conjugate ad_twist(phi, rho(X)) applies
+            # rho(X) to phi^-1* x_k and pulls the result back, for each
+            # of the 2 coordinates x_k: 2 pullbacks each; see
+            # test_anchor_twist_pulls_no_probe_function_back
+            "anchor-twist-compatibility": 20 * 2 * 2,
             # per pair, [X, Y] and the 2 coefficients of the twisted
             # commutator; see test_anchor_bracket_pulls_no_probe_function_back
             "anchor-bracket-compatibility": 176 * (2 + 2),
         }
-        assert sum(counts.values()) == 5534
+        assert sum(counts.values()) == 5404
 
     def test_axioms_twist_each_probe_section_once(self, monkeypatch):
         # phiA of each of the 20 probe sections (2 frame, 18 scaled) once,
@@ -582,6 +585,28 @@ class TestWorkCounts:
         # twisted commutator of rho(X) and rho(Y), whatever the functions
         counts = self.identity_counts(monkeypatch, algebroid_s1(), degree, AffineTwist, "pullback")
         assert counts["anchor-bracket-compatibility"] == pairs * (2 + 2)
+
+    @pytest.mark.parametrize("degree, sections", [(1, 2 + 4), (2, 2 + 10)])
+    def test_anchor_twist_pulls_no_probe_function_back(self, monkeypatch, degree, sections):
+        # S1 has 3 probe functions at degree 1 and 6 at degree 2, but the
+        # identity compares one difference of flat fields per section:
+        # its pullbacks are the 2 * 2 of the conjugate ad_twist(phi,
+        # rho(X)), whatever the functions
+        counts = self.identity_counts(monkeypatch, algebroid_s1(), degree, AffineTwist, "pullback")
+        assert counts["anchor-twist-compatibility"] == sections * 2 * 2
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_anchor_twist_conjugation_pulls_no_probe_function_back(self, monkeypatch, degree):
+        from homlie.courant import BialgebroidPair, check_courant_axioms, double
+
+        # Courant axiom ii on the trivial double of S1, the same way:
+        # 2 * 2 pullbacks for each of the 12 pair probes (which do not
+        # grow past degree 1), whatever the 3 or 6 functions
+        E = double(BialgebroidPair.trivial(algebroid_s1()))
+        counts = self.identity_counts(
+            monkeypatch, E, degree, AffineTwist, "pullback", check_courant_axioms
+        )
+        assert counts["anchor-twist-conjugation"] == 12 * 2 * 2
 
     def test_leibniz_brackets_once_per_pair_and_function(self, monkeypatch):
         A = algebroid_s1()

@@ -1,7 +1,8 @@
 """Import hygiene: no module of the package imports a name it never
 uses (the package's `__init__.py` re-exports by design), none reads
-the environment, so a run depends only on its inputs, and no private
-function, class or method is left without a reference."""
+the environment, so a run depends only on its inputs, no private
+function, class or method is left without a reference, and no public
+function only forwards to another one under a second name."""
 
 import ast
 from collections import Counter
@@ -147,3 +148,57 @@ def test_detects_unreferenced_private_code():
 def test_every_private_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def _forwards(fn: ast.FunctionDef) -> bool:
+    """True when fn's body, after any docstring, is one `return` of a
+    call that passes fn's parameters through in order, as
+    `p0.m(p1, ...)` or `g(p0, p1, ...)`."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call) or call.keywords:
+        return False
+    params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        if [func.value.id, *passed] == params:
+            return True
+    return passed == params
+
+
+def forwarding_functions(source: str) -> list[str]:
+    """Public top-level functions that only forward to another callable."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and _forwards(node)
+    ]
+
+
+def test_detects_a_forwarding_function():
+    source = (
+        "def pullback(phi, f):\n    return phi.pullback(f)\n"
+        "def partial(f, i):\n    '''doc'''\n    return f.partial(i)\n"
+        "def lie(ctx, X, D):\n    return schouten(ctx, X, D)\n"
+        "def _private(a, b):\n    return a.m(b)\n"
+        "def swapped(a, b):\n    return g(b, a)\n"
+        "def extra(a, b):\n    return g(a, b, 1)\n"
+        "def keyword(a, b):\n    return a.m(b, strict=True)\n"
+        "def computed(a, b):\n    return a.m(b.dual())\n"
+        "def two_steps(a, b):\n    c = a.m(b)\n    return c\n"
+    )
+    assert forwarding_functions(source) == [
+        "pullback (line 1)",
+        "partial (line 3)",
+        "lie (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_function_only_forwards(path):
+    assert forwarding_functions(path.read_text()) == []

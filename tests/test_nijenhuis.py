@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from homlie.calculus import CartanContext, differential
-from homlie.exterior import EndoMap, MultiVector, wedge
+from homlie.exterior import EndoMap, MultiVector
 from homlie.homalg import check_axioms, make_pullback_tangent
 from homlie.nijenhuis import (
     bialgebroid_defect,
@@ -38,7 +38,7 @@ def S1():
 
 
 def std_pi(ctx):
-    return Bivector(wedge(ctx.algebroid.frame(0), ctx.algebroid.frame(1)))
+    return Bivector(ctx.algebroid.frame(0).wedge(ctx.algebroid.frame(1)))
 
 
 def diag(ctx, a, b):

@@ -4,7 +4,7 @@ import pytest
 
 from homlie import classical, probes
 from homlie.calculus import CartanContext, schouten
-from homlie.exterior import MultiVector, pair, reinterpret, wedge
+from homlie.exterior import MultiVector, pair, reinterpret
 from homlie.fixtures import get_fixture
 from homlie.homalg import check_axioms, make_pullback_tangent
 from homlie.poisson import (
@@ -41,11 +41,11 @@ y = Poly.variable(2, 1)
 
 
 def std_pi(ctx):
-    return Bivector(wedge(ctx.algebroid.frame(0), ctx.algebroid.frame(1)))
+    return Bivector(ctx.algebroid.frame(0).wedge(ctx.algebroid.frame(1)))
 
 
 def bad_pi(ctx):
-    return Bivector(wedge(ctx.algebroid.frame(0), ctx.algebroid.frame(1)).scale(x))
+    return Bivector(ctx.algebroid.frame(0).wedge(ctx.algebroid.frame(1)).scale(x))
 
 
 def nonpoisson_pi_s3():
