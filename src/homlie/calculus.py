@@ -147,12 +147,15 @@ def _slots(ctx: CartanContext, args):
     return [ctx.phiA_inv.apply(X) for X in args], [A.anchor_field(X) for X in args]
 
 
-def _koszul_at(ctx: CartanContext, omega: Form, dag_omega: Form, args, inv_args, fields, brackets) -> Poly:
+def _koszul_at(
+    ctx: CartanContext, omega: Form, dag_omega: Form, args, inv_args, fields, brackets, values
+) -> Poly:
     """Right side of the twisted evaluation formula at the given
     degree-1 section arguments, with their phiA^-1 images and anchor
     fields (see `_slots`).  `brackets` maps a slot pair (a, b), a < b,
-    to [inv_args[a], inv_args[b]] where the caller already has it; the
-    other brackets are computed here."""
+    to [inv_args[a], inv_args[b]], and `values` maps a slot a to omega
+    evaluated on the other inv_args, where the caller already has them;
+    the others are computed here."""
     A = ctx.algebroid
     k1 = len(args)
     val = Poly.zero(ctx.n)
@@ -160,8 +163,9 @@ def _koszul_at(ctx: CartanContext, omega: Form, dag_omega: Form, args, inv_args,
         field = fields[a]
         if field.is_zero():
             continue
-        rest = [inv_args[b] for b in range(k1) if b != a]
-        w = eval_form(omega, rest)
+        w = values.get(a)
+        if w is None:
+            w = eval_form(omega, [inv_args[b] for b in range(k1) if b != a])
         if not w.is_zero():
             term = field.apply(w)
             val = val + (term if a % 2 == 0 else -term)
@@ -189,7 +193,7 @@ def _koszul_differential(ctx: CartanContext, omega: Form) -> Form:
         dag_omega = ctx.dagger.apply_graded(omega)
         for I in combinations(range(ctx.rank), k + 1):
             args = [A.frame(i) for i in I]
-            val = _koszul_at(ctx, omega, dag_omega, args, *_slots(ctx, args), {})
+            val = _koszul_at(ctx, omega, dag_omega, args, *_slots(ctx, args), {}, {})
             if not val.is_zero():
                 out[I] = val
     return Form._raw(ctx.rank, ctx.n, k + 1, out)
@@ -251,7 +255,7 @@ def differential_at(ctx: CartanContext, omega, args) -> Poly:
     reference that the tensoriality check evaluates at scaled frames."""
     omega = ctx.as_form(omega)
     args = list(args)
-    return _koszul_at(ctx, omega, ctx.dagger.apply_graded(omega), args, *_slots(ctx, args), {})
+    return _koszul_at(ctx, omega, ctx.dagger.apply_graded(omega), args, *_slots(ctx, args), {}, {})
 
 
 def interior(ctx: CartanContext, D, omega: Form) -> Form:
@@ -409,7 +413,9 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
         # the Koszul formula at frame arguments with one slot scaled by
         # f; the dual twist of omega, and the phiA^-1 images, anchor
         # fields and brackets of the unscaled frame arguments, do not
-        # depend on f, so each is computed once per (omega, I)
+        # depend on f, so each is computed once per (omega, I).  Nor
+        # does omega on the unscaled slots, which the scaled slot's
+        # anchor field applies to: once per (omega, I, slot)
         funcs = probes.nonconstant_monomials(ctx.n, min(probe_degree, 2))
         for label, om in small_forms:
             if om.degree >= ctx.rank:
@@ -425,6 +431,7 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
                 }
                 for pos in range(len(I)):
                     known = {ab: br for ab, br in frame_brackets.items() if pos not in ab}
+                    unscaled = {pos: eval_form(om, [v for b, v in enumerate(inv_frame) if b != pos])}
                     for f in funcs:
                         args = list(frame)
                         args[pos] = frame[pos].scale(f)
@@ -432,7 +439,7 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
                         inv_args[pos] = ctx.phiA_inv.apply(args[pos])
                         fields = list(frame_fields)
                         fields[pos] = A.anchor_field(args[pos])
-                        direct = _koszul_at(ctx, om, dag_om, args, inv_args, fields, known)
+                        direct = _koszul_at(ctx, om, dag_om, args, inv_args, fields, known, unscaled)
                         tens = pair(d_om, wedge_all(ctx.rank, ctx.n, args, MultiVector))
                         inputs = {
                             "omega": label,
@@ -453,11 +460,14 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
             yield {"omega": label}, lhs - rhs
 
     def leibniz():
-        for lw, om in small_forms:
-            for le, eta in small_forms:
+        # d and the dual twist of each probe form, once per form: no
+        # cache scope keeps them across the pairs
+        images = [(differential(ctx, om), ctx.dagger.apply_graded(om)) for _, om in small_forms]
+        for (lw, om), (d_om, dag_om) in zip(small_forms, images):
+            for (le, eta), (d_eta, dag_eta) in zip(small_forms, images):
                 lhs = differential(ctx, om.wedge(eta))
-                rhs = differential(ctx, om).wedge(ctx.dagger.apply_graded(eta))
-                tail = ctx.dagger.apply_graded(om).wedge(differential(ctx, eta))
+                rhs = d_om.wedge(dag_eta)
+                tail = dag_om.wedge(d_eta)
                 rhs = rhs + tail if om.degree % 2 == 0 else rhs - tail
                 yield {"omega": lw, "eta": le}, lhs - rhs
 

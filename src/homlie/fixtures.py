@@ -5,10 +5,8 @@ every checker's failure path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
 
 from .calculus import CartanContext, schouten
 from .exterior import EndoMap, MultiVector, SectionTwist, twist_tensor
@@ -67,13 +65,13 @@ def search_invariant_non_poisson_bivector(
     raise LookupError("no invariant bivector with nonzero square in the search space")
 
 
-@dataclass
 class Fixture:
-    name: str
-    description: str
-    tags: list
-    # builds the fixture's data: the algebroid and any objects checked on it
-    build: Callable[[], dict]
+    def __init__(self, name: str, description: str, tags: list, build):
+        self.name = name
+        self.description = description
+        self.tags = tags
+        # builds the fixture's data: the algebroid and any objects checked on it
+        self.build = build
 
 
 def _build_s0():

@@ -121,15 +121,12 @@ def pullback_section(phi: AffineTwist, coeffs) -> PullbackVectorField:
 
 
 def ad_twist(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
-    """Conjugation pullback . X . inverse-pullback, with coefficients
-    recovered by applying the operator to the coordinate functions."""
+    """Conjugation pullback . X . inverse-pullback.  Its k-th
+    coefficient is the operator applied to x_k, and X(g) = X~(phi*g)
+    with phi*phi^-1* x_k = x_k, so it is phi*(X~(x_k)) = phi*(X~_k):
+    one pullback per coordinate."""
     _same_base(phi, X)
-    n = phi.n
-    coeffs = []
-    for k in range(n):
-        xk = Poly.variable(n, k)
-        coeffs.append(phi.pullback(X.apply(phi.inverse_pullback(xk))))
-    return PullbackVectorField(phi, coeffs)
+    return PullbackVectorField(phi, [phi.pullback(c) for c in X.flat])
 
 
 def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:

@@ -7,8 +7,6 @@ can be reproduced in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 class PreconditionError(ValueError):
     """A structural precondition failed (e.g. a non-invariant bivector
@@ -28,11 +26,34 @@ class StructureError(ValueError):
     """Malformed instance data (wrong shapes, non-antisymmetric tables)."""
 
 
-@dataclass
-class Witness:
-    identity: str
-    inputs: dict = field(default_factory=dict)
-    residual: str = ""
+class _Record:
+    """Value equality between instances of the same class, and a
+    `Name(field=value, ...)` repr, over the fields named in `_fields`.
+    Records are mutable, so they are unhashable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class Witness(_Record):
+    _fields = ("identity", "inputs", "residual")
+
+    def __init__(self, identity: str, inputs: dict | None = None, residual: str = ""):
+        self.identity = identity
+        self.inputs = {} if inputs is None else inputs
+        self.residual = residual
 
     def render(self) -> str:
         bits = [f"identity={self.identity}"]
@@ -50,12 +71,14 @@ class Witness:
         }
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    witness: Witness | None = None
-    details: dict = field(default_factory=dict)
+class CheckResult(_Record):
+    _fields = ("name", "passed", "witness", "details")
+
+    def __init__(self, name: str, passed: bool, witness: Witness | None = None, details: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.details = {} if details is None else details
 
     def __bool__(self) -> bool:
         return self.passed

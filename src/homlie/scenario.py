@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exterior import EndoMap, MultiVector, SectionTwist, dual_section_twist
@@ -170,19 +169,32 @@ def _parse_structure(n, rank, spec, path) -> dict:
     return structure
 
 
-@dataclass
 class Scenario:
-    n: int
-    vars: list
-    algebroid: HomAlgebroid
-    tasks: list
-    probe_degree: int = 3
-    hierarchy_depth: int = 3
-    pi: Bivector | None = None
-    endo: EndoMap | None = None
-    dual_spec: object = "trivial"
-    dirac_spec: dict | None = None
-    cache: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        n: int,
+        vars: list,
+        algebroid: HomAlgebroid,
+        tasks: list,
+        probe_degree: int = 3,
+        hierarchy_depth: int = 3,
+        pi: Bivector | None = None,
+        endo: EndoMap | None = None,
+        dual_spec: object = "trivial",
+        dirac_spec: dict | None = None,
+        cache: dict | None = None,
+    ):
+        self.n = n
+        self.vars = vars
+        self.algebroid = algebroid
+        self.tasks = tasks
+        self.probe_degree = probe_degree
+        self.hierarchy_depth = hierarchy_depth
+        self.pi = pi
+        self.endo = endo
+        self.dual_spec = dual_spec
+        self.dirac_spec = dirac_spec
+        self.cache = {} if cache is None else cache
 
 
 def parse_scenario(data: dict) -> Scenario:

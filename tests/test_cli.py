@@ -41,6 +41,12 @@ class TestScenarioParsing:
         assert scn.n == 2 and scn.algebroid.rank == 2
         assert scn.tasks == ["check_axioms"]
 
+    def test_each_scenario_gets_its_own_cache(self):
+        a, b = parse_scenario(s1_scenario_dict()), parse_scenario(s1_scenario_dict())
+        a.cache["key"] = "value"
+        assert a.cache is not b.cache and b.cache == {}
+        assert parse_scenario(s1_scenario_dict()).cache == {}
+
     def test_probe_degree_must_fit_a_monomial_key(self):
         # the probe monomials include x_1^d; parsing builds no probe, so
         # the largest degree a key holds is accepted here

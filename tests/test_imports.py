@@ -1,10 +1,14 @@
 """Import hygiene: no module of the package imports a name it never
 uses (the package's `__init__.py` re-exports by design), none reads
 the environment, so a run depends only on its inputs, no private
-function, class or method is left without a reference, and no public
-function only forwards to another one under a second name."""
+function, class or method is left without a reference, no public
+function only forwards to another one under a second name, and
+importing the CLI loads no module that only generates or inspects
+code."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -202,3 +206,31 @@ def test_detects_a_forwarding_function():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_public_function_only_forwards(path):
     assert forwarding_functions(path.read_text()) == []
+
+
+# modules that `dataclasses` and `typing` pull in; no run of the CLI
+# needs them, and every run, a fresh process, would pay to load them
+START_UP_EXCLUDED = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+
+
+def excluded_imports(statement: str) -> list[str]:
+    """The modules of START_UP_EXCLUDED that `statement` adds to
+    sys.modules in a fresh interpreter run with -S (no `site` imports),
+    with the package's source directory on sys.path."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    return sorted(START_UP_EXCLUDED & set(out.stdout.split()))
+
+
+def test_detects_an_excluded_import():
+    assert {"dataclasses", "inspect"} <= set(excluded_imports("import dataclasses"))
+
+
+def test_cli_start_up_loads_no_excluded_module():
+    assert excluded_imports("import homlie, homlie.cli") == []

@@ -1,7 +1,8 @@
 """The one residual loop: `first_nonzero` turns lazily evaluated
 (inputs, residual) cases into a check result with a witness, and
 `until_first_failure` runs identities in order up to the first failure.
-`require` is the one way a failed precondition refuses."""
+`require` is the one way a failed precondition refuses.  The two
+records compare by value and repr as `Name(field=value, ...)`."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from homlie.polyring import Poly
 from homlie.report import (
     CheckResult,
     PreconditionError,
+    Witness,
     first_failure,
     first_nonzero,
     require,
@@ -100,3 +102,53 @@ def test_require_refuses_a_failing_result_with_its_witness():
     assert err.value.witness is res.witness
     assert str(err.value) == "f is not valid: identity=id; f=y; residual=x*y"
     assert str(err.value) == "f is not valid: " + res.witness.render()
+
+
+
+def test_each_record_gets_its_own_default_dict():
+    a, b = CheckResult("a", True), CheckResult("b", True)
+    a.details["x"] = "pass"
+    assert a.details is not b.details and b.details == {}
+    u, v = Witness("u"), Witness("v")
+    u.inputs["f"] = "x"
+    assert u.inputs is not v.inputs and v.inputs == {}
+    assert first_failure("m", [a]).details == {"a": "pass"}
+    assert CheckResult("c", True).details == {}
+
+
+def test_records_compare_by_value_within_their_class():
+    w = Witness("id", {"f": "x"}, "y")
+    assert w == Witness("id", {"f": "x"}, "y")
+    assert w != Witness("id", {"f": "x"}, "x")
+    assert CheckResult("id", False, w) == CheckResult("id", False, Witness("id", {"f": "x"}, "y"))
+    assert CheckResult("id", False, w) != CheckResult("id", False, Witness("id", {}, "y"))
+    # a default dict filled in one record is not another record's default
+    filled = CheckResult("id", True)
+    filled.details["a"] = "pass"
+    assert filled != CheckResult("id", True)
+    named = Witness("id")
+    named.inputs["f"] = "x"
+    assert named != Witness("id")
+
+    class Renamed(CheckResult):
+        pass
+
+    assert CheckResult("id", True) != Renamed("id", True)
+    assert Witness("id") != CheckResult("id", True)
+    with pytest.raises(TypeError):
+        hash(CheckResult("id", True))
+
+
+def test_records_repr_field_by_field():
+    failed = first_nonzero("id", [({"f": x}, y)])
+    assert repr(failed) == (
+        "CheckResult(name='id', passed=False, witness=Witness(identity='id', "
+        "inputs={'f': 'x'}, residual='y'), details={})"
+    )
+    assert repr(first_failure("all", [failed])) == (
+        "CheckResult(name='all', passed=False, witness=Witness(identity='id', "
+        "inputs={'f': 'x'}, residual='y'), details={'id': 'FAIL'})"
+    )
+    Witness("id").inputs["f"] = "x"
+    assert repr(Witness("id")) == "Witness(identity='id', inputs={}, residual='')"
+    assert repr(CheckResult("id", True)) == "CheckResult(name='id', passed=True, witness=None, details={})"
