@@ -23,6 +23,7 @@ from .courant import (
     jacobiator,
 )
 from .dirac import Subbundle, dirac_checks, graph, graph_theorem_check, maurer_cartan_defect
+from .exterior import EndoMap
 from .fixtures import fixture_tags, list_fixtures
 from .homalg import check_axioms
 from .kernels import ExponentOverflow
@@ -47,24 +48,8 @@ from .report import CheckResult, PreconditionError, TheoremViolation, Witness, f
 from .scenario import Scenario, ScenarioError, check_probe_degree, load_scenario
 
 
-class TaskError(ValueError):
-    pass
-
-
 def _ctx(scn: Scenario) -> CartanContext:
     return CartanContext(scn.algebroid)
-
-
-def _need_pi(scn: Scenario):
-    if scn.pi is None:
-        raise TaskError("task needs a pi key in the scenario")
-    return scn.pi
-
-
-def _need_endo(scn: Scenario):
-    if scn.endo is None:
-        raise TaskError("task needs an N key in the scenario")
-    return scn.endo
 
 
 def _pair(scn: Scenario) -> BialgebroidPair:
@@ -74,9 +59,7 @@ def _pair(scn: Scenario) -> BialgebroidPair:
         if spec == "trivial":
             pair = BialgebroidPair.trivial(scn.algebroid)
         elif spec == "from_pi":
-            pair = BialgebroidPair(
-                scn.algebroid, dual_algebroid(_ctx(scn), _need_pi(scn))
-            )
+            pair = BialgebroidPair(scn.algebroid, dual_algebroid(_ctx(scn), scn.pi))
         else:
             pair = BialgebroidPair(scn.algebroid, spec)
         scn.cache[key] = pair
@@ -89,36 +72,19 @@ def _double(scn: Scenario):
     return scn.cache["double"]
 
 
-def _has_pi(scn: Scenario) -> bool:
-    return scn.pi is not None
-
-
-def _has_endo(scn: Scenario) -> bool:
-    return scn.endo is not None
-
-
-def _has_pi_and_endo(scn: Scenario) -> bool:
-    return _has_pi(scn) and _has_endo(scn)
-
-
-def _has_dirac_or_pi(scn: Scenario) -> bool:
-    return scn.dirac_spec is not None or _has_pi(scn)
-
-
-def _has_graph_or_pi(scn: Scenario) -> bool:
-    spec = scn.dirac_spec
-    return (spec is not None and spec["type"] == "graph") or _has_pi(scn)
-
-
 # task name -> function of the scenario, in the order "full" runs them
 TASKS = {}
 
+# the key a refusal asks for when a needed attribute is unset; either
+# Dirac attribute the dirac key leaves unset falls back to pi's sharp map
+_KEYS = {"pi": "a pi", "endo": "an N", "dirac": "a pi", "dirac_graph": "a pi"}
 
-def _task(name: str, needs=lambda scn: True):
-    """Register the decorated function as the task `name`.  `needs` (kept
-    as the function's `needs` attribute) tells whether a scenario holds
-    the data the task reads; "full" expands to the tasks whose needs
-    hold."""
+
+def _task(name: str, *needs: str):
+    """Register the decorated function as the task `name`, which reads
+    the Scenario attributes `needs` (kept as the function's `needs`
+    attribute).  "full" expands to the tasks whose needs are all set,
+    and run_scenario refuses any other task before calling it."""
 
     def register(fn):
         fn.needs = needs
@@ -138,74 +104,69 @@ def _task_differential_props(scn):
     return check_differential_props(_ctx(scn), scn.probe_degree)
 
 
-@_task("is_hom_poisson", _has_pi)
+@_task("is_hom_poisson", "pi")
 def _task_is_hom_poisson(scn):
-    return is_hom_poisson(_ctx(scn), _need_pi(scn))
+    return is_hom_poisson(_ctx(scn), scn.pi)
 
 
-@_task("sharp_commutes", _has_pi)
+@_task("sharp_commutes", "pi")
 def _task_sharp_commutes(scn):
-    return sharp_commutes(_ctx(scn), _need_pi(scn), scn.probe_degree)
+    return sharp_commutes(_ctx(scn), scn.pi, scn.probe_degree)
 
 
-@_task("pi_pi_identity", _has_pi)
+@_task("pi_pi_identity", "pi")
 def _task_pi_pi_identity(scn):
-    ctx = _ctx(scn)
-    pi = _need_pi(scn)
     co = [scn.algebroid.coframe(i) for i in range(scn.algebroid.rank)]
-    found = first_nonzero("pi-pi-contraction", pi_pi_cases(ctx, pi, product(co, co)))
+    found = first_nonzero("pi-pi-contraction", pi_pi_cases(_ctx(scn), scn.pi, product(co, co)))
     return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 
-@_task("check_dual_algebroid", _has_pi)
+@_task("check_dual_algebroid", "pi")
 def _task_check_dual_algebroid(scn):
-    dual = dual_algebroid(_ctx(scn), _need_pi(scn))
+    dual = dual_algebroid(_ctx(scn), scn.pi)
     sub = check_axioms(dual, scn.probe_degree)
     return CheckResult("check_dual_algebroid", sub.passed, sub.witness, sub.details)
 
 
-@_task("check_bialgebroid_pair", _has_pi)
+@_task("check_bialgebroid_pair", "pi")
 def _task_check_bialgebroid_pair(scn):
-    return check_bialgebroid_pair(_ctx(scn), _need_pi(scn), min(scn.probe_degree, 2))
+    return check_bialgebroid_pair(_ctx(scn), scn.pi, min(scn.probe_degree, 2))
 
 
-@_task("is_hom_nijenhuis", _has_endo)
+@_task("is_hom_nijenhuis", "endo")
 def _task_is_hom_nijenhuis(scn):
-    return is_hom_nijenhuis(_ctx(scn), _need_endo(scn), scn.probe_degree)
+    return is_hom_nijenhuis(_ctx(scn), scn.endo, scn.probe_degree)
 
 
-@_task("lemma_checks", _has_endo)
+@_task("lemma_checks", "endo")
 def _task_lemma_checks(scn):
-    N = _need_endo(scn)
-    return lemma_checks(_ctx(scn), N, N, min(scn.probe_degree, 2))
+    return lemma_checks(_ctx(scn), scn.endo, scn.endo, min(scn.probe_degree, 2))
 
 
-@_task("d_n_props", _has_endo)
+@_task("d_n_props", "endo")
 def _task_d_n_props(scn):
-    return d_n_props(_ctx(scn), _need_endo(scn), scn.probe_degree)
+    return d_n_props(_ctx(scn), scn.endo, scn.probe_degree)
 
 
-@_task("is_hpn", _has_pi_and_endo)
+@_task("is_hpn", "pi", "endo")
 def _task_is_hpn(scn):
-    return is_hpn(_ctx(scn), _need_pi(scn), _need_endo(scn), min(scn.probe_degree, 2))
+    return is_hpn(_ctx(scn), scn.pi, scn.endo, min(scn.probe_degree, 2))
 
 
-@_task("hierarchy", _has_pi_and_endo)
+@_task("hierarchy", "pi", "endo")
 def _task_hierarchy(scn):
-    _, res = hierarchy(
-        _ctx(scn), _need_pi(scn), _need_endo(scn), scn.hierarchy_depth, probe_degree=1
-    )
+    _, res = hierarchy(_ctx(scn), scn.pi, scn.endo, scn.hierarchy_depth, probe_degree=1)
     return res
 
 
-@_task("hpn_bialgebroid_equiv", _has_pi_and_endo)
+@_task("hpn_bialgebroid_equiv", "pi", "endo")
 def _task_hpn_bialgebroid_equiv(scn):
-    return hpn_bialgebroid_equiv(_ctx(scn), _need_pi(scn), _need_endo(scn), 1)
+    return hpn_bialgebroid_equiv(_ctx(scn), scn.pi, scn.endo, 1)
 
 
-@_task("bialgebroid_defect_checks", _has_pi_and_endo)
+@_task("bialgebroid_defect_checks", "pi", "endo")
 def _task_bialgebroid_defect_checks(scn):
-    return bialgebroid_defect_checks(_ctx(scn), _need_pi(scn), _need_endo(scn), 1)
+    return bialgebroid_defect_checks(_ctx(scn), scn.pi, scn.endo, 1)
 
 
 @_task("check_bialgebroid")
@@ -237,37 +198,28 @@ def _task_jacobiator(scn):
     return CheckResult("jacobiator", True)
 
 
-def _dirac_subbundle(scn) -> Subbundle:
-    E = _double(scn)
-    spec = scn.dirac_spec
-    if spec is None:
-        pi = _need_pi(scn)
-        return graph(E, pi.sharp)
-    if spec["type"] == "graph":
-        return graph(E, spec["H"])
-    return Subbundle(E, spec["generators"])
-
-
-@_task("dirac_checks", _has_dirac_or_pi)
+@_task("dirac_checks", "dirac")
 def _task_dirac_checks(scn):
-    return dirac_checks(_dirac_subbundle(scn))
+    E, L = _double(scn), scn.dirac
+    return dirac_checks(graph(E, L) if isinstance(L, EndoMap) else Subbundle(E, L))
 
 
-@_task("graph_theorem_check", _has_graph_or_pi)
+@_task("graph_theorem_check", "dirac_graph")
 def _task_graph_theorem_check(scn):
-    spec = scn.dirac_spec
-    if spec is not None and spec["type"] == "graph":
-        H = spec["H"]
-    else:
-        H = [list(r) for r in _need_pi(scn).sharp.matrix]
-    return graph_theorem_check(_pair(scn), H)
+    return graph_theorem_check(_pair(scn), scn.dirac_graph)
 
 
-@_task("maurer_cartan", _has_pi)
+@_task("maurer_cartan", "pi")
 def _task_maurer_cartan(scn):
-    defect = maurer_cartan_defect(_pair(scn), _need_pi(scn))
+    defect = maurer_cartan_defect(_pair(scn), scn.pi)
     found = first_nonzero("maurer-cartan-equation", [({"pi": scn.pi}, defect)])
     return CheckResult("maurer_cartan", found.passed, found.witness)
+
+
+def _missing(scn: Scenario, fn):
+    """The first attribute the task fn needs that scn leaves unset, or
+    None."""
+    return next((a for a in fn.needs if getattr(scn, a) is None), None)
 
 
 def _expand_tasks(scn: Scenario, tasks=None):
@@ -276,7 +228,7 @@ def _expand_tasks(scn: Scenario, tasks=None):
     out = []
     for t in scn.tasks if tasks is None else tasks:
         if t == "full":
-            out.extend(name for name, fn in TASKS.items() if fn.needs(scn))
+            out.extend(name for name, fn in TASKS.items() if _missing(scn, fn) is None)
         else:
             out.append(t)
     return list(dict.fromkeys(out))
@@ -294,6 +246,9 @@ def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:
             entry["error"] = f"unknown task {name!r}"
         else:
             try:
+                missing = _missing(scn, fn)
+                if missing is not None:
+                    raise PreconditionError(f"task needs {_KEYS[missing]} key in the scenario")
                 # one cache scope per task: its table is dropped with it
                 with operator_cache():
                     result = fn(scn)
@@ -304,12 +259,11 @@ def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:
                     entry["details"] = {
                         k: str(v) for k, v in sorted(result.details.items())
                     }
-            except (PreconditionError, TaskError) as exc:
+            except PreconditionError as exc:
                 entry["verdict"] = "fail"
-                wit = getattr(exc, "witness", None)
                 entry["witness"] = (
-                    wit.to_json()
-                    if wit is not None
+                    exc.witness.to_json()
+                    if exc.witness is not None
                     else {"identity": name, "inputs": {}, "residual": str(exc)}
                 )
             except (TheoremViolation, ExponentOverflow) as exc:
@@ -347,18 +301,24 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _check_names(names, path: str):
+    """Refuse the first of `names` that is neither a task nor "full";
+    `path` formats the JSON path of the k-th name."""
+    for k, t in enumerate(names):
+        if t not in TASKS and t != "full":
+            raise ScenarioError(path.format(k), f"unknown task {t!r}")
+
+
 def cmd_check(args) -> int:
     try:
         scn = load_scenario(args.scenario)
+        _check_names(scn.tasks, "$.tasks[{}]")
         if args.probe_degree is not None:
             scn.probe_degree = check_probe_degree(args.probe_degree, "--probe-degree")
+        _check_names(args.task or [], "$.tasks")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    for t in args.task or []:
-        if t not in TASKS and t != "full":
-            print(f"scenario error: $.tasks: unknown task {t!r}", file=sys.stderr)
-            return 2
     tasks = _expand_tasks(scn, args.task) if args.task else None
     # parsing keeps the interpreter's int-to-str digit limit, but a
     # witness may print coefficients longer than it

@@ -346,11 +346,12 @@ class CourantDouble:
         return ESection(coeffs, n)
 
 
-def double(P: BialgebroidPair, verify: bool = True, probe_degree: int = 2) -> CourantDouble:
+def double(P: BialgebroidPair, verify: bool = True) -> CourantDouble:
     """Double a compatible pair; refuses pairs that fail the
-    compatibility identity when verification is on."""
+    compatibility identity (checked at probe degree 2) when
+    verification is on."""
     if verify:
-        require(check_bialgebroid(P, probe_degree), "pair is not a bialgebroid")
+        require(check_bialgebroid(P, 2), "pair is not a bialgebroid")
     return CourantDouble(P)
 
 

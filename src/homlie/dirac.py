@@ -204,16 +204,13 @@ def dirac_to_algebroid(L: Subbundle) -> HomAlgebroid:
     return HomAlgebroid(host.phi, phiA, anchor, structure)
 
 
-def graph(E: CourantDouble, H: EndoMap | list) -> Subbundle:
+def graph(E: CourantDouble, H: EndoMap) -> Subbundle:
     """Span of the sections (H applied to a dual frame element) plus that
-    element; automatically full rank.  H is an EndoMap or an r x r list
-    of Poly rows."""
-    if isinstance(H, EndoMap):
-        H = H.matrix
+    element; automatically full rank."""
     r = E.r
     gens = []
     for i in range(r):
-        coeffs = [H[k][i] for k in range(r)]
+        coeffs = [H.matrix[k][i] for k in range(r)]
         coeffs += [Poly.const(E.n, 1 if k == i else 0) for k in range(r)]
         gens.append(ESection(coeffs, E.n))
     return Subbundle(E, gens)
@@ -231,21 +228,16 @@ def maurer_cartan_defect(P: BialgebroidPair, pi: Bivector) -> MultiVector:
     return P.dual_differential(pi.table) + schouten(ctx, pi.table, pi.table).scale(half)
 
 
-def graph_theorem_check(P: BialgebroidPair, H: EndoMap | list) -> CheckResult:
+def graph_theorem_check(P: BialgebroidPair, H: EndoMap) -> CheckResult:
     """Evaluate both characterizations independently: the three
     subbundle checks on the graph, versus skewness, sharp commutation
-    and the vanishing gradient obstruction; the verdicts must agree.
-    H is an EndoMap or an r x r list of Poly rows."""
-    H_mat = [list(r) for r in (H.matrix if isinstance(H, EndoMap) else H)]
-    E = CourantDouble(P)
-    L = graph(E, H_mat)
-    side_a = dirac_checks(L)
+    and the vanishing gradient obstruction; the verdicts must agree."""
+    side_a = dirac_checks(graph(CourantDouble(P), H))
 
     r = P.A.rank
     n = P.A.n
-    skew = all(
-        (H_mat[i][j] + H_mat[j][i]).is_zero() for i in range(r) for j in range(r)
-    )
+    H_mat = H.matrix
+    skew = all((H_mat[i][j] + H_mat[j][i]).is_zero() for i in range(r) for j in range(r))
     commutation = False
     mc_zero = False
     if skew:

@@ -6,7 +6,8 @@ optional sign and decimal digits only (`RATIONAL`); polynomial
 values are lists of {"exp": [...], "coeff": "p/q"} with one exponent per
 declared variable, each below `kernels.LIMIT`; frame and structure indices are 1-based.  The
 probe degree is an integer from 1 to `kernels.LIMIT` - 1.  Unknown
-keys are rejected with their JSON path.
+keys are rejected with their JSON path.  `tasks` must be a non-empty
+list of strings; the CLI checks the names against its task table.
 """
 
 from __future__ import annotations
@@ -45,29 +46,6 @@ TOP_KEYS = {
     "probe_degree",
     "tasks",
 }
-
-KNOWN_TASKS = [
-    "check_axioms",
-    "check_differential_props",
-    "is_hom_poisson",
-    "sharp_commutes",
-    "pi_pi_identity",
-    "check_dual_algebroid",
-    "check_bialgebroid_pair",
-    "is_hom_nijenhuis",
-    "lemma_checks",
-    "d_n_props",
-    "is_hpn",
-    "hierarchy",
-    "hpn_bialgebroid_equiv",
-    "bialgebroid_defect_checks",
-    "check_bialgebroid",
-    "check_courant_axioms",
-    "jacobiator",
-    "dirac_checks",
-    "graph_theorem_check",
-    "maurer_cartan",
-]
 
 
 def _require(cond, path, message):
@@ -170,6 +148,11 @@ def _parse_structure(n, rank, spec, path) -> dict:
 
 
 class Scenario:
+    """A parsed scenario.  `dirac` is the subbundle `dirac_checks`
+    checks: a span's generator rows, else the `dirac` graph's H, else
+    pi's sharp map; `dirac_graph` is the map `graph_theorem_check`
+    checks: the `dirac` graph's H, else pi's sharp map."""
+
     def __init__(
         self,
         n: int,
@@ -181,8 +164,8 @@ class Scenario:
         pi: Bivector | None = None,
         endo: EndoMap | None = None,
         dual_spec: object = "trivial",
-        dirac_spec: dict | None = None,
-        cache: dict | None = None,
+        dirac: EndoMap | list | None = None,
+        dirac_graph: EndoMap | None = None,
     ):
         self.n = n
         self.vars = vars
@@ -193,8 +176,9 @@ class Scenario:
         self.pi = pi
         self.endo = endo
         self.dual_spec = dual_spec
-        self.dirac_spec = dirac_spec
-        self.cache = {} if cache is None else cache
+        self.dirac = dirac
+        self.dirac_graph = dirac_graph
+        self.cache = {}
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -307,7 +291,7 @@ def parse_scenario(data: dict) -> Scenario:
             except ValueError as exc:
                 raise ScenarioError("$.dual.structure", str(exc)) from None
 
-    dirac_spec = None
+    dirac = dirac_graph = None if pi is None else pi.sharp
     if "dirac" in data:
         spec = data["dirac"]
         _require(isinstance(spec, dict), "$.dirac", "expected an object")
@@ -317,21 +301,17 @@ def parse_scenario(data: dict) -> Scenario:
             extra = set(spec) - {"type", "H"}
             _require(not extra, "$.dirac", f"unknown keys {sorted(extra)}")
             _require("H" in spec, "$.dirac", "graph needs an H matrix")
-            dirac_spec = {
-                "type": "graph",
-                "H": _parse_matrix(n, rank, rank, spec["H"], "$.dirac.H"),
-            }
+            dirac = dirac_graph = EndoMap(_parse_matrix(n, rank, rank, spec["H"], "$.dirac.H"))
         else:
             extra = set(spec) - {"type", "generators"}
             _require(not extra, "$.dirac", f"unknown keys {sorted(extra)}")
             gens = spec.get("generators")
             _require(isinstance(gens, list) and len(gens) == rank, "$.dirac.generators", f"expected {rank} generators")
-            parsed = []
+            dirac = []
             for g, row in enumerate(gens):
                 path = f"$.dirac.generators[{g}]"
                 _require(isinstance(row, list) and len(row) == 2 * rank, path, f"expected {2 * rank} coefficients")
-                parsed.append([_parse_poly(n, x, f"{path}[{i}]") for i, x in enumerate(row)])
-            dirac_spec = {"type": "span", "generators": parsed}
+                dirac.append([_parse_poly(n, x, f"{path}[{i}]") for i, x in enumerate(row)])
 
     probe_degree = check_probe_degree(data.get("probe_degree", 3), "$.probe_degree")
     hierarchy_depth = data.get("hierarchy_depth", 3)
@@ -343,26 +323,21 @@ def parse_scenario(data: dict) -> Scenario:
 
     tasks = data["tasks"]
     _require(isinstance(tasks, list) and tasks, "$.tasks", "expected a non-empty list")
-    expanded = []
     for k, t in enumerate(tasks):
         _require(isinstance(t, str), f"$.tasks[{k}]", "expected a task name")
-        if t == "full":
-            expanded.append(t)
-            continue
-        _require(t in KNOWN_TASKS, f"$.tasks[{k}]", f"unknown task {t!r}")
-        expanded.append(t)
 
     return Scenario(
         n=n,
         vars=list(vars_),
         algebroid=algebroid,
-        tasks=expanded,
+        tasks=list(tasks),
         probe_degree=probe_degree,
         hierarchy_depth=hierarchy_depth,
         pi=pi,
         endo=endo,
         dual_spec=dual_spec,
-        dirac_spec=dirac_spec,
+        dirac=dirac,
+        dirac_graph=dirac_graph,
     )
 
 

@@ -337,15 +337,15 @@ def test_criterion_9_dirac_maurer_cartan(S3):
         bad3 = search_invariant_non_poisson_bivector(CartanContext(algebroid_s3()))
 
         checks = [
-            (P1, pi1.sharp.matrix, True),
-            (P1, EndoMap.zero(2, 2).matrix, True),
-            (P1, EndoMap.identity(2, 2).matrix, False),
-            (P3, bad3.sharp.matrix, False),
-            (P3, EndoMap.zero(3, 3).matrix, True),
+            (P1, pi1.sharp, True),
+            (P1, EndoMap.zero(2, 2), True),
+            (P1, EndoMap.identity(2, 2), False),
+            (P3, bad3.sharp, False),
+            (P3, EndoMap.zero(3, 3), True),
         ]
         verdicts = set()
         for P, H, expected in checks:
-            res = graph_theorem_check(P, [list(r) for r in H])
+            res = graph_theorem_check(P, H)
             assert res.passed, res.render()
             assert res.details["subbundle-side"] is expected
             verdicts.add(expected)

@@ -62,10 +62,23 @@ class TestScenarioParsing:
             parse_scenario(s1_scenario_dict(bogus=1))
         assert "$" in str(err.value) and "bogus" in str(err.value)
 
-    def test_unknown_task_rejected_with_path(self):
-        with pytest.raises(ScenarioError) as err:
-            parse_scenario(s1_scenario_dict(tasks=["check_axioms", "nope"]))
-        assert "$.tasks[1]" in str(err.value)
+    def test_unknown_task_rejected_with_path(self, tmp_path, capsys):
+        # the parser checks the shape of the list; the CLI checks the
+        # names against its task table, and run_scenario errs on them
+        from homlie.cli import main
+
+        data = s1_scenario_dict(tasks=["check_axioms", "nope"])
+        path = tmp_path / "nope.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "scenario error: $.tasks[1]: unknown task 'nope'\n"
+        path.write_text(json.dumps(s1_scenario_dict()))
+        assert main(["check", str(path), "--task", "nope"]) == 2
+        assert capsys.readouterr().err == "scenario error: $.tasks: unknown task 'nope'\n"
+        entries = run_scenario(parse_scenario(data))["tasks"]
+        assert entries[1] == {"task": "nope", "verdict": "error", "error": "unknown task 'nope'"}
 
     def test_bad_rational_path(self):
         data = s1_scenario_dict()
@@ -154,8 +167,8 @@ class TestRunScenario:
     )
     def test_every_task_refuses_exactly_when_its_data_is_missing(self, name, refusals):
         # each task run alone: it refuses, with a witness that names the
-        # missing key, exactly when its needs do not hold, so `needs`
-        # and the task's own reads state the same data
+        # missing key, exactly when one of the attributes it declares is
+        # unset
         from homlie.cli import TASKS
 
         scn = load_scenario(str(SCENARIOS / f"{name}.json"))
@@ -164,12 +177,51 @@ class TestRunScenario:
             entry = run_scenario(scn, [task])["tasks"][0]
             residual = entry.get("witness", {}).get("residual", "")
             key = re.fullmatch(r"task needs (a pi|an N) key in the scenario", residual)
-            assert (key is not None) == (not fn.needs(scn)), task
+            assert (key is not None) == any(getattr(scn, a) is None for a in fn.needs), task
             if key is not None:
                 assert entry["verdict"] == "fail"
                 assert entry["witness"] == {"identity": task, "inputs": {}, "residual": residual}
                 missing[key.group(1)] = missing.get(key.group(1), 0) + 1
         assert missing == refusals
+
+    REFUSED = ("fail", "task needs a pi key in the scenario")
+    PI_SHARP = ("pass", {"skew": "True"})
+    IDENTITY = {"type": "graph", "H": [["1", "0"], ["0", "1"]]}
+    SPAN = {"type": "span", "generators": [["1", "0", "1", "0"], ["0", "1", "0", "1"]]}
+
+    @pytest.mark.parametrize(
+        "pi, dirac, dirac_checks, graph_theorem",
+        [
+            (False, None, REFUSED, REFUSED),
+            (True, None, ("pass", None), PI_SHARP),
+            (False, IDENTITY, ("fail", "is_isotropic"), ("pass", {"skew": "False"})),
+            (True, IDENTITY, ("fail", "is_isotropic"), ("pass", {"skew": "False"})),
+            (False, SPAN, ("fail", "is_isotropic"), REFUSED),
+            (True, SPAN, ("fail", "is_isotropic"), PI_SHARP),
+        ],
+        ids=["nothing", "pi", "graph", "graph-and-pi", "span", "span-and-pi"],
+    )
+    def test_dirac_tasks_check_the_resolved_source(self, pi, dirac, dirac_checks, graph_theorem):
+        # on S1, pi's sharp map passes both checks, the identity graph
+        # is not isotropic and not skew, and the span is not isotropic:
+        # each report shows which source its task read
+        data = json.loads((SCENARIOS / "s1_full.json").read_text())
+        if not pi:
+            del data["pi"]
+        if dirac is not None:
+            data["dirac"] = dirac
+        report = run_scenario(parse_scenario(data), ["dirac_checks", "graph_theorem_check"])
+        seen = []
+        for entry in report["tasks"]:
+            if entry["verdict"] == "pass":
+                skew = entry.get("details", {}).get("skew")
+                seen.append(("pass", None if skew is None else {"skew": skew}))
+            elif entry["witness"]["identity"] == entry["task"]:
+                assert entry["witness"]["inputs"] == {}
+                seen.append(("fail", entry["witness"]["residual"]))
+            else:
+                seen.append(("fail", entry["witness"]["identity"]))
+        assert seen == [dirac_checks, graph_theorem]
 
 
 class TestRepeatedWork:
@@ -375,11 +427,6 @@ class TestOneContextPerAlgebroid:
 class TestFullExpansion:
     """"full" runs, in TASKS order, every task whose data the scenario
     holds."""
-
-    def test_tasks_follow_the_known_task_order(self):
-        from homlie import cli, scenario
-
-        assert list(cli.TASKS) == scenario.KNOWN_TASKS
 
     def test_shipped_scenarios_expand_by_their_data(self):
         from homlie import cli

@@ -88,6 +88,7 @@ def test_each_task_gets_a_fresh_scope_that_closes_with_it(monkeypatch):
         raise RuntimeError("crash on purpose")
 
     for name, fn in (("passing", passing), ("refused", refused), ("crashing", crashing)):
+        fn.needs = ()
         monkeypatch.setitem(cli.TASKS, name, fn)
     scn = load_scenario(str(SCENARIOS / "s0_axioms.json"))
     report = run_scenario(scn, ["passing", "refused", "passing"])
