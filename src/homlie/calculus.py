@@ -25,6 +25,7 @@ from .exterior import (
     Form,
     MultiVector,
     _merge_sign,
+    _sum_each,
     eval_form,
     pair,
     wedge_all,
@@ -224,9 +225,8 @@ def differential(ctx: CartanContext, omega) -> Form:
 def _differential(ctx: CartanContext, omega: Form) -> Form:
     k = omega.degree
     A = ctx.algebroid
-    out = {}
     if k + 1 > ctx.rank or A.is_zero_structure:
-        return Form._raw(ctx.rank, ctx.n, k + 1, out)
+        return Form.zero(ctx.rank, ctx.n, k + 1)
     pb = A.phi.pullback
     pairs = {}  # the products that sum to each coefficient of d omega
     for J, f in omega.coeffs.items():
@@ -243,11 +243,7 @@ def _differential(ctx: CartanContext, omega: Form) -> Form:
                 K, sign = _merge_sign((i,), L)
                 if K is not None:
                     pairs.setdefault(K, []).append((dfi if sign > 0 else -dfi, c))
-    for K, p in pairs.items():
-        c = sum_products(ctx.n, p)
-        if not c.is_zero():
-            out[K] = c
-    return Form._raw(ctx.rank, ctx.n, k + 1, out)
+    return Form._raw(ctx.rank, ctx.n, k + 1, _sum_each(ctx.n, pairs))
 
 
 def differential_at(ctx: CartanContext, omega, args) -> Poly:
@@ -308,28 +304,20 @@ def lie_derivative_tensor(ctx: CartanContext, X: MultiVector, T: EndoMap) -> End
         raise StructureError("expected an endomorphism of the section side")
     r, n = ctx.rank, ctx.n
     A = ctx.algebroid
-    out = [[Poly.zero(n) for _ in range(r)] for _ in range(r)]
+    pairs = [[[] for _ in range(r)] for _ in range(r)]
     for j in range(r):
-        L_eps = lie_derivative_form(ctx, X, A.coframe(j))
-        dag_eps = ctx.dagger.basis_image((j,))
+        L_eps = lie_derivative_form(ctx, X, A.coframe(j)).vector()
+        dag_eps = ctx.dagger.basis_image((j,)).vector()
         for i in range(r):
             c = T.matrix[i][j]
             if c.is_zero():
                 continue
-            mv1 = schouten(ctx, X, A.frame(i).scale(c))
-            mv2 = A.phiA_frame(i).scale(A.phi.pullback(c))
+            mv1 = schouten(ctx, X, A.frame(i).scale(c)).vector()
+            mv2 = A.phiA_frame(i).scale(A.phi.pullback(c)).vector()
             for a in range(r):
-                va = mv1.coeff((a,))
-                wa = mv2.coeff((a,))
                 for b in range(r):
-                    acc = Poly.zero(n)
-                    if not va.is_zero():
-                        acc = acc + va * dag_eps.coeff((b,))
-                    if not wa.is_zero():
-                        acc = acc + wa * L_eps.coeff((b,))
-                    if not acc.is_zero():
-                        out[a][b] = out[a][b] + acc
-    return EndoMap(out, kind="multivector")
+                    pairs[a][b] += [(mv1[a], dag_eps[b]), (mv2[a], L_eps[b])]
+    return EndoMap([[sum_products(n, p) for p in row] for row in pairs], kind="multivector")
 
 
 def _mono_terms(D: MultiVector):

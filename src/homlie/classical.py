@@ -1,114 +1,17 @@
-"""Independent classical (untwisted) calculus oracles.
+"""Classical (untwisted) operators for the lift correspondence.
 
-These implement the coordinate-frame Cartan calculus and the graded
-bracket through formulas that share no code path with the twisted
-engine: the differential uses the coordinate-sum formula, contraction
-the direct slot formula, the Lie derivative the direct evaluation
-formula, and the graded bracket the odd-coordinate pairing.  They exist
-for differential testing and for the classical side of the lift
-correspondence.
+`poisson.classical_poisson_lift` compares a classical bivector's
+verdicts with those of its lift: the graded bracket here is the
+odd-coordinate pairing on the coordinate frame of the tangent
+algebroid, which shares no code path with the twisted engine, and the
+pushforward moves a bivector along an affine base map.  The untwisted
+Cartan calculus that tests use as a cross-check is in `tests/oracle.py`.
 """
 
 from __future__ import annotations
 
-from .exterior import Form, MultiVector, _merge_sign, pair, wedge_all
-from .polyring import AffineTwist, Poly
-
-
-def vf_apply(coeffs, f: Poly) -> Poly:
-    """Classical vector field action: sum_i c_i df/dx_i."""
-    out = Poly.zero(f.n)
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + c * f.partial(i)
-    return out
-
-
-def vf_commutator(X, Y):
-    """Classical commutator of coordinate-frame vector fields."""
-    return [vf_apply(X, Y[i]) - vf_apply(Y, X[i]) for i in range(len(X))]
-
-
-def de_rham(omega: Form) -> Form:
-    """Coordinate formula: d omega = sum_i dx_i wedge (d/dx_i omega)."""
-    n = omega.n
-    out = Form.zero(omega.rank, n, omega.degree + 1)
-    for J, f in omega.coeffs.items():
-        for i in range(omega.rank):
-            df = f.partial(i) if i < n else Poly.zero(n)
-            if df.is_zero():
-                continue
-            K, sign = _merge_sign((i,), J)
-            if K is None:
-                continue
-            term = df if sign > 0 else -df
-            prev = out.coeffs.get(K)
-            total = term if prev is None else prev + term
-            if total.is_zero():
-                out.coeffs.pop(K, None)
-            else:
-                out.coeffs[K] = total
-    return out
-
-
-def contract(X: MultiVector, omega: Form) -> Form:
-    """Classical interior product of a degree-1 argument by the direct
-    slot formula."""
-    n = omega.n
-    out = Form.zero(omega.rank, n, omega.degree - 1)
-    coeffs = X.vector()
-    for J, f in omega.coeffs.items():
-        for pos, idx in enumerate(J):
-            c = coeffs[idx]
-            if c.is_zero():
-                continue
-            K = J[:pos] + J[pos + 1 :]
-            term = f * c
-            if pos % 2:
-                term = -term
-            prev = out.coeffs.get(K)
-            total = term if prev is None else prev + term
-            if total.is_zero():
-                out.coeffs.pop(K, None)
-            else:
-                out.coeffs[K] = total
-    return out
-
-
-def contract_multi(D: MultiVector, omega: Form) -> Form:
-    """Contraction by any multivector: the wedge factors fill the
-    leading slots in order, so the first factor contracts first."""
-    out = Form.zero(omega.rank, omega.n, omega.degree - D.degree)
-    for I, f in sorted(D.coeffs.items()):
-        cur = omega
-        for idx in I:
-            cur = contract(MultiVector.basis(D.rank, D.n, (idx,)), cur)
-        cur = cur.scale(f)
-        out = out + cur
-    return out
-
-
-def lie_form(X: MultiVector, omega: Form) -> Form:
-    """Direct evaluation formula: (L_X w)(Y...) = X(w(Y...)) minus the
-    sum of w with one argument replaced by the commutator."""
-    n = omega.n
-    Xc = X.vector()
-    out = Form.zero(omega.rank, n, omega.degree)
-    from itertools import combinations
-
-    for J in combinations(range(omega.rank), omega.degree):
-        val = vf_apply(Xc, omega.coeffs.get(J, Poly.zero(n)))
-        for pos, idx in enumerate(J):
-            # [X, e_idx] = -sum_m (d X_m / dx_idx) e_m
-            br = MultiVector.from_vector(
-                omega.rank, n, [-(Xc[m].partial(idx)) if idx < n else Poly.zero(n) for m in range(omega.rank)]
-            )
-            args = [MultiVector.basis(omega.rank, n, (j,)) for j in J]
-            args[pos] = br
-            val = val - pair(omega, wedge_all(omega.rank, n, args, MultiVector))
-        if not val.is_zero():
-            out.coeffs[J] = val
-    return out
+from .exterior import MultiVector
+from .polyring import AffineTwist
 
 
 def _odd_partial(D: MultiVector, i: int) -> MultiVector:

@@ -26,6 +26,17 @@ def _merge_sign(I: tuple, J: tuple):
     return merged, -1 if inversions % 2 else 1
 
 
+def _sum_each(n: int, pairs: dict) -> dict:
+    """The nonzero sums of products, one `sum_products` per key of
+    pairs, in the order of its keys."""
+    out = {}
+    for K, p in pairs.items():
+        c = sum_products(n, p)
+        if not c.is_zero():
+            out[K] = c
+    return out
+
+
 def _accumulate(out: dict, K: tuple, term: Poly):
     """Add term to out[K], keeping the table free of zero values."""
     prev = out.get(K)
@@ -144,14 +155,13 @@ class GradedElement:
         deg = self.degree + other.degree
         if deg > self.rank:
             return self.zero(self.rank, self.n, deg)
-        out = {}
+        pairs = {}
         for I, f in self.coeffs.items():
             for J, g in other.coeffs.items():
                 K, sign = _merge_sign(I, J)
-                if K is None:
-                    continue
-                _accumulate(out, K, f * g if sign > 0 else -(f * g))
-        return self._raw(self.rank, self.n, deg, out)
+                if K is not None:
+                    pairs.setdefault(K, []).append((f if sign > 0 else -f, g))
+        return self._raw(self.rank, self.n, deg, _sum_each(self.n, pairs))
 
     def _check_compatible_kind(self, other):
         if type(self) is not type(other) or self.rank != other.rank:
@@ -223,12 +233,7 @@ def combine(terms) -> GradedElement:
         first._check_compatible(G)
         for K, c in G.coeffs.items():
             pairs.setdefault(K, []).append((f, c))
-    out = {}
-    for K, p in pairs.items():
-        c = sum_products(first.n, p)
-        if not c.is_zero():
-            out[K] = c
-    return first._raw(first.rank, first.n, first.degree, out)
+    return first._raw(first.rank, first.n, first.degree, _sum_each(first.n, pairs))
 
 
 def pair(omega: Form, D: MultiVector) -> Poly:
@@ -256,26 +261,18 @@ def poly_mat_det(matrix) -> Poly:
     n = matrix[0][0].n
     if r == 1:
         return matrix[0][0]
-    out = Poly.zero(n)
-    for j in range(r):
-        if matrix[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(r) if c != j] for row in matrix[1:]]
-        term = matrix[0][j] * poly_mat_det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+    pairs = []
+    for j, a in enumerate(matrix[0]):
+        if not a.is_zero():
+            minor = [[row[c] for c in range(r) if c != j] for row in matrix[1:]]
+            pairs.append((a if j % 2 == 0 else -a, poly_mat_det(minor)))
+    return sum_products(n, pairs)
 
 
 def poly_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
     n = a[0][0].n
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(inner)), Poly.zero(n))
-            for j in range(cols)
-        ]
-        for i in range(rows)
-    ]
+    cols = list(zip(*b))
+    return [[sum_products(n, zip(row, col)) for col in cols] for row in a]
 
 
 def poly_mat_adjugate(matrix):
@@ -501,12 +498,7 @@ class SectionTwist:
             pv = self.base.pullback(v)
             for I, d in self._minor_column(J):
                 pairs.setdefault(I, []).append((d, pv))
-        out = {}
-        for I, p in pairs.items():
-            c = sum_products(self.n, p)
-            if not c.is_zero():
-                out[I] = c
-        return cls._raw(self.rank, self.n, k, out)
+        return cls._raw(self.rank, self.n, k, _sum_each(self.n, pairs))
 
     def _minor_column(self, J: tuple):
         """The nonzero minors det(P[I, J]) over row tuples I, computed on

@@ -7,7 +7,7 @@ trivial-line extension).
 from __future__ import annotations
 
 from . import probes
-from .exterior import Form, GradedElement, MultiVector, SectionTwist, combine
+from .exterior import Form, GradedElement, MultiVector, SectionTwist, _sum_each, combine
 from .polyring import AffineTwist, Poly, monomials, sum_products
 from .report import CheckResult, StructureError, until_first_failure
 
@@ -293,11 +293,7 @@ class HomAlgebroid:
                     w = -(pg * dg)
                     for K, a in self.phiA_frame(i).coeffs.items():
                         pairs.setdefault(K, []).append((a, w))
-        out = {}
-        for K in sorted(pairs):
-            c = sum_products(self.n, pairs[K])
-            if not c.is_zero():
-                out[K] = c
+        out = _sum_each(self.n, dict(sorted(pairs.items())))
         return MultiVector._raw(self.rank, self.n, 1, out)
 
     def __repr__(self) -> str:

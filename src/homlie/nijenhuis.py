@@ -38,7 +38,7 @@ from .report import (
     CheckResult,
     PreconditionError,
     TheoremViolation,
-    Witness,
+    agreement,
     first_failure,
     first_nonzero,
     require,
@@ -131,20 +131,8 @@ def lemma_checks(
 
     invariant = (twN - N).is_zero()
     commutes = _commutes_with_twist(A, N, sections)
-    results.append(
-        CheckResult(
-            "invariance-equivalence",
-            invariant == commutes,
-            None
-            if invariant == commutes
-            else Witness(
-                "invariance-equivalence",
-                {"invariant": str(invariant), "commutes": str(commutes)},
-                "verdicts differ",
-            ),
-            details={"invariant": invariant, "commutes": commutes},
-        )
-    )
+    verdicts = {"invariant": invariant, "commutes": commutes}
+    results.append(agreement("invariance-equivalence", "invariance-equivalence", verdicts))
     return first_failure("lemma_checks", results)
 
 
@@ -230,12 +218,17 @@ def compat_C(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Fo
         - lie_derivative_form(ctx, s_beta, alpha)
         - differential(ctx, pair(beta, s_alpha))
     )
-    second = (
+    return first - _transposed_bracket(ctx, pi, Nt, alpha, beta)
+
+
+def _transposed_bracket(ctx: CartanContext, pi: Bivector, Nt: EndoMap, alpha: Form, beta: Form) -> Form:
+    """[Nt alpha, beta]_pi + [alpha, Nt beta]_pi - Nt [alpha, beta]_pi for
+    the transpose Nt of the endomorphism."""
+    return (
         bracket_pi(ctx, pi, Nt.apply(alpha), beta)
         + bracket_pi(ctx, pi, alpha, Nt.apply(beta))
         - Nt.apply(bracket_pi(ctx, pi, alpha, beta))
     )
-    return first - second
 
 
 def _sharp_commutation_residual(ctx, pi, N):
@@ -351,11 +344,7 @@ def _prop_conditions(ctx, pi, N, probe_degree, compat_tensor):
                 if not (base - other).is_zero():
                     cond["cond-deformed-vs-composed"] = False
             if cond["cond-deformed-vs-transposed"]:
-                other = (
-                    bracket_pi(ctx, pi, Nt.apply(alpha), beta)
-                    + bracket_pi(ctx, pi, alpha, Nt.apply(beta))
-                    - Nt.apply(bracket_pi(ctx, pi, alpha, beta))
-                )
+                other = _transposed_bracket(ctx, pi, Nt, alpha, beta)
                 if not (base - other).is_zero():
                     cond["cond-deformed-vs-transposed"] = False
             if cond["cond-derivative-tensor"] and not compat_Cprime(
@@ -537,19 +526,9 @@ def hpn_bialgebroid_equiv(
     A_N = _deformed_context(ctx, N).algebroid
     dual = dual_algebroid(ctx, pi)
     pair_check = check_bialgebroid(BialgebroidPair(A_N, dual), probe_degree)
-    b1 = hpn.passed
-    b2 = pair_check.details.get("dual-derivation-of-bracket") == "pass"
-    b3 = pair_check.details.get("primal-derivation-of-dual-bracket") == "pass"
-    agree = b1 == b2 == b3
-    return CheckResult(
-        "hpn_bialgebroid_equiv",
-        agree,
-        None
-        if agree
-        else Witness(
-            "hpn-bialgebroid-equivalence",
-            {"is-hpn": str(b1), "deformed-dual": str(b2), "dual-deformed": str(b3)},
-            "verdicts differ",
-        ),
-        details={"is-hpn": b1, "deformed-dual": b2, "dual-deformed": b3},
-    )
+    verdicts = {
+        "is-hpn": hpn.passed,
+        "deformed-dual": pair_check.details.get("dual-derivation-of-bracket") == "pass",
+        "dual-deformed": pair_check.details.get("primal-derivation-of-dual-bracket") == "pass",
+    }
+    return agreement("hpn_bialgebroid_equiv", "hpn-bialgebroid-equivalence", verdicts)

@@ -279,6 +279,11 @@ def monomials(n: int, max_degree: int) -> list[Poly]:
     return out
 
 
+# the term map of the constant 1: the left factor that turns a sum of
+# scaled term maps into a sum of products
+_ONE = {0: 1}
+
+
 def _mat_inverse(matrix):
     """Exact inverse of a square Fraction matrix via Gauss-Jordan."""
     n = len(matrix)
@@ -309,11 +314,11 @@ class AffineTwist:
     by the substitution kernel.  The inverse map, built once by
     `inverse()` and pointing back at this one, keeps the table of
     `inverse_pullback`.  A pullback is the sum of the scaled table
-    entries of its terms, accumulated into one fresh dict; a constant is
-    returned as it is, and one term already in the table is its entry
-    scaled into a fresh dict.  A table is never handed out, so its
-    entries are never mutated; it is bounded by the number of monomials
-    of the inputs' degree, C(n + d, d).
+    entries of its terms, one `kernels.poly_sum_products` call; a
+    constant is returned as it is, and one term already in the table is
+    its entry scaled into a fresh dict.  A table is never handed out, so
+    its entries are never mutated; it is bounded by the number of
+    monomials of the inputs' degree, C(n + d, d).
     """
 
     __slots__ = (
@@ -407,13 +412,8 @@ class AffineTwist:
                 entry = table[k] = (image.num, image.den)
             entries.append(entry)
         den = lcm(*(d for _, d in entries))
-        out = {}
-        get = out.get
-        for v, (num, d) in zip(f.num.values(), entries):
-            c = v * (den // d)
-            for t, w in num.items():
-                out[t] = get(t, 0) + c * w
-        return _reduced(self.n, {t: w for t, w in out.items() if w}, den * f.den)
+        triples = ((v * (den // d), _ONE, num) for v, (num, d) in zip(f.num.values(), entries))
+        return _reduced(self.n, kernels.poly_sum_products(triples), den * f.den)
 
     def pullback(self, f: Poly) -> Poly:
         """f composed with the map (substitute each variable's image)."""

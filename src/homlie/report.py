@@ -117,6 +117,18 @@ def first_nonzero(identity: str, cases) -> CheckResult:
     return CheckResult(identity, True)
 
 
+def agreement(name: str, identity: str, verdicts: dict) -> CheckResult:
+    """Passes when the boolean verdicts, keyed by label, are all equal;
+    otherwise a witness under `identity` lists them.  The verdicts are
+    the details either way."""
+    agree = len(set(verdicts.values())) <= 1
+    witness = None
+    if not agree:
+        shown = {k: str(v) for k, v in verdicts.items()}
+        witness = Witness(identity, shown, "verdicts differ")
+    return CheckResult(name, agree, witness, dict(verdicts))
+
+
 def first_failure(name: str, results) -> CheckResult:
     """Merge sub-results with a fixed ordering; first failure wins."""
     merged = CheckResult(name, True)

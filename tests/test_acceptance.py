@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from homlie import classical
 from homlie.calculus import (
     CartanContext,
@@ -122,12 +123,12 @@ def test_criterion_1_classical_reduction(S3, S0):
             deg = rng.randrange(0, 3)
             om = _random_form(rng, 3, 3, deg, pool3)
             X = MultiVector.from_vector(3, 3, [rng.choice(pool3) for _ in range(3)])
-            assert differential(S3, om) == classical.de_rham(om)
+            assert differential(S3, om) == oracle.de_rham(om)
             probes += 1
             if deg >= 1:
-                assert interior(S3, X, om) == classical.contract(X, om)
+                assert interior(S3, X, om) == oracle.contract(X, om)
                 probes += 1
-            assert lie_derivative_form(S3, X, om) == classical.lie_form(X, om)
+            assert lie_derivative_form(S3, X, om) == oracle.lie_form(X, om)
             probes += 1
             k, l = rng.randrange(0, 4), rng.randrange(0, 4)
             D1 = _random_mv(rng, 3, 3, k, pool3)
@@ -138,7 +139,7 @@ def test_criterion_1_classical_reduction(S3, S0):
         for _ in range(10):
             om = _random_form(rng, 3, 3, 3, pool3)
             D = _random_mv(rng, 3, 3, 2, pool3)
-            assert interior(S3, D, om) == classical.contract_multi(D, om)
+            assert interior(S3, D, om) == oracle.contract_multi(D, om)
             probes += 1
 
         pool1 = monomials(1, 3) + [Poly.zero(1)]
@@ -150,7 +151,7 @@ def test_criterion_1_classical_reduction(S3, S0):
             assert differential(S0, om).is_zero()
             probes += 1
             if deg >= 1:
-                assert interior(S0, X, om) == classical.contract(X, om)
+                assert interior(S0, X, om) == oracle.contract(X, om)
                 probes += 1
             assert lie_derivative_form(S0, X, om).is_zero()
             probes += 1

@@ -826,6 +826,41 @@ class TestCliProcess:
         assert out.stdout == golden
         assert out.returncode == (1 if name == "s1_bad_pi" else 0)
 
+    def test_text_report_matches_golden(self):
+        out = self.run_cli("check", "scenarios/s1_bad_pi.json", "--task", "full")
+        assert out.stdout == (ROOT / "tests" / "golden" / "s1_bad_pi_full.txt").read_text()
+        assert out.returncode == 1
+
+    def test_jacobiator_failure_reports_its_triple(self, tmp_path):
+        # the dual bracket [e1, e2] = e1, over the zero dual anchor, does not
+        # pair with s1's algebroid, so the double's cyclic bracket sum on
+        # (E1, E3, E4) misses the metric gradient
+        data = json.loads((SCENARIOS / "s1_full.json").read_text())
+        data["dual"] = {"structure": [{"i": 1, "j": 2, "k": 1, "coeff": "1"}]}
+        data["tasks"] = ["check_bialgebroid", "jacobiator"]
+        p = tmp_path / "bad_dual.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p), "--format", "json")
+        assert out.returncode == 1
+        tasks = {e["task"]: e for e in json.loads(out.stdout)["tasks"]}
+        assert tasks["jacobiator"]["verdict"] == "fail"
+        assert tasks["jacobiator"]["witness"] == {
+            "identity": "jacobiator",
+            "inputs": {"triple": "(E1,E3,E4)"},
+            "residual": "cyclic bracket sum does not match the metric gradient: (0, 1, 0, 0)",
+        }
+
+    def test_dual_from_pi_passes_every_task(self, tmp_path):
+        data = json.loads((SCENARIOS / "s1_full.json").read_text())
+        data["dual"] = "from_pi"
+        data["tasks"] = ["full"]
+        p = tmp_path / "from_pi.json"
+        p.write_text(json.dumps(data))
+        out = self.run_cli("check", str(p), "--format", "json")
+        assert out.returncode == 0
+        verdicts = [e["verdict"] for e in json.loads(out.stdout)["tasks"]]
+        assert verdicts == ["pass"] * 20
+
     def test_closed_stdout_exits_without_traceback(self):
         # the read end is closed before the child writes, so every write
         # meets a broken pipe, as after `| head -c 100`
