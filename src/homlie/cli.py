@@ -13,16 +13,16 @@ import json
 import os
 import sys
 import time
-from itertools import product
 
 from .calculus import CartanContext, check_differential_props, operator_cache
 from .courant import (
     BialgebroidPair,
+    check_bialgebroid,
     check_courant_axioms,
+    check_jacobiator,
     double,
-    jacobiator,
 )
-from .dirac import Subbundle, dirac_checks, graph, graph_theorem_check, maurer_cartan_defect
+from .dirac import Subbundle, check_maurer_cartan, dirac_checks, graph, graph_theorem_check
 from .exterior import EndoMap
 from .fixtures import fixture_tags, list_fixtures
 from .homalg import check_axioms
@@ -36,15 +36,8 @@ from .nijenhuis import (
     is_hpn,
     lemma_checks,
 )
-from .poisson import (
-    check_bialgebroid_pair,
-    dual_algebroid,
-    is_hom_poisson,
-    pi_pi_cases,
-    sharp_commutes,
-)
-from .courant import check_bialgebroid
-from .report import CheckResult, PreconditionError, TheoremViolation, Witness, first_nonzero
+from .poisson import dual_algebroid, is_hom_poisson, pi_pi_identity, sharp_commutes
+from .report import PreconditionError, TheoremViolation
 from .scenario import Scenario, ScenarioError, check_probe_degree, load_scenario
 
 
@@ -53,17 +46,16 @@ def _ctx(scn: Scenario) -> CartanContext:
 
 
 def _pair(scn: Scenario) -> BialgebroidPair:
-    key = "pair"
-    if key not in scn.cache:
+    if "pair" not in scn.cache:
         spec = scn.dual_spec
         if spec == "trivial":
             pair = BialgebroidPair.trivial(scn.algebroid)
         elif spec == "from_pi":
-            pair = BialgebroidPair(scn.algebroid, dual_algebroid(_ctx(scn), scn.pi))
+            pair = BialgebroidPair.from_pi(_ctx(scn), scn.pi)
         else:
             pair = BialgebroidPair(scn.algebroid, spec)
-        scn.cache[key] = pair
-    return scn.cache[key]
+        scn.cache["pair"] = pair
+    return scn.cache["pair"]
 
 
 def _double(scn: Scenario):
@@ -72,7 +64,8 @@ def _double(scn: Scenario):
     return scn.cache["double"]
 
 
-# task name -> function of the scenario, in the order "full" runs them
+# task name -> function of the scenario and the probe degree, in the
+# order "full" runs them
 TASKS = {}
 
 # the key a refusal asks for when a needed attribute is unset; either
@@ -80,14 +73,15 @@ TASKS = {}
 _KEYS = {"pi": "a pi", "endo": "an N", "dirac": "a pi", "dirac_graph": "a pi"}
 
 
-def _task(name: str, *needs: str):
-    """Register the decorated function as the task `name`, which reads
-    the Scenario attributes `needs` (kept as the function's `needs`
-    attribute).  "full" expands to the tasks whose needs are all set,
-    and run_scenario refuses any other task before calling it."""
+def _task(name: str, *needs: str, cap: int | None = None):
+    """Register the decorated fn(scn, degree) as the task `name`, which
+    reads the Scenario attributes `needs` (kept as fn.needs) and probes
+    at the scenario's degree, capped at `cap` if one is given (kept as
+    fn.cap).  "full" expands to the tasks whose needs are all set, and
+    run_scenario refuses any other task before calling it."""
 
     def register(fn):
-        fn.needs = needs
+        fn.needs, fn.cap = needs, cap
         TASKS[name] = fn
         return fn
 
@@ -95,125 +89,104 @@ def _task(name: str, *needs: str):
 
 
 @_task("check_axioms")
-def _task_check_axioms(scn):
-    return check_axioms(scn.algebroid, scn.probe_degree)
+def _task_check_axioms(scn, degree):
+    return check_axioms(scn.algebroid, degree)
 
 
 @_task("check_differential_props")
-def _task_differential_props(scn):
-    return check_differential_props(_ctx(scn), scn.probe_degree)
+def _task_differential_props(scn, degree):
+    return check_differential_props(_ctx(scn), degree)
 
 
 @_task("is_hom_poisson", "pi")
-def _task_is_hom_poisson(scn):
+def _task_is_hom_poisson(scn, degree):
     return is_hom_poisson(_ctx(scn), scn.pi)
 
 
 @_task("sharp_commutes", "pi")
-def _task_sharp_commutes(scn):
-    return sharp_commutes(_ctx(scn), scn.pi, scn.probe_degree)
+def _task_sharp_commutes(scn, degree):
+    return sharp_commutes(_ctx(scn), scn.pi, degree)
 
 
 @_task("pi_pi_identity", "pi")
-def _task_pi_pi_identity(scn):
-    co = [scn.algebroid.coframe(i) for i in range(scn.algebroid.rank)]
-    found = first_nonzero("pi-pi-contraction", pi_pi_cases(_ctx(scn), scn.pi, product(co, co)))
-    return CheckResult("pi_pi_identity", found.passed, found.witness)
+def _task_pi_pi_identity(scn, degree):
+    return pi_pi_identity(_ctx(scn), scn.pi)
 
 
 @_task("check_dual_algebroid", "pi")
-def _task_check_dual_algebroid(scn):
-    dual = dual_algebroid(_ctx(scn), scn.pi)
-    sub = check_axioms(dual, scn.probe_degree)
-    return CheckResult("check_dual_algebroid", sub.passed, sub.witness, sub.details)
+def _task_check_dual_algebroid(scn, degree):
+    return check_axioms(dual_algebroid(_ctx(scn), scn.pi), degree)
 
 
-@_task("check_bialgebroid_pair", "pi")
-def _task_check_bialgebroid_pair(scn):
-    return check_bialgebroid_pair(_ctx(scn), scn.pi, min(scn.probe_degree, 2))
+@_task("check_bialgebroid_pair", "pi", cap=2)
+def _task_check_bialgebroid_pair(scn, degree):
+    return check_bialgebroid(BialgebroidPair.from_pi(_ctx(scn), scn.pi), degree)
 
 
 @_task("is_hom_nijenhuis", "endo")
-def _task_is_hom_nijenhuis(scn):
-    return is_hom_nijenhuis(_ctx(scn), scn.endo, scn.probe_degree)
+def _task_is_hom_nijenhuis(scn, degree):
+    return is_hom_nijenhuis(_ctx(scn), scn.endo, degree)
 
 
-@_task("lemma_checks", "endo")
-def _task_lemma_checks(scn):
-    return lemma_checks(_ctx(scn), scn.endo, scn.endo, min(scn.probe_degree, 2))
+@_task("lemma_checks", "endo", cap=2)
+def _task_lemma_checks(scn, degree):
+    return lemma_checks(_ctx(scn), scn.endo, scn.endo, degree)
 
 
 @_task("d_n_props", "endo")
-def _task_d_n_props(scn):
-    return d_n_props(_ctx(scn), scn.endo, scn.probe_degree)
+def _task_d_n_props(scn, degree):
+    return d_n_props(_ctx(scn), scn.endo, degree)
 
 
-@_task("is_hpn", "pi", "endo")
-def _task_is_hpn(scn):
-    return is_hpn(_ctx(scn), scn.pi, scn.endo, min(scn.probe_degree, 2))
+@_task("is_hpn", "pi", "endo", cap=2)
+def _task_is_hpn(scn, degree):
+    return is_hpn(_ctx(scn), scn.pi, scn.endo, degree)
 
 
-@_task("hierarchy", "pi", "endo")
-def _task_hierarchy(scn):
-    _, res = hierarchy(_ctx(scn), scn.pi, scn.endo, scn.hierarchy_depth, probe_degree=1)
-    return res
+@_task("hierarchy", "pi", "endo", cap=1)
+def _task_hierarchy(scn, degree):
+    return hierarchy(_ctx(scn), scn.pi, scn.endo, scn.hierarchy_depth, degree)[1]
 
 
-@_task("hpn_bialgebroid_equiv", "pi", "endo")
-def _task_hpn_bialgebroid_equiv(scn):
-    return hpn_bialgebroid_equiv(_ctx(scn), scn.pi, scn.endo, 1)
+@_task("hpn_bialgebroid_equiv", "pi", "endo", cap=1)
+def _task_hpn_bialgebroid_equiv(scn, degree):
+    return hpn_bialgebroid_equiv(_ctx(scn), scn.pi, scn.endo, degree)
 
 
-@_task("bialgebroid_defect_checks", "pi", "endo")
-def _task_bialgebroid_defect_checks(scn):
-    return bialgebroid_defect_checks(_ctx(scn), scn.pi, scn.endo, 1)
+@_task("bialgebroid_defect_checks", "pi", "endo", cap=1)
+def _task_bialgebroid_defect_checks(scn, degree):
+    return bialgebroid_defect_checks(_ctx(scn), scn.pi, scn.endo, degree)
 
 
-@_task("check_bialgebroid")
-def _task_check_bialgebroid(scn):
-    return check_bialgebroid(_pair(scn), min(scn.probe_degree, 2))
+@_task("check_bialgebroid", cap=2)
+def _task_check_bialgebroid(scn, degree):
+    return check_bialgebroid(_pair(scn), degree)
 
 
-@_task("check_courant_axioms")
-def _task_check_courant_axioms(scn):
-    E = _double(scn)
-    return check_courant_axioms(E, min(scn.probe_degree, 2))
+@_task("check_courant_axioms", cap=2)
+def _task_check_courant_axioms(scn, degree):
+    return check_courant_axioms(_double(scn), degree)
 
 
 @_task("jacobiator")
-def _task_jacobiator(scn):
-    E = _double(scn)
-    frames = E.frame_sections()
-    try:
-        for i in range(len(frames)):
-            for j in range(len(frames)):
-                for k in range(len(frames)):
-                    jacobiator(E, frames[i], frames[j], frames[k])
-    except TheoremViolation as exc:
-        return CheckResult(
-            "jacobiator",
-            False,
-            Witness("jacobiator", {"triple": f"(E{i + 1},E{j + 1},E{k + 1})"}, str(exc)),
-        )
-    return CheckResult("jacobiator", True)
+def _task_jacobiator(scn, degree):
+    return check_jacobiator(_double(scn))
 
 
 @_task("dirac_checks", "dirac")
-def _task_dirac_checks(scn):
+def _task_dirac_checks(scn, degree):
     E, L = _double(scn), scn.dirac
     return dirac_checks(graph(E, L) if isinstance(L, EndoMap) else Subbundle(E, L))
 
 
 @_task("graph_theorem_check", "dirac_graph")
-def _task_graph_theorem_check(scn):
+def _task_graph_theorem_check(scn, degree):
     return graph_theorem_check(_pair(scn), scn.dirac_graph)
 
 
 @_task("maurer_cartan", "pi")
-def _task_maurer_cartan(scn):
-    defect = maurer_cartan_defect(_pair(scn), scn.pi)
-    found = first_nonzero("maurer-cartan-equation", [({"pi": scn.pi}, defect)])
-    return CheckResult("maurer_cartan", found.passed, found.witness)
+def _task_maurer_cartan(scn, degree):
+    return check_maurer_cartan(_pair(scn), scn.pi)
 
 
 def _missing(scn: Scenario, fn):
@@ -223,10 +196,11 @@ def _missing(scn: Scenario, fn):
 
 
 def _expand_tasks(scn: Scenario, tasks=None):
-    """The task list (the scenario's own by default) with "full"
-    replaced by every task the scenario's data supports."""
+    """The task list (the scenario's own when tasks is empty or None)
+    with "full" replaced by every task the scenario's data supports, each
+    name kept once."""
     out = []
-    for t in scn.tasks if tasks is None else tasks:
+    for t in tasks or scn.tasks:
         if t == "full":
             out.extend(name for name, fn in TASKS.items() if _missing(scn, fn) is None)
         else:
@@ -235,7 +209,9 @@ def _expand_tasks(scn: Scenario, tasks=None):
 
 
 def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:
-    names = list(tasks) if tasks else _expand_tasks(scn)
+    """Run the tasks (the scenario's own when tasks is empty or None),
+    "full" expanded, and report each one's verdict."""
+    names = _expand_tasks(scn, tasks)
     report = {"tasks": [], "verdict": "pass"}
     for name in names:
         fn = TASKS.get(name)
@@ -249,9 +225,10 @@ def run_scenario(scn: Scenario, tasks=None, timings: bool = False) -> dict:
                 missing = _missing(scn, fn)
                 if missing is not None:
                     raise PreconditionError(f"task needs {_KEYS[missing]} key in the scenario")
+                degree = scn.probe_degree if fn.cap is None else min(scn.probe_degree, fn.cap)
                 # one cache scope per task: its table is dropped with it
                 with operator_cache():
-                    result = fn(scn)
+                    result = fn(scn, degree)
                 entry["verdict"] = "pass" if result.passed else "fail"
                 if result.witness is not None:
                     entry["witness"] = result.witness.to_json()
@@ -319,14 +296,13 @@ def cmd_check(args) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    tasks = _expand_tasks(scn, args.task) if args.task else None
     # parsing keeps the interpreter's int-to-str digit limit, but a
     # witness may print coefficients longer than it
     digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        report = run_scenario(scn, tasks, timings=args.timings)
+        report = run_scenario(scn, args.task, timings=args.timings)
         if args.format == "json":
             print(json.dumps(report, indent=2, sort_keys=True))
         else:

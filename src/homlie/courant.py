@@ -10,6 +10,7 @@ every failure path.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import probes
 from .calculus import (
@@ -22,12 +23,14 @@ from .calculus import (
 )
 from .exterior import Form, MultiVector, dual_section_twist, reinterpret
 from .homalg import HomAlgebroid, PullbackVectorField, ad_twist, bracket_phistar, derive
+from .poisson import Bivector, dual_algebroid
 from .polyring import Poly, _mat_inverse, monomials, sum_products
 from .report import (
     CheckResult,
     PreconditionError,
     StructureError,
     TheoremViolation,
+    Witness,
     first_failure,
     first_nonzero,
     require,
@@ -57,6 +60,12 @@ class BialgebroidPair:
         twist = dual_section_twist(A.phiA)
         anchor = [[Poly.zero(A.n)] * A.rank for _ in range(A.n)]
         return cls(A, HomAlgebroid(A.phi, twist, anchor, {}))
+
+    @classmethod
+    def from_pi(cls, ctx: CartanContext, pi: Bivector) -> "BialgebroidPair":
+        """The algebroid of ctx paired with the dual algebroid that the
+        bivector pi carries; refuses a non-Poisson pi."""
+        return cls(ctx.algebroid, dual_algebroid(ctx, pi))
 
     # -- dual-side calculus on primal data ------------------------------
 
@@ -538,3 +547,17 @@ def jacobiator(E: CourantDouble, e1: ESection, e2: ESection, e3: ESection):
             "cyclic bracket sum does not match the metric gradient: " + res.render()
         )
     return total, T
+
+
+def check_jacobiator(E: CourantDouble) -> CheckResult:
+    """`jacobiator` on every ordered triple of frame sections; the first
+    triple that breaks it is the witness."""
+    frames = E.frame_sections()
+    for i, j, k in product(range(len(frames)), repeat=3):
+        try:
+            jacobiator(E, frames[i], frames[j], frames[k])
+        except TheoremViolation as exc:
+            triple = f"(E{i + 1},E{j + 1},E{k + 1})"
+            witness = Witness("jacobiator", {"triple": triple}, str(exc))
+            return CheckResult("jacobiator", False, witness)
+    return CheckResult("jacobiator", True)

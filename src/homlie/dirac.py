@@ -228,6 +228,13 @@ def maurer_cartan_defect(P: BialgebroidPair, pi: Bivector) -> MultiVector:
     return P.dual_differential(pi.table) + schouten(ctx, pi.table, pi.table).scale(half)
 
 
+def check_maurer_cartan(P: BialgebroidPair, pi: Bivector) -> CheckResult:
+    """The bivector solves the Maurer-Cartan equation of the pair: its
+    `maurer_cartan_defect` vanishes."""
+    found = first_nonzero("maurer-cartan-equation", [({"pi": pi}, maurer_cartan_defect(P, pi))])
+    return CheckResult("maurer_cartan", found.passed, found.witness)
+
+
 def graph_theorem_check(P: BialgebroidPair, H: EndoMap) -> CheckResult:
     """Evaluate both characterizations independently: the three
     subbundle checks on the graph, versus skewness, sharp commutation

@@ -410,7 +410,7 @@ def bialgebroid_defect(ctx: CartanContext, pi: Bivector, N: EndoMap, xi1, xi2) -
 def _defect_operator(ctx: CartanContext, pi: Bivector, N: EndoMap):
     """The map (xi1, xi2) -> bialgebroid_defect(ctx, pi, N, xi1, xi2),
     built after refusing a non-Poisson pi and then a non-invariant N."""
-    dual_schouten = BialgebroidPair(ctx.algebroid, dual_algebroid(ctx, pi)).dual_schouten
+    dual_schouten = BialgebroidPair.from_pi(ctx, pi).dual_schouten
     _require_invariant(ctx, N)
     ctxN = _deformed_context(ctx, N)
     dag = ctx.dagger.apply_graded

@@ -7,6 +7,8 @@ point on an algebroid takes the bivector as a Bivector.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import classical, probes
 from .calculus import (
     CartanContext,
@@ -225,11 +227,12 @@ def pi_pi_cases(ctx: CartanContext, pi: Bivector, pairs):
         yield {"alpha": alpha, "beta": beta}, lhs - rhs
 
 
-def pi_pi_identity(ctx: CartanContext, pi: Bivector, alpha: Form, beta: Form) -> CheckResult:
+def pi_pi_identity(ctx: CartanContext, pi: Bivector) -> CheckResult:
     """Half the self-bracket contracted against twisted covectors equals
-    the sharp-commutator defect; holds whether or not the self-bracket
-    vanishes."""
-    found = first_nonzero("pi-pi-contraction", pi_pi_cases(ctx, pi, [(alpha, beta)]))
+    the sharp-commutator defect, on every ordered pair of coframe
+    covectors; holds whether or not the self-bracket vanishes."""
+    co = [ctx.algebroid.coframe(i) for i in range(ctx.rank)]
+    found = first_nonzero("pi-pi-contraction", pi_pi_cases(ctx, pi, product(co, co)))
     return CheckResult("pi_pi_identity", found.passed, found.witness)
 
 
@@ -272,13 +275,3 @@ def classical_poisson_lift(phi: AffineTwist, pi_classical: dict) -> CheckResult:
         details,
     )
 
-
-def check_bialgebroid_pair(ctx: CartanContext, pi: Bivector, probe_degree: int = 2) -> CheckResult:
-    """Compatibility of the algebroid with the dual structure carried by
-    the bivector, checked in both directions."""
-    from .courant import BialgebroidPair, check_bialgebroid
-
-    dual = dual_algebroid(ctx, pi)
-    pair_ = BialgebroidPair(ctx.algebroid, dual)
-    sub = check_bialgebroid(pair_, probe_degree)
-    return CheckResult("check_bialgebroid_pair", sub.passed, sub.witness, sub.details)

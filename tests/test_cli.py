@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from homlie.calculus import CartanContext
 from homlie.cli import run_scenario
 from homlie.fixtures import (
     CATALOG,
@@ -239,23 +240,27 @@ class TestRepeatedWork:
         monkeypatch.setattr(module, name, wrapper)
         return calls
 
+    @staticmethod
+    def hierarchy(nijenhuis, scn):
+        """The hierarchy task's call: probe degree 1, the result only."""
+        ctx = CartanContext(scn.algebroid)
+        return nijenhuis.hierarchy(ctx, scn.pi, scn.endo, scn.hierarchy_depth, 1)[1]
+
     def test_pi_pi_self_bracket_once_per_task(self, monkeypatch):
         from homlie import poisson
-        from homlie.cli import _task_pi_pi_identity
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         calls = self.counted(monkeypatch, poisson, "schouten")
-        assert _task_pi_pi_identity(scn).passed
+        assert poisson.pi_pi_identity(CartanContext(scn.algebroid), scn.pi).passed
         assert len(calls) == 1
 
     def test_hpn_equivalence_reuses_preconditions(self, monkeypatch):
         from homlie import nijenhuis
-        from homlie.cli import _task_hpn_bialgebroid_equiv
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         poisson_calls = self.counted(monkeypatch, nijenhuis, "is_hom_poisson")
         nijenhuis_calls = self.counted(monkeypatch, nijenhuis, "is_hom_nijenhuis")
-        res = _task_hpn_bialgebroid_equiv(scn)
+        res = nijenhuis.hpn_bialgebroid_equiv(CartanContext(scn.algebroid), scn.pi, scn.endo, 1)
         assert res.passed
         assert res.details == {"is-hpn": True, "deformed-dual": True, "dual-deformed": True}
         assert len(poisson_calls) == 1
@@ -288,12 +293,11 @@ class TestRepeatedWork:
 
     def test_hierarchy_preconditions_once_per_stage_and_power(self, monkeypatch):
         from homlie import nijenhuis
-        from homlie.cli import _task_hierarchy
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         poisson_calls = self.counted(monkeypatch, nijenhuis, "is_hom_poisson")
         nijenhuis_calls = self.counted(monkeypatch, nijenhuis, "is_hom_nijenhuis")
-        assert _task_hierarchy(scn).passed
+        assert self.hierarchy(nijenhuis, scn).passed
         # stages 0..3 and powers 0..3 at depth 3; the base check at
         # degree 1 is the stage-0 and power-1 check of the sweep
         assert scn.hierarchy_depth == 3
@@ -302,27 +306,24 @@ class TestRepeatedWork:
 
     def test_hierarchy_reuses_its_base_check(self, monkeypatch):
         from homlie import nijenhuis
-        from homlie.cli import _task_hierarchy
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         hpn_calls = self.counted(monkeypatch, nijenhuis, "_hpn")
-        assert _task_hierarchy(scn).passed
+        assert self.hierarchy(nijenhuis, scn).passed
         # 4 stages by 4 powers; the base check is stage 0, power 1
         assert len(hpn_calls) == 16
 
     def test_is_hpn_evaluates_the_compatibility_tensor_once(self, monkeypatch):
         from homlie import nijenhuis, probes
-        from homlie.cli import _task_is_hpn
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         calls = self.counted(monkeypatch, nijenhuis, "compat_C")
-        res = _task_is_hpn(scn)
+        res = nijenhuis.is_hpn(CartanContext(scn.algebroid), scn.pi, scn.endo, 2)
         assert res.passed and res.details["cond-compat-tensor"] is True
         assert len(calls) == len(probes.coframes(scn.algebroid, 1)) ** 2
 
     def test_d_n_props_checks_twist_invariance_once(self, monkeypatch):
         from homlie import nijenhuis
-        from homlie.cli import _task_d_n_props
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         labels = []
@@ -333,7 +334,7 @@ class TestRepeatedWork:
             return original(label, *args)
 
         monkeypatch.setattr(nijenhuis, "twist_invariance", counted)
-        assert _task_d_n_props(scn).passed
+        assert nijenhuis.d_n_props(CartanContext(scn.algebroid), scn.endo, scn.probe_degree).passed
         assert labels == ["N"]
 
     def test_deformed_algebroid_built_once_per_context_and_endo(self, monkeypatch):
@@ -367,11 +368,9 @@ class TestOneContextPerAlgebroid:
         return lambda: list({id(c): c for c in returned}.values())
 
     def test_full_run_builds_one_context_per_algebroid_object(self, monkeypatch):
-        from homlie.cli import _expand_tasks
-
         built = self.built_contexts(monkeypatch)
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
-        report = run_scenario(scn, _expand_tasks(scn, ["full"]))
+        report = run_scenario(scn, ["full"])
         assert report["verdict"] == "pass"
         # the scenario algebroid, the pi-dual, the deformation by N and
         # the zero dual of the trivial pair
@@ -407,7 +406,7 @@ class TestOneContextPerAlgebroid:
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
         ctx = CartanContext(scn.algebroid)
-        P = BialgebroidPair(scn.algebroid, poisson.dual_algebroid(ctx, scn.pi))
+        P = BialgebroidPair.from_pi(ctx, scn.pi)
         assert P.ctx is ctx
         assert P.dual_ctx is poisson._dual_context(ctx, scn.pi)
 
@@ -455,6 +454,25 @@ class TestFullExpansion:
         }
         assert full["s1_bad_pi"] == [t for t in cli.TASKS if t not in needs_endo]
 
+    def test_an_explicit_full_expands_like_the_scenarios_own(self):
+        from homlie import cli
+
+        explicit = run_scenario(load_scenario(str(SCENARIOS / "s1_full.json")), ["full"])
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        scn.tasks = ["full"]
+        assert explicit == run_scenario(scn)
+        assert [t["task"] for t in explicit["tasks"]] == list(cli.TASKS)
+
+    @pytest.mark.parametrize("name", ["s0_axioms", "s1_bad_pi", "s1_full"])
+    def test_a_task_run_alone_reports_what_full_reports(self, name):
+        # the pair and the double a task finds in scn.cache, and its own
+        # operator-cache scope, must not depend on the tasks before it
+        path = str(SCENARIOS / f"{name}.json")
+        full = run_scenario(load_scenario(path), ["full"])["tasks"]
+        for entry in full:
+            alone = run_scenario(load_scenario(path), [entry["task"]])["tasks"]
+            assert alone == [entry], entry["task"]
+
     @pytest.mark.parametrize(
         "dirac, expected",
         [
@@ -485,6 +503,73 @@ class TestFullExpansion:
         ] + expected
         assert report["verdict"] == "pass"
         assert code == 0
+
+
+class TestDegreePolicy:
+    """Each task probes at the scenario's degree, lowered to the cap its
+    `_task` entry declares."""
+
+    # the checkers the tasks call with a probe degree, as their last
+    # positional argument
+    CHECKERS = (
+        "check_axioms",
+        "check_differential_props",
+        "sharp_commutes",
+        "is_hom_nijenhuis",
+        "lemma_checks",
+        "d_n_props",
+        "is_hpn",
+        "hierarchy",
+        "hpn_bialgebroid_equiv",
+        "bialgebroid_defect_checks",
+        "check_bialgebroid",
+        "check_courant_axioms",
+    )
+    UNCAPPED = (
+        "check_axioms",
+        "check_differential_props",
+        "sharp_commutes",
+        "check_dual_algebroid",
+        "is_hom_nijenhuis",
+        "d_n_props",
+    )
+    CAPS = {
+        "check_bialgebroid_pair": 2,
+        "lemma_checks": 2,
+        "is_hpn": 2,
+        "check_bialgebroid": 2,
+        "check_courant_axioms": 2,
+        "hierarchy": 1,
+        "hpn_bialgebroid_equiv": 1,
+        "bialgebroid_defect_checks": 1,
+    }
+
+    @pytest.mark.parametrize("degree", [3, 1])
+    def test_each_checker_receives_the_capped_degree(self, monkeypatch, degree):
+        from homlie import cli
+
+        received = []
+
+        def recording(checker):
+            def record(*args):
+                received.append(args[-1])
+                return checker(*args)
+
+            return record
+
+        for name in self.CHECKERS:
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        seen = {}
+        for task in cli.TASKS:
+            scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+            scn.probe_degree = degree
+            received.clear()
+            assert run_scenario(scn, [task])["verdict"] == "pass", task
+            if received:
+                seen[task] = received[:]
+        expected = {task: [degree] for task in self.UNCAPPED}
+        expected.update({task: [min(degree, cap)] for task, cap in self.CAPS.items()})
+        assert seen == expected
 
 
 class TestCliProcess:

@@ -15,7 +15,7 @@ from homlie.courant import (
 )
 from homlie.exterior import SectionTwist
 from homlie.homalg import HomAlgebroid, make_pullback_tangent
-from homlie.poisson import Bivector, dual_algebroid
+from homlie.poisson import Bivector
 from homlie.polyring import AffineTwist, Poly
 from homlie.report import PreconditionError, StructureError
 
@@ -48,7 +48,7 @@ def S1_pair(S1_alg):
 def S1_pi_pair(S1_alg):
     ctx = CartanContext(S1_alg)
     pi = Bivector(S1_alg.frame(0).wedge(S1_alg.frame(1)))
-    return BialgebroidPair(S1_alg, dual_algebroid(ctx, pi))
+    return BialgebroidPair.from_pi(ctx, pi)
 
 
 class TestCheckBialgebroid:

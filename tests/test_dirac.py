@@ -21,7 +21,7 @@ from homlie.dirac import (
 )
 from homlie.exterior import EndoMap, MultiVector
 from homlie.homalg import check_axioms, make_pullback_tangent
-from homlie.poisson import Bivector, dual_algebroid, lift_bivector
+from homlie.poisson import Bivector, lift_bivector
 from homlie.polyring import AffineTwist, Poly
 from homlie.report import PreconditionError
 
@@ -206,7 +206,7 @@ class TestRankFourSpan:
         )
         one = Poly.const(4, 1)
         ctx, pi, _ = lift_bivector(phi, {(0, 1): one, (2, 3): one})
-        E = CourantDouble(BialgebroidPair(ctx.algebroid, dual_algebroid(ctx, pi)))
+        E = CourantDouble(BialgebroidPair.from_pi(ctx, pi))
         g = graph(E, pi.sharp).generators
         v = [Poly.variable(4, i) for i in range(4)]
         mixed = [
@@ -319,7 +319,7 @@ class TestMaurerCartan:
         # obstruction still vanishes
         ctx = CartanContext(S1_alg)
         pi = std_pi(S1_alg)
-        P = BialgebroidPair(S1_alg, dual_algebroid(ctx, pi))
+        P = BialgebroidPair.from_pi(ctx, pi)
         assert maurer_cartan_defect(P, pi).is_zero()
 
     def test_noninvariant_rejected(self, S1_pair, S1_alg):

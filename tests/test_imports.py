@@ -1,9 +1,10 @@
 """Import hygiene: no module of the package imports a name it never
 uses (the package's `__init__.py` re-exports by design), none reads
 the environment, so a run depends only on its inputs, no private
-function, class or method is left without a reference, no public
-function only forwards to another one under a second name, and
-importing the CLI loads no module that only generates or inspects
+function, class or method is left without a reference, every public
+function is called in the package, exported or allowed with a reason,
+no public function only forwards to another one under a second name,
+and importing the CLI loads no module that only generates or inspects
 code."""
 
 import ast
@@ -152,6 +153,61 @@ def test_detects_unreferenced_private_code():
 def test_every_private_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private(sources) == []
+
+
+def unreferenced_public(sources: dict, exported) -> list[str]:
+    """`module.name` of each public top-level function that no `Name` or
+    `Attribute` node of the sources refers to outside its own definition
+    and whose name is not in `exported`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and total[node.name] == _references(node)[node.name]
+    )
+
+
+def test_detects_an_unreferenced_public_function():
+    a = (
+        "def used(): pass\n"
+        "def recursive(k): return recursive(k - 1)\n"
+        "def exported(): pass\n"
+        "def _private(): pass\n"
+        "class Holder:\n"
+        "    def method(self): pass\n"
+    )
+    b = "from a import used\nused()\n"
+    assert unreferenced_public({"a": a, "b": b}, {"exported"}) == ["a.recursive"]
+
+
+# public functions that no code in src calls and `homlie.__all__` does
+# not export, each with the reason it stays
+UNCALLED_PUBLIC = {
+    "calculus.differential_at": "test helper, to move to tests/ (ROADMAP item 15)",
+    "dirac.solve_membership": "test helper, to move to tests/ (ROADMAP item 15)",
+    "fixtures.get_fixture": "test helper, to move to tests/ (ROADMAP item 15)",
+    "homalg.ad_twist_inverse": "test helper, to move to tests/ (ROADMAP item 15)",
+    "nijenhuis.bialgebroid_defect": "the graded defect alone; only tests call it (ROADMAP item 15)",
+    "nijenhuis.bracket_Npi": "the deformed covector bracket; only tests call it (ROADMAP item 15)",
+    "courant.check_closed_bracket_formula": "paper result, to become a task (ROADMAP item 10)",
+    "dirac.dirac_to_algebroid": "paper result, to become a task (ROADMAP item 10)",
+    "poisson.classical_poisson_lift": "paper correspondence, to become a task (ROADMAP item 10)",
+    "poisson.d_pi": "paper result, to become a task (ROADMAP item 10)",
+}
+
+
+def test_every_public_function_is_called_exported_or_allowed():
+    import homlie
+
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreferenced_public(sources, set(homlie.__all__)) == sorted(UNCALLED_PUBLIC)
 
 
 def _forwards(fn: ast.FunctionDef) -> bool:

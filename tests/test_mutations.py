@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from homlie.calculus import CartanContext, check_differential_props, operator_cache
-from homlie.cli import _task_maurer_cartan, _task_pi_pi_identity
 from homlie.courant import (
     BialgebroidPair,
     CourantDouble,
@@ -28,7 +27,7 @@ from homlie.courant import (
     check_closed_bracket_formula,
     check_courant_axioms,
 )
-from homlie.dirac import dirac_checks, graph
+from homlie.dirac import check_maurer_cartan, dirac_checks, graph
 from homlie.exterior import EndoMap, MultiVector, SectionTwist
 from homlie.fixtures import algebroid_s1, algebroid_s3, standard_pi
 from homlie.homalg import HomAlgebroid, check_axioms
@@ -39,10 +38,9 @@ from homlie.nijenhuis import (
     is_hpn,
     lemma_checks,
 )
-from homlie.poisson import Bivector, d_pi, is_hom_poisson, sharp_commutes
+from homlie.poisson import Bivector, d_pi, is_hom_poisson, pi_pi_identity, sharp_commutes
 from homlie.polyring import Poly
 from homlie.report import PreconditionError, TheoremViolation
-from homlie.scenario import Scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "mutations.json"
 
@@ -61,9 +59,9 @@ PAIR_DOUBLE_CHECKERS = ALGEBROID_CHECKERS[2:]
 PI_CHECKERS = [
     ("is_hom_poisson", lambda m: is_hom_poisson(m["ctx"], m["pi"])),
     ("sharp_commutes", lambda m: sharp_commutes(m["ctx"], m["pi"])),
-    ("pi_pi_identity", lambda m: _task_pi_pi_identity(m["scn"])),
+    ("pi_pi_identity", lambda m: pi_pi_identity(m["ctx"], m["pi"])),
     ("d_pi", lambda m: d_pi(m["ctx"], m["pi"], m["pi"].table)),
-    ("maurer_cartan", lambda m: _task_maurer_cartan(m["scn"])),
+    ("maurer_cartan", lambda m: check_maurer_cartan(m["E"].pair, m["pi"])),
     ("dirac_checks", lambda m: dirac_checks(graph(m["E"], m["pi"].sharp))),
 ]
 N_CHECKERS = [
@@ -131,9 +129,7 @@ def mutant(base: str, kind: str, degree: int) -> dict:
             anchor[0][1] = anchor[0][1] + x
         pair = BialgebroidPair(A, HomAlgebroid(A.phi, D.phiA, anchor, table))
     E = CourantDouble(pair)
-    scn = Scenario(n=n, vars=["x", "y", "z"][:n], algebroid=A, tasks=[], pi=pi, endo=N)
-    scn.cache["double"] = E
-    return {"A": A, "ctx": CartanContext(A), "E": E, "pi": pi, "N": N, "scn": scn}
+    return {"A": A, "ctx": CartanContext(A), "E": E, "pi": pi, "N": N}
 
 
 def _run(call, m) -> str:

@@ -74,24 +74,27 @@ def test_equal_inputs_share_one_value_inside_a_scope():
 def test_each_task_gets_a_fresh_scope_that_closes_with_it(monkeypatch):
     seen = []
 
-    def passing(scn):
+    def passing(scn, degree):
         with operator_cache() as table:
             seen.append(("pass", len(table), scope_is_open()))
         return CheckResult("passing", True)
 
-    def refused(scn):
+    def refused(scn, degree):
         seen.append(("refused", scope_is_open()))
         raise PreconditionError("refused on purpose")
 
-    def crashing(scn):
+    def crashing(scn, degree):
         seen.append(("crash", scope_is_open()))
         raise RuntimeError("crash on purpose")
 
-    for name, fn in (("passing", passing), ("refused", refused), ("crashing", crashing)):
-        fn.needs = ()
+    # a task list names each task once, so the second passing run is
+    # the same function under a second name
+    named = {"passing": passing, "passing_again": passing, "refused": refused, "crashing": crashing}
+    for name, fn in named.items():
+        fn.needs, fn.cap = (), None
         monkeypatch.setitem(cli.TASKS, name, fn)
     scn = load_scenario(str(SCENARIOS / "s0_axioms.json"))
-    report = run_scenario(scn, ["passing", "refused", "passing"])
+    report = run_scenario(scn, ["passing", "refused", "passing_again"])
     assert [t["verdict"] for t in report["tasks"]] == ["pass", "fail", "pass"]
     # the second passing task starts from an empty table
     assert seen == [("pass", 0, True), ("refused", True), ("pass", 0, True)]

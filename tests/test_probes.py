@@ -28,7 +28,7 @@ from homlie.nijenhuis import (
     is_hpn,
     lemma_checks,
 )
-from homlie.poisson import check_bialgebroid_pair, sharp_commutes
+from homlie.poisson import sharp_commutes
 from homlie.polyring import monomials
 
 BUILDERS = {"S0": algebroid_s0, "S1": algebroid_s1, "S2": algebroid_s2, "S3": algebroid_s3}
@@ -126,7 +126,6 @@ CHECKERS = [
     check_axioms,
     check_differential_props,
     sharp_commutes,
-    check_bialgebroid_pair,
     is_hom_nijenhuis,
     lemma_checks,
     d_n_props,
