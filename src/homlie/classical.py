@@ -10,8 +10,8 @@ Cartan calculus that tests use as a cross-check is in `tests/oracle.py`.
 
 from __future__ import annotations
 
-from .exterior import MultiVector
-from .polyring import AffineTwist
+from .exterior import MultiVector, _accumulate, _sum_each
+from .polyring import AffineTwist, Poly
 
 
 def _odd_partial(D: MultiVector, i: int) -> MultiVector:
@@ -22,13 +22,7 @@ def _odd_partial(D: MultiVector, i: int) -> MultiVector:
             continue
         pos = I.index(i)
         K = I[:pos] + I[pos + 1 :]
-        term = f if pos % 2 == 0 else -f
-        prev = out.coeffs.get(K)
-        total = term if prev is None else prev + term
-        if total.is_zero():
-            out.coeffs.pop(K, None)
-        else:
-            out.coeffs[K] = total
+        _accumulate(out.coeffs, K, f if pos % 2 == 0 else -f)
     return out
 
 
@@ -58,20 +52,17 @@ def schouten_classical(D1: MultiVector, D2: MultiVector) -> MultiVector:
 
 
 def pushforward_bivector(phi: AffineTwist, pi: MultiVector) -> MultiVector:
+    """The bivector moved along phi: entry (i, j) is the sum over the
+    entries (k, l) of pi of the 2x2 minor M[ij, kl] of the base matrix
+    times phi^-1*(pi_kl), one sum of products."""
     n = phi.n
     M = phi.matrix
-    out = MultiVector.zero(pi.rank, n, 2)
-    for (k, l), c in pi.coeffs.items():
-        moved = phi.inverse_pullback(c)
-        for i in range(n):
-            for j in range(i + 1, n):
-                coef = (M[i][k] * M[j][l] - M[i][l] * M[j][k]) * moved
-                if coef.is_zero():
-                    continue
-                prev = out.coeffs.get((i, j))
-                total = coef if prev is None else prev + coef
-                if total.is_zero():
-                    out.coeffs.pop((i, j), None)
-                else:
-                    out.coeffs[(i, j)] = total
-    return out
+    moved = [(k, l, phi.inverse_pullback(c)) for (k, l), c in pi.coeffs.items()]
+    pairs = {
+        (i, j): [
+            (Poly.const(n, M[i][k] * M[j][l] - M[i][l] * M[j][k]), c) for k, l, c in moved
+        ]
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+    return MultiVector._raw(pi.rank, n, 2, _sum_each(n, pairs))

@@ -22,7 +22,14 @@ from .calculus import (
     schouten,
 )
 from .exterior import Form, MultiVector, dual_section_twist, reinterpret
-from .homalg import HomAlgebroid, PullbackVectorField, ad_twist, bracket_phistar, derive
+from .homalg import (
+    HomAlgebroid,
+    PullbackVectorField,
+    anchor_product_cases,
+    anchor_twist_cases,
+    by_label,
+    twist_homomorphism_cases,
+)
 from .poisson import Bivector, dual_algebroid
 from .polyring import Poly, _mat_inverse, monomials, sum_products
 from .report import (
@@ -131,45 +138,60 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
 
 
 class ESection:
-    """Section of the doubled bundle: 2r coefficients, primal block
-    first."""
+    """Section of the doubled bundle A + A*: a section X of A and a
+    covector xi, held as degree-1 elements of one rank.  The constructor
+    takes the 2r coefficients, primal block first."""
 
-    __slots__ = ("coeffs", "r", "n")
+    __slots__ = ("X", "xi")
 
     def __init__(self, coeffs, n=None):
-        self.coeffs = tuple(
-            c if isinstance(c, Poly) else Poly.const(n, c) for c in coeffs
-        )
-        self.n = self.coeffs[0].n if self.coeffs else n
-        if len(self.coeffs) % 2:
+        coeffs = [c if isinstance(c, Poly) else Poly.const(n, c) for c in coeffs]
+        if len(coeffs) % 2:
             raise StructureError("doubled sections need an even coefficient count")
-        self.r = len(self.coeffs) // 2
+        r = len(coeffs) // 2
+        n = coeffs[0].n if coeffs else n
+        self.X = MultiVector.from_vector(r, n, coeffs[:r])
+        self.xi = Form.from_vector(r, n, coeffs[r:])
+
+    @classmethod
+    def of(cls, X: MultiVector, xi: Form) -> "ESection":
+        """The section (X, xi) of a degree-1 multivector and form of one
+        rank."""
+        out = object.__new__(cls)
+        out.X = X
+        out.xi = xi
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        """The 2r coefficients, primal block first."""
+        return tuple(self.X.vector() + self.xi.vector())
 
     def __add__(self, other):
-        return ESection([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return ESection.of(self.X + other.X, self.xi + other.xi)
 
     def __sub__(self, other):
-        return ESection([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return ESection.of(self.X - other.X, self.xi - other.xi)
 
     def __neg__(self):
-        return ESection([-a for a in self.coeffs])
+        return ESection.of(-self.X, -self.xi)
 
     def scale(self, f):
-        return ESection([a * f for a in self.coeffs])
+        return ESection.of(self.X.scale(f), self.xi.scale(f))
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.coeffs)
+        return self.X.is_zero() and self.xi.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, ESection):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.X == other.X and self.xi == other.xi
 
     __hash__ = None
 
     def key(self) -> tuple:
         """A hashable value that is equal exactly for equal sections."""
-        return tuple(c.key() for c in self.coeffs)
+        return (self.X.key(), self.xi.key())
 
     def render(self, names=None):
         return "(" + ", ".join(c.render(names) for c in self.coeffs) + ")"
@@ -179,9 +201,11 @@ class ESection:
 
 
 class CourantDouble:
-    """The rank-2r doubled structure.  The product comes either from the
-    bialgebroid formula or from an explicit frame table {(a, b): ESection}
-    extended by the function-multiplication rules."""
+    """The rank-2r doubled structure on A + A*, built on the two
+    algebroids of the pair: its twist is phiA on A and the dual twist on
+    A*, and its anchor is the sum of the two anchors.  The product comes
+    either from the bialgebroid formula or from an explicit frame table
+    {(a, b): ESection} extended by the function-multiplication rules."""
 
     def __init__(self, pair: BialgebroidPair, product_table=None):
         self.pair = pair
@@ -195,9 +219,7 @@ class CourantDouble:
                     raise StructureError(f"product table index ({a},{b}) out of range")
             self.product_table = dict(product_table)
         self._frames = [self.frame_section(a) for a in range(2 * self.r)]
-        self._phiE_frames = None
         self._rho_frames = None
-        self._rho_twisted_frames = None
         self._gram_inverse = None
 
     # -- structure maps -------------------------------------------------
@@ -210,17 +232,6 @@ class CourantDouble:
     def frame_sections(self):
         return list(self._frames)
 
-    def phiE_frame(self, a: int) -> ESection:
-        """phiE of the a-th frame section: the section twist on the
-        primal block and its dual on the other, computed once."""
-        if self._phiE_frames is None:
-            images = []
-            for u in self._frames:
-                X, xi = self.split(u)
-                images.append(self.join(self.pair.A.phiA.apply(X), self.pair.ctx.dagger.apply(xi)))
-            self._phiE_frames = images
-        return self._phiE_frames[a]
-
     def rho_frame(self, a: int) -> PullbackVectorField:
         """The anchor field of the a-th frame section, computed once."""
         if self._rho_frames is None:
@@ -228,12 +239,12 @@ class CourantDouble:
         return self._rho_frames[a]
 
     def rho_twisted_frame(self, a: int) -> PullbackVectorField:
-        """The anchor field rho(phiE E_a), computed once."""
-        if self._rho_twisted_frames is None:
-            self._rho_twisted_frames = [
-                self.rho_field(self.phiE_frame(b)) for b in range(2 * self.r)
-            ]
-        return self._rho_twisted_frames[a]
+        """The anchor field rho(phiE E_a).  phiE keeps E_a in its block,
+        so this is the field rho(phiA e_a) that the block's algebroid
+        keeps."""
+        if a < self.r:
+            return self.pair.A.anchor_after_twist(a)
+        return self.pair.Astar.anchor_after_twist(a - self.r)
 
     def gram_inverse(self):
         """Inverse of the constant Gram matrix of the pairing on the
@@ -247,38 +258,21 @@ class CourantDouble:
             self._gram_inverse = _mat_inverse(gram)
         return self._gram_inverse
 
-    def split(self, u: ESection):
-        X = MultiVector.from_vector(self.r, self.n, list(u.coeffs[: self.r]))
-        xi = Form.from_vector(self.r, self.n, list(u.coeffs[self.r :]))
-        return X, xi
-
-    def join(self, X: MultiVector, xi: Form) -> ESection:
-        return ESection(list(X.vector()) + list(xi.vector()), self.n)
-
     def phiE(self, u: ESection) -> ESection:
-        """The twist of the double.  It is phi*-linear, so it is fixed
-        by its frame images: phiE(sum f_a E_a) = sum phi*(f_a) phiE(E_a)."""
-        pb = self.phi.pullback
-        pairs = [[] for _ in range(2 * self.r)]
-        for a, f in enumerate(u.coeffs):
-            if f.is_zero():
-                continue
-            pf = pb(f)
-            for b, c in enumerate(self.phiE_frame(a).coeffs):
-                pairs[b].append((c, pf))
-        return ESection([sum_products(self.n, p) for p in pairs], self.n)
+        """The twist of the double: phiA on the primal part and its dual
+        on the covector."""
+        return ESection.of(self.pair.A.phiA.apply(u.X), self.pair.ctx.dagger.apply(u.xi))
 
     def pairing(self, u: ESection, v: ESection) -> Poly:
         """Half the sum of the two cross pairings <xi, Y> + <eta, X>."""
-        r = self.r
-        cross = [(u.coeffs[r + i], v.coeffs[i]) for i in range(r)]
-        cross += [(v.coeffs[r + i], u.coeffs[i]) for i in range(r)]
+        X, Y = u.X.coeffs, v.X.coeffs
+        cross = [(c, Y[K]) for K, c in u.xi.coeffs.items() if K in Y]
+        cross += [(c, X[K]) for K, c in v.xi.coeffs.items() if K in X]
         return sum_products(self.n, cross) * Fraction(1, 2)
 
     def rho_field(self, u: ESection) -> PullbackVectorField:
-        X, xi = self.split(u)
-        return self.pair.A.anchor_field(X) + self.pair.Astar.anchor_field(
-            reinterpret(xi, MultiVector)
+        return self.pair.A.anchor_field(u.X) + self.pair.Astar.anchor_field(
+            reinterpret(u.xi, MultiVector)
         )
 
     # -- the product ------------------------------------------------------
@@ -295,8 +289,8 @@ class CourantDouble:
     def _product_from_formula(self, u, v):
         P = self.pair
         ctx = P.ctx
-        X, xi = self.split(u)
-        Y, eta = self.split(v)
+        X, xi = u.X, u.xi
+        Y, eta = v.X, v.xi
         a_part = P.A.bracket(X, Y)
         a_part = a_part + P.dual_lie_on_section(xi, Y)
         d_star_X = P.dual_differential(ctx.phiA_inv.apply(X))
@@ -305,28 +299,28 @@ class CourantDouble:
         b_part = b_part + lie_derivative_form(ctx, X, eta)
         d_xi = differential(ctx, ctx.dagger_inv.apply_graded(xi))
         b_part = b_part - interior(ctx, Y, d_xi)
-        return self.join(a_part, b_part)
+        return ESection.of(a_part, b_part)
 
     def _product_from_table(self, u, v):
         out = ESection([Poly.zero(self.n)] * (2 * self.r), self.n)
         frames = self._frames
+        twisted = [self.phiE(e) for e in frames]
         pb = self.phi.pullback
-        for a in range(2 * self.r):
-            f = u.coeffs[a]
+        fs, gs = u.coeffs, v.coeffs
+        for a, f in enumerate(fs):
             if f.is_zero():
                 continue
-            for b in range(2 * self.r):
-                g = v.coeffs[b]
+            for b, g in enumerate(gs):
                 if g.is_zero():
                     continue
                 base = self.product_table.get((a, b))
                 if base is None:
                     base = ESection([Poly.zero(self.n)] * (2 * self.r), self.n)
-                inner = base.scale(pb(g)) + self.phiE_frame(b).scale(
+                inner = base.scale(pb(g)) + twisted[b].scale(
                     self.rho_twisted_frame(a).apply(g)
                 )
                 term = inner.scale(pb(f))
-                term = term - self.phiE_frame(a).scale(
+                term = term - twisted[a].scale(
                     pb(g) * self.rho_twisted_frame(b).apply(f)
                 )
                 pairing_ab = self.pairing(frames[a], frames[b])
@@ -379,8 +373,8 @@ def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> Che
     def cases():
         for lu, u in sections:
             for lv, v in sections:
-                X, xi = E.split(u)
-                Y, eta = E.split(v)
+                X, xi = u.X, u.xi
+                Y, eta = v.X, v.xi
                 cross = duality(eta, X) - duality(xi, Y)
                 a_part = (
                     P.A.bracket(X, Y)
@@ -394,34 +388,21 @@ def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> Che
                     - lie_derivative_form(ctx, Y, xi)
                     - differential(ctx, cross).scale(half)
                 )
-                yield {"u": lu, "v": lv}, E.bracket(u, v) - E.join(a_part, b_part)
+                yield {"u": lu, "v": lv}, E.bracket(u, v) - ESection.of(a_part, b_part)
 
     return first_nonzero("closed-bracket-formula", cases())
 
 
 def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult:
     """All six axioms plus the two function-multiplication rules, on
-    frame sections, scaled frames and mixed sums."""
+    frame sections, scaled frames and mixed sums.  Axioms (i)-(iii) are
+    the algebroid identities of `check_axioms`, written once in homalg."""
     mixed_probes = probes.double_sections(E, min(probe_degree, 1), mixed=True)
     pair_probes = probes.double_sections(E, min(probe_degree, 1))
-    funcs = monomials(E.n, probe_degree)
+    pairs = [(x, y) for x in pair_probes for y in pair_probes]
     pb = E.phi.pullback
-    # phi* of each probe function, and its partials, for the two anchor
-    # identities: a field applied to f is its flat field applied to phi*f
-    pulled = [(pb(f), {}) for f in funcs]
-    twisted = {}
-
-    def phiE(label, u):
-        """phiE(u) of a probe, computed once; a label names one section."""
-        if label not in twisted:
-            twisted[label] = E.phiE(u)
-        return twisted[label]
-
-    def axiom_i_a():
-        for lu, u in pair_probes:
-            for lv, v in pair_probes:
-                res = E.phiE(E.product(u, v)) - E.product(phiE(lu, u), phiE(lv, v))
-                yield {"u": lu, "v": lv}, res
+    pulled = [(f, pb(f), {}) for f in monomials(E.n, probe_degree)]
+    phiE = by_label(E.phiE)
 
     def axiom_i_b():
         frames = probes.double_sections(E, 0)
@@ -452,26 +433,6 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
             )
             yield {"e1": l1, "e2": l2, "e3": l3}, lhs - rhs
 
-    def axiom_ii():
-        # both sides are pullback vector fields: rho(phiE u) against
-        # phi* rho(u) phi^-1*, which is the conjugate ad_twist(phi, rho(u)).
-        # So one difference of flat fields per section, and no pullback per f
-        for lu, u in pair_probes:
-            conj = ad_twist(E.phi, E.rho_field(u))
-            diff = (E.rho_field(phiE(lu, u)) - conj).flat
-            for f, (pf, dpf) in zip(funcs, pulled):
-                yield {"u": lu, "f": f}, derive(diff, pf, dpf)
-
-    def axiom_iii():
-        # both sides are pullback vector fields: so one difference of
-        # flat fields per pair, and no pullback per f
-        fields = [E.rho_field(u) for _, u in pair_probes]
-        for (lu, u), ru in zip(pair_probes, fields):
-            for (lv, v), rv in zip(pair_probes, fields):
-                diff = (E.rho_field(E.product(u, v)) - bracket_phistar(E.phi, ru, rv)).flat
-                for f, (pf, dpf) in zip(funcs, pulled):
-                    yield {"u": lu, "v": lv, "f": f}, derive(diff, pf, dpf)
-
     def axiom_iv():
         for lu, u in mixed_probes:
             yield {"u": lu}, E.product(u, u) - E.script_D(E.pairing(u, u))
@@ -493,23 +454,22 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
                     yield {"e": le, "e1": l1, "e2": l2}, lhs - rhs
 
     def function_rules():
-        frames = E.frame_sections()
+        frames = probes.double_sections(E, 0)
         scalars = probes.nonconstant_monomials(E.n, probe_degree)
-        for a in range(2 * E.r):
-            for b in range(2 * E.r):
-                u, v = frames[a], frames[b]
+        for a, (la, u) in enumerate(frames):
+            for b, (lb, v) in enumerate(frames):
                 base = E.product(u, v)
                 for f in scalars:
                     left = E.product(u, v.scale(f))
-                    right1 = base.scale(pb(f)) + E.phiE_frame(b).scale(
+                    right1 = base.scale(pb(f)) + phiE(lb, v).scale(
                         E.rho_twisted_frame(a).apply(f)
                     )
-                    slots = {"u": f"E{a + 1}", "v": f"E{b + 1}", "f": f}
+                    slots = {"u": la, "v": lb, "f": f}
                     yield {"rule": "right-slot", **slots}, left - right1
                     left2 = E.product(u.scale(f), v)
                     right2 = (
                         base.scale(pb(f))
-                        - E.phiE_frame(a).scale(E.rho_twisted_frame(b).apply(f))
+                        - phiE(la, u).scale(E.rho_twisted_frame(b).apply(f))
                         + E.script_D(f).scale(pb(E.pairing(u, v)) * 2)
                     )
                     yield {"rule": "left-slot", **slots}, left2 - right2
@@ -517,10 +477,19 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
     return until_first_failure(
         "check_courant_axioms",
         [
-            ("product-twist-homomorphism", axiom_i_a()),
+            (
+                "product-twist-homomorphism",
+                twist_homomorphism_cases(("u", "v"), pairs, E.phiE, phiE, E.product),
+            ),
             ("product-hom-leibniz", axiom_i_b()),
-            ("anchor-twist-conjugation", axiom_ii()),
-            ("anchor-product-compatibility", axiom_iii()),
+            (
+                "anchor-twist-conjugation",
+                anchor_twist_cases(E.phi, "u", pair_probes, phiE, E.rho_field, pulled),
+            ),
+            (
+                "anchor-product-compatibility",
+                anchor_product_cases(E.phi, ("u", "v"), pairs, E.product, E.rho_field, pulled),
+            ),
             ("square-is-metric-gradient", axiom_iv()),
             ("pairing-twist-compatibility", axiom_v()),
             ("pairing-derivation", axiom_vi()),

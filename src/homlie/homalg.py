@@ -300,6 +300,60 @@ class HomAlgebroid:
         return f"HomAlgebroid(n={self.n}, rank={self.rank})"
 
 
+def by_label(fn, sections=()):
+    """The lookup (label, section) -> fn(section), which calls fn once
+    per label: at once for the labelled `sections`, and for any other
+    label on its first lookup.  A label names one section."""
+    seen = {label: fn(section) for label, section in sections}
+
+    def get(label, section):
+        got = seen.get(label)
+        if got is None:
+            got = seen[label] = fn(section)
+        return got
+
+    return get
+
+
+# The identities that a Hom-Lie algebroid and the Courant double share,
+# over their `twist` and `product` on sections and `anchor` to pullback
+# vector fields; `twisted` is a `by_label` lookup of the twist, and
+# `pulled` holds (f, phi*f, partials of phi*f) per probe function f.
+
+
+def twist_homomorphism_cases(keys, pairs, twist, twisted, product):
+    """twist(X . Y) - twist(X) . twist(Y) on each labelled pair."""
+    kx, ky = keys
+    for (lx, X), (ly, Y) in pairs:
+        yield {kx: lx, ky: ly}, twist(product(X, Y)) - product(twisted(lx, X), twisted(ly, Y))
+
+
+def anchor_twist_cases(phi: AffineTwist, key, sections, twisted, anchor, pulled):
+    """rho(twist X) against phi* rho(X) phi^-1* on each probe function.
+    Both sides are pullback vector fields, the right one the conjugate
+    ad_twist(phi, rho(X)): so one difference of flat fields per probe,
+    and no pullback per f."""
+    for label, X in sections:
+        conj = ad_twist(phi, anchor(X))
+        diff = (anchor(twisted(label, X)) - conj).flat
+        for f, pf, dpf in pulled:
+            yield {key: label, "f": f}, derive(diff, pf, dpf)
+
+
+def anchor_product_cases(phi: AffineTwist, keys, pairs, product, anchor, pulled):
+    """rho(X . Y) against the twisted commutator of rho(X) and rho(Y) on
+    each probe function.  Both sides are pullback vector fields: so one
+    difference of flat fields per pair, and no pullback per f.  The
+    anchor field of each probe is built once."""
+    kx, ky = keys
+    field = by_label(anchor)
+    for (lx, X), (ly, Y) in pairs:
+        commutator = bracket_phistar(phi, field(lx, X), field(ly, Y))
+        diff = (anchor(product(X, Y)) - commutator).flat
+        for f, pf, dpf in pulled:
+            yield {kx: lx, ky: ly, "f": f}, derive(diff, pf, dpf)
+
+
 def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     """Verify every Hom-Lie algebroid axiom as an exact polynomial
     identity on frame sections and monomial-scaled frame sections.
@@ -310,15 +364,14 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     singles = probes.sections(A, probe_degree)
     frame, scaled = singles[: A.rank], singles[A.rank :]
     scaled_small = probes.sections(A, min(probe_degree, PAIRWISE_PROBE_DEGREE))[A.rank :]
-    funcs = monomials(A.n, probe_degree)
     one = Poly.const(A.n, 1)
     # phi* of each probe function, pulled back once for every identity;
     # an anchor field applied to f is its flat field applied to phi*f,
     # so each also keeps the partials of phi*f
-    pulled = [(A.phi.pullback(f), {}) for f in funcs]
+    pulled = [(f, A.phi.pullback(f), {}) for f in monomials(A.n, probe_degree)]
     # phiA of each probe section, once per label for every identity
     # (the pairwise-scaled probes are a prefix of the scaled ones)
-    twisted = {label: A.phiA.apply(X) for label, X in singles}
+    twisted = by_label(A.phiA.apply, singles)
     pairs = (
         [(x, y) for x in frame for y in frame]
         + [(x, y) for x in frame for y in scaled]
@@ -330,16 +383,10 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
         # phiA(fX) from the images of the frame, against phi*f phiA(X)
         pb = A.phi.pullback
         for label, X in singles:
-            for f, (pf, _) in zip(funcs, pulled):
+            for f, pf, _ in pulled:
                 terms = [(pb(f * c), A.phiA_frame(j)) for (j,), c in X.coeffs.items()]
-                terms.append((-pf, twisted[label]))
+                terms.append((-pf, twisted(label, X)))
                 yield {"X": label, "f": f}, combine(terms)
-
-    def hom():
-        for (lx, X), (ly, Y) in pairs:
-            lhs = A.phiA.apply(A.bracket(X, Y))
-            rhs = A.bracket(twisted[lx], twisted[ly])
-            yield {"X": lx, "Y": ly}, lhs - rhs
 
     def jacobi():
         triples = [(x, y, z) for x in frame for y in frame for z in frame]
@@ -357,9 +404,9 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
             total = residuals.get((lx, ly, lz))
             if total is None:
                 total = (
-                    A.bracket(twisted[lx], A.bracket(Y, Z))
-                    + A.bracket(twisted[ly], A.bracket(Z, X))
-                    + A.bracket(twisted[lz], A.bracket(X, Y))
+                    A.bracket(twisted(lx, X), A.bracket(Y, Z))
+                    + A.bracket(twisted(ly, Y), A.bracket(Z, X))
+                    + A.bracket(twisted(lz, Z), A.bracket(X, Y))
                 )
                 for key in ((lx, ly, lz), (ly, lz, lx), (lz, lx, ly)):
                     residuals[key] = total
@@ -381,45 +428,34 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
         for (lx, X), (ly, Y) in pairs:
             if X is not last_x:
                 last_x, brackets = X, {}
-                rho_x = A.anchor_field(twisted[lx]).flat
+                rho_x = A.anchor_field(twisted(lx, X)).flat
             br = bracket_x(X, Y)
-            for f, (pf, dpf) in zip(funcs, pulled):
+            for f, pf, dpf in pulled:
                 terms = [
                     (one, bracket_x(X, Y.scale(f))),
                     (-pf, br),
-                    (-derive(rho_x, pf, dpf), twisted[ly]),
+                    (-derive(rho_x, pf, dpf), twisted(ly, Y)),
                 ]
                 yield {"X": lx, "Y": ly, "f": f}, combine(terms)
-
-    def anchor_twist():
-        # both sides are pullback vector fields: rho(phiA X) against
-        # phi* rho(X) phi^-1*, which is the conjugate ad_twist(phi, rho(X)).
-        # So one difference of flat fields per section, and no pullback per f
-        for label, X in singles:
-            conj = ad_twist(A.phi, A.anchor_field(X))
-            diff = (A.anchor_field(twisted[label]) - conj).flat
-            for f, (pf, dpf) in zip(funcs, pulled):
-                yield {"X": label, "f": f}, derive(diff, pf, dpf)
-
-    def anchor_bracket():
-        # both sides are pullback vector fields, and a field applied to
-        # f is its flat field applied to phi*f: so one difference of
-        # flat fields per pair, and no pullback per f
-        for (lx, X), (ly, Y) in pairs:
-            twisted_commutator = bracket_phistar(A.phi, A.anchor_field(X), A.anchor_field(Y))
-            diff = (A.anchor_field(A.bracket(X, Y)) - twisted_commutator).flat
-            for f, (pf, dpf) in zip(funcs, pulled):
-                yield {"X": lx, "Y": ly, "f": f}, derive(diff, pf, dpf)
 
     return until_first_failure(
         "check_axioms",
         [
             ("phiA-function-linearity", linearity()),
-            ("phiA-bracket-homomorphism", hom()),
+            (
+                "phiA-bracket-homomorphism",
+                twist_homomorphism_cases(("X", "Y"), pairs, A.phiA.apply, twisted, A.bracket),
+            ),
             ("hom-jacobi", jacobi()),
             ("leibniz-rule", leibniz()),
-            ("anchor-twist-compatibility", anchor_twist()),
-            ("anchor-bracket-compatibility", anchor_bracket()),
+            (
+                "anchor-twist-compatibility",
+                anchor_twist_cases(A.phi, "X", singles, twisted, A.anchor_field, pulled),
+            ),
+            (
+                "anchor-bracket-compatibility",
+                anchor_product_cases(A.phi, ("X", "Y"), pairs, A.bracket, A.anchor_field, pulled),
+            ),
         ],
     )
 

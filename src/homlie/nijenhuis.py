@@ -262,16 +262,7 @@ def bracket_Npi(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta:
     """Covector bracket of the deformed structure driven by the original
     sharp map."""
     _require_invariant(ctx, N)
-    return _bracket_Npi(_deformed_context(ctx, N), pi, alpha, beta)
-
-
-def _bracket_Npi(ctxN: CartanContext, pi: Bivector, alpha: Form, beta: Form) -> Form:
-    """bracket_Npi in the deformed context ctxN, whose endomorphism is
-    already known to be twist-invariant."""
-    s_alpha = pi.sharp_apply(alpha)
-    s_beta = pi.sharp_apply(beta)
-    out = lie_derivative_form(ctxN, s_alpha, beta) - lie_derivative_form(ctxN, s_beta, alpha)
-    return out - differential(ctxN, pair(beta, s_alpha))
+    return bracket_pi(_deformed_context(ctx, N), pi, alpha, beta)
 
 
 def is_hpn(
@@ -338,7 +329,7 @@ def _prop_conditions(ctx, pi, N, probe_degree, compat_tensor):
     }
     for la, alpha in coforms:
         for lb, beta in coforms:
-            base = _bracket_Npi(ctxN, pi, alpha, beta)
+            base = bracket_pi(ctxN, pi, alpha, beta)
             if cond["cond-deformed-vs-composed"]:
                 other = bracket_pi(ctx, pi_N, alpha, beta)
                 if not (base - other).is_zero():

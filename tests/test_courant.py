@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from homlie import probes
 from homlie.calculus import CartanContext, lie_derivative_form
 from homlie.courant import (
     BialgebroidPair,
@@ -49,6 +50,13 @@ def S1_pi_pair(S1_alg):
     ctx = CartanContext(S1_alg)
     pi = Bivector(S1_alg.frame(0).wedge(S1_alg.frame(1)))
     return BialgebroidPair.from_pi(ctx, pi)
+
+
+@pytest.fixture(scope="module")
+def S2_pair():
+    from homlie.fixtures import algebroid_s2
+
+    return BialgebroidPair.trivial(algebroid_s2())
 
 
 class TestCheckBialgebroid:
@@ -137,6 +145,55 @@ class TestPairing:
         assert E.pairing(u, v) == E.pairing(v, u)
 
 
+def reference_phiE(E, u):
+    """phiE extended phi*-linearly from the frame: phiE(E_a) is column a
+    of phiA on the primal block, or of its dual twist on the covector
+    block, and phiE(sum f_a E_a) = sum phi*(f_a) phiE(E_a)."""
+    r, n = E.r, E.n
+    primal, dual = E.pair.A.phiA.matrix, E.pair.ctx.dagger.matrix
+    zeros = [Poly.zero(n)] * r
+    out = ESection(zeros + zeros, n)
+    for a, f in enumerate(u.coeffs):
+        if a < r:
+            image = [primal[b][a] for b in range(r)] + zeros
+        else:
+            image = zeros + [dual[b][a - r] for b in range(r)]
+        out = out + ESection(image, n).scale(E.phi.pullback(f))
+    return out
+
+
+class TestSectionParts:
+    """A doubled section is its pair (X, xi); the maps on it agree with
+    their definitions on the 2r coefficients."""
+
+    @pytest.fixture(params=["S1_pair", "S1_pi_pair", "S2_pair"])
+    def E(self, request):
+        return double(request.getfixturevalue(request.param), verify=False)
+
+    @staticmethod
+    def mixed(E):
+        return [u for _, u in probes.double_sections(E, 1, mixed=True)]
+
+    def test_phiE_is_the_frame_extension(self, E):
+        for u in self.mixed(E):
+            assert E.phiE(u) == reference_phiE(E, u)
+
+    def test_pairing_is_half_the_cross_sum(self, E):
+        r, half = E.r, Fraction(1, 2)
+        sections = self.mixed(E)
+        for u in sections:
+            for v in sections:
+                a, b = u.coeffs, v.coeffs
+                cross = sum((a[r + i] * b[i] + b[r + i] * a[i] for i in range(r)), Poly.zero(E.n))
+                assert E.pairing(u, v) == cross * half
+
+    def test_coefficients_round_trip(self, E):
+        for u in self.mixed(E):
+            assert len(u.coeffs) == 2 * E.r
+            assert ESection(u.coeffs, E.n) == u
+            assert ESection.of(u.X, u.xi) == u
+
+
 class TestScriptD:
     def test_constant(self, S1_pair):
         E = double(S1_pair, verify=False)
@@ -183,11 +240,12 @@ class TestCourantAxioms:
         monkeypatch.setattr(CourantDouble, "rho_field", counted)
         E = double(BialgebroidPair.trivial(algebroid_s1()))
         assert check_courant_axioms(E, 2).passed
-        # 8 frame fields (rho(E_a) and rho(phiE E_a)), 2 per probe in
+        # 4 frame fields rho(E_a), 2 per probe in
         # anchor-twist-conjugation, 1 per probe plus 1 per product in
         # anchor-product-compatibility, and 1 per probe in
-        # pairing-derivation, over 12 pair probes
-        assert len(builds) == 8 + 2 * 12 + (12 + 12 * 12) + 12 == 200
+        # pairing-derivation, over 12 pair probes; the fields
+        # rho(phiE E_a) are the algebroids' anchor_after_twist
+        assert len(builds) == 4 + 2 * 12 + (12 + 12 * 12) + 12 == 196
 
     def test_phiE_once_per_probe(self, monkeypatch):
         from homlie.fixtures import algebroid_s1
@@ -204,8 +262,9 @@ class TestCourantAxioms:
         assert check_courant_axioms(E, 2).passed
         # one per product in product-twist-homomorphism (12 x 12 pair
         # probes), and one per distinct probe section: the 24 mixed
-        # probes, which include the 12 pair probes and the scaled frames
-        # of product-hom-leibniz
+        # probes, which include the 12 pair probes, the scaled frames of
+        # product-hom-leibniz and the frames of the
+        # function-multiplication rules
         assert len(calls) == 12 * 12 + 24 == 168
 
     def test_s0_double(self, S0_pair):
