@@ -28,7 +28,6 @@ from .exterior import (
     _sum_each,
     eval_form,
     pair,
-    wedge_all,
 )
 from .homalg import HomAlgebroid
 from .polyring import Poly, sum_products
@@ -145,7 +144,7 @@ def cached_call(fn, owner, *args):
 def _slots(ctx: CartanContext, args):
     """The phiA^-1 images and the anchor fields of section arguments."""
     A = ctx.algebroid
-    return [ctx.phiA_inv.apply(X) for X in args], [A.anchor_field(X) for X in args]
+    return [ctx.phiA_inv.apply_graded(X) for X in args], [A.anchor_field(X) for X in args]
 
 
 def _koszul_at(
@@ -178,7 +177,7 @@ def _koszul_at(
             if br.is_zero():
                 continue
             rest = [args[c] for c in range(k1) if c != a and c != b]
-            term = pair(dag_omega, wedge_all(ctx.rank, ctx.n, [br] + rest, MultiVector))
+            term = eval_form(dag_omega, [br] + rest)
             val = val + (term if (a + b) % 2 == 0 else -term)
     return val
 
@@ -246,14 +245,6 @@ def _differential(ctx: CartanContext, omega: Form) -> Form:
     return Form._raw(ctx.rank, ctx.n, k + 1, _sum_each(ctx.n, pairs))
 
 
-def differential_at(ctx: CartanContext, omega, args) -> Poly:
-    """The defining formula at arbitrary section arguments: the Koszul
-    reference that the tensoriality check evaluates at scaled frames."""
-    omega = ctx.as_form(omega)
-    args = list(args)
-    return _koszul_at(ctx, omega, ctx.dagger.apply_graded(omega), args, *_slots(ctx, args), {}, {})
-
-
 def interior(ctx: CartanContext, D, omega: Form) -> Form:
     """Twisted interior multiplication: contract the twisted argument
     into the twisted form, landing in degree m - k."""
@@ -293,7 +284,7 @@ def _lie_derivative_form(ctx: CartanContext, X, eta: Form) -> Form:
     t1 = interior(ctx, X, differential(ctx, om))
     if eta.degree == 0:
         return t1
-    t2 = differential(ctx, interior(ctx, ctx.phiA_inv.apply(X), om))
+    t2 = differential(ctx, interior(ctx, ctx.phiA_inv.apply_graded(X), om))
     return t1 + t2
 
 
@@ -424,11 +415,13 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
                         args = list(frame)
                         args[pos] = frame[pos].scale(f)
                         inv_args = list(inv_frame)
-                        inv_args[pos] = ctx.phiA_inv.apply(args[pos])
+                        inv_args[pos] = ctx.phiA_inv.apply_graded(args[pos])
                         fields = list(frame_fields)
                         fields[pos] = A.anchor_field(args[pos])
                         direct = _koszul_at(ctx, om, dag_om, args, inv_args, fields, known, unscaled)
-                        tens = pair(d_om, wedge_all(ctx.rank, ctx.n, args, MultiVector))
+                        # the table side at the same arguments:
+                        # <d omega, f e_I> = f (d omega)_I
+                        tens = f * d_om.coeff(I)
                         inputs = {
                             "omega": label,
                             "slots": "e[" + ",".join(str(i + 1) for i in I) + "]",
@@ -463,8 +456,8 @@ def check_differential_props(ctx: CartanContext, probe_degree: int = 3) -> Check
         # alpha-independent values, each computed once: phiA^-1(Y) per
         # Y, the flat field of -rho(phiA X) per X, and [X, phiA^-1 Y] per
         # (X, Y) on first use
-        inv = [ctx.phiA_inv.apply(Y) for _, Y in sections]
-        rho = [[-c for c in A.anchor_field(A.phiA.apply(X)).flat] for _, X in sections]
+        inv = [ctx.phiA_inv.apply_graded(Y) for _, Y in sections]
+        rho = [[-c for c in A.anchor_field(A.phiA.apply_graded(X)).flat] for _, X in sections]
         brackets = {}
         for la, alpha in probes.coframes(A, min(probe_degree, 2)):
             dag_alpha = ctx.dagger.apply_graded(alpha).coeffs

@@ -28,6 +28,7 @@ from .homalg import (
     anchor_product_cases,
     anchor_twist_cases,
     by_label,
+    derive,
     twist_homomorphism_cases,
 )
 from .poisson import Bivector, dual_algebroid
@@ -115,8 +116,8 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
         for lx, X in sections:
             for ly, Y in sections:
                 lhs = P.dual_differential(A.bracket(X, Y))
-                rhs = schouten(ctx, P.dual_differential(X), A.phiA.apply(Y)) + schouten(
-                    ctx, A.phiA.apply(X), P.dual_differential(Y)
+                rhs = schouten(ctx, P.dual_differential(X), A.phiA.apply_graded(Y)) + schouten(
+                    ctx, A.phiA.apply_graded(X), P.dual_differential(Y)
                 )
                 yield {"X": lx, "Y": ly}, lhs - rhs
 
@@ -261,7 +262,8 @@ class CourantDouble:
     def phiE(self, u: ESection) -> ESection:
         """The twist of the double: phiA on the primal part and its dual
         on the covector."""
-        return ESection.of(self.pair.A.phiA.apply(u.X), self.pair.ctx.dagger.apply(u.xi))
+        P = self.pair
+        return ESection.of(P.A.phiA.apply_graded(u.X), P.ctx.dagger.apply_graded(u.xi))
 
     def pairing(self, u: ESection, v: ESection) -> Poly:
         """Half the sum of the two cross pairings <xi, Y> + <eta, X>."""
@@ -293,7 +295,7 @@ class CourantDouble:
         Y, eta = v.X, v.xi
         a_part = P.A.bracket(X, Y)
         a_part = a_part + P.dual_lie_on_section(xi, Y)
-        d_star_X = P.dual_differential(ctx.phiA_inv.apply(X))
+        d_star_X = P.dual_differential(ctx.phiA_inv.apply_graded(X))
         a_part = a_part - P.dual_interior(eta, d_star_X)
         b_part = P.dual_bracket(xi, eta)
         b_part = b_part + lie_derivative_form(ctx, X, eta)
@@ -417,19 +419,13 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
                         t = [base[0], base[1]]
                         t.insert(pos, probe)
                         triples.append(tuple(t))
-        prod_cache = {}
-
-        def prod(la, ua, lb, ub):
-            key = (la, lb)
-            got = prod_cache.get(key)
-            if got is None:
-                got = prod_cache[key] = E.product(ua, ub)
-            return got
+        # the product of each pair of probes, keyed by their labels
+        prod = by_label(lambda uv: E.product(*uv))
 
         for (l1, e1), (l2, e2), (l3, e3) in triples:
-            lhs = E.product(phiE(l1, e1), prod(l2, e2, l3, e3))
-            rhs = E.product(prod(l1, e1, l2, e2), phiE(l3, e3)) + E.product(
-                phiE(l2, e2), prod(l1, e1, l3, e3)
+            lhs = E.product(phiE(l1, e1), prod((l2, l3), (e2, e3)))
+            rhs = E.product(prod((l1, l2), (e1, e2)), phiE(l3, e3)) + E.product(
+                phiE(l2, e2), prod((l1, l3), (e1, e3))
             )
             yield {"e1": l1, "e2": l2, "e3": l3}, lhs - rhs
 
@@ -444,12 +440,17 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
                 yield {"u": lu, "v": lv}, res
 
     def axiom_vi():
+        # <e1, e2> does not depend on e, so it is pulled back once per
+        # (e1, e2), with the partials that each rho(phiE e) applies
+        pulled_pairings = [
+            [(pb(E.pairing(e1, e2)), {}) for _, e2 in pair_probes] for _, e1 in pair_probes
+        ]
         for le, e in pair_probes:
-            rho_tw = E.rho_field(phiE(le, e))
+            rho_flat = E.rho_field(phiE(le, e)).flat
             products = [(l1, e1, E.product(e, e1)) for l1, e1 in pair_probes]
-            for l1, e1, prod_e1 in products:
-                for l2, e2, prod_e2 in products:
-                    lhs = rho_tw.apply(E.pairing(e1, e2))
+            for (l1, e1, prod_e1), row in zip(products, pulled_pairings):
+                for (l2, e2, prod_e2), (pg, partials) in zip(products, row):
+                    lhs = derive(rho_flat, pg, partials)
                     rhs = E.pairing(prod_e1, phiE(l2, e2)) + E.pairing(phiE(l1, e1), prod_e2)
                     yield {"e": le, "e1": l1, "e2": l2}, lhs - rhs
 
@@ -507,8 +508,9 @@ def jacobiator(E: CourantDouble, e1: ESection, e2: ESection, e3: ESection):
     third = Poly.const(E.n, Fraction(1, 3))
     for a, b, c in cyc:
         inner = E.bracket(a, b)
-        total = total + E.bracket(inner, E.phiE(c))
-        T = T + E.pairing(inner, E.phiE(c))
+        twisted = E.phiE(c)
+        total = total + E.bracket(inner, twisted)
+        T = T + E.pairing(inner, twisted)
     T = third * T
     res = total - E.script_D(T)
     if not res.is_zero():

@@ -79,16 +79,6 @@ def _solve(columns, pivot, target):
     return "member", coeffs
 
 
-def solve_membership(columns, target):
-    """Solve sum_j c_j columns[j] = target for polynomial c_j.
-
-    columns: list of coefficient tuples (length m) of full rank; target:
-    length-m tuple.  Returns ("member", coeffs), ("not-member",
-    row_index) or ("non-polynomial", column_index).
-    """
-    return _solve(columns, _full_rank(_find_pivot(columns)), target)
-
-
 class Subbundle:
     """A rank-r subbundle of the doubled bundle given by generating
     sections with polynomial coefficients."""
@@ -107,9 +97,6 @@ class Subbundle:
     @cached_property
     def _pivot(self):
         return _find_pivot([g.coeffs for g in self.generators])
-
-    def is_full_rank(self) -> bool:
-        return self._pivot is not None
 
     def membership(self, section: ESection):
         cols = [g.coeffs for g in self.generators]

@@ -354,13 +354,6 @@ class EndoMap:
         cls = type(v)
         return cls.from_vector(self.rank, self.n, self._mat_apply(v.vector()))
 
-    def apply_sharp(self, alpha: Form) -> MultiVector:
-        """Dual-to-primal application (matrix columns are images of the
-        dual frame); used for sharp maps and graph constructions."""
-        if alpha.degree != 1:
-            raise StructureError("sharp application needs a degree-1 form")
-        return MultiVector.from_vector(self.rank, self.n, self._mat_apply(alpha.vector()))
-
     def transpose(self) -> "EndoMap":
         flipped = "form" if self.kind == "multivector" else "multivector"
         return EndoMap(
@@ -447,7 +440,7 @@ class SectionTwist:
             )
         self.matrix = tuple(rows)
         self.kind = kind
-        self.det = poly_mat_det([list(r) for r in self.matrix]) if self.rank else Poly.const(self.n, 1)
+        self.det = poly_mat_det(self.matrix) if self.rank else Poly.const(self.n, 1)
         self._minors = {}
         self._matrix_inv = None
         self._inverse = None
@@ -476,14 +469,8 @@ class SectionTwist:
         """P^-1 as a tuple of rows, computed once."""
         if self._matrix_inv is None:
             self._require_invertible()
-            self._matrix_inv = tuple(map(tuple, poly_mat_inverse([list(r) for r in self.matrix])))
+            self._matrix_inv = tuple(map(tuple, poly_mat_inverse(self.matrix)))
         return self._matrix_inv
-
-    def apply(self, v: GradedElement) -> GradedElement:
-        """Degree-1 action: matrix times pulled-back coefficients."""
-        if v.kind != self.kind:
-            raise StructureError(f"{self.kind} twist applied to a {v.kind}")
-        return self.apply_graded(v)
 
     def apply_graded(self, T: GradedElement) -> GradedElement:
         """Wedge extension to any degree via minors of the matrix."""
@@ -527,7 +514,7 @@ class SectionTwist:
         if N.kind != self.kind:
             raise StructureError("endomorphism kind does not match the twist")
         pulled = [[self.base.pullback(x) for x in row] for row in N.matrix]
-        conj = poly_mat_mul(poly_mat_mul([list(r) for r in self.matrix], pulled), self.matrix_inverse())
+        conj = poly_mat_mul(poly_mat_mul(self.matrix, pulled), self.matrix_inverse())
         return EndoMap(conj, kind=self.kind)
 
     def inverse(self) -> "SectionTwist":

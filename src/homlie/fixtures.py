@@ -168,13 +168,6 @@ CATALOG = [
 ]
 
 
-def get_fixture(name: str) -> Fixture:
-    for f in CATALOG:
-        if f.name == name:
-            return f
-    raise KeyError(f"unknown fixture {name!r}")
-
-
 def fixture_tags() -> list:
     """Every tag of the catalog, sorted."""
     return sorted({t for f in CATALOG for t in f.tags})

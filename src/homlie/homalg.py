@@ -129,16 +129,6 @@ def ad_twist(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
     return PullbackVectorField(phi, [phi.pullback(c) for c in X.flat])
 
 
-def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
-    _same_base(phi, X)
-    n = phi.n
-    coeffs = []
-    for k in range(n):
-        xk = Poly.variable(n, k)
-        coeffs.append(phi.inverse_pullback(X.apply(phi.pullback(xk))))
-    return PullbackVectorField(phi, coeffs)
-
-
 def bracket_phistar(phi: AffineTwist, X: PullbackVectorField, Y: PullbackVectorField) -> PullbackVectorField:
     """The twisted commutator (phi* X phi^-1* Y - phi* Y phi^-1* X)
     phi^-1* on pullback vector fields; antisymmetric by construction.
@@ -223,9 +213,6 @@ class HomAlgebroid:
         table[(i, j, k)] = c
 
     # -- frame helpers -------------------------------------------------
-
-    def section(self, coeffs) -> MultiVector:
-        return MultiVector.from_vector(self.rank, self.n, coeffs)
 
     def frame(self, i: int) -> MultiVector:
         return MultiVector.basis(self.rank, self.n, (i,))
@@ -371,7 +358,7 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
     pulled = [(f, A.phi.pullback(f), {}) for f in monomials(A.n, probe_degree)]
     # phiA of each probe section, once per label for every identity
     # (the pairwise-scaled probes are a prefix of the scaled ones)
-    twisted = by_label(A.phiA.apply, singles)
+    twisted = by_label(A.phiA.apply_graded, singles)
     pairs = (
         [(x, y) for x in frame for y in frame]
         + [(x, y) for x in frame for y in scaled]
@@ -444,7 +431,9 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
             ("phiA-function-linearity", linearity()),
             (
                 "phiA-bracket-homomorphism",
-                twist_homomorphism_cases(("X", "Y"), pairs, A.phiA.apply, twisted, A.bracket),
+                twist_homomorphism_cases(
+                    ("X", "Y"), pairs, A.phiA.apply_graded, twisted, A.bracket
+                ),
             ),
             ("hom-jacobi", jacobi()),
             ("leibniz-rule", leibniz()),

@@ -68,7 +68,8 @@ def torsion(ctx: CartanContext, N: EndoMap) -> dict:
 def _commutes_with_twist(A: HomAlgebroid, N: EndoMap, sections) -> bool:
     """N(phi_A X) = phi_A(N X) on every labelled probe section X."""
     return all(
-        (N.apply(A.phiA.apply(X)) - A.phiA.apply(N.apply(X))).is_zero() for _, X in sections
+        (N.apply(A.phiA.apply_graded(X)) - A.phiA.apply_graded(N.apply(X))).is_zero()
+        for _, X in sections
     )
 
 
@@ -114,12 +115,12 @@ def lemma_checks(
 
     def image():
         for label, X in sections:
-            yield {"X": label}, A.phiA.apply(N.apply(X)) - twN.apply(A.phiA.apply(X))
+            yield {"X": label}, A.phiA.apply_graded(N.apply(X)) - twN.apply(A.phiA.apply_graded(X))
 
     def transpose_image():
         for label, xi in coforms:
-            res = ctx.dagger.apply(N.transpose().apply(xi)) - twNt.apply(ctx.dagger.apply(xi))
-            yield {"xi": label}, res
+            lhs = ctx.dagger.apply_graded(N.transpose().apply(xi))
+            yield {"xi": label}, lhs - twNt.apply(ctx.dagger.apply_graded(xi))
 
     composite = A.phiA.apply_endo(N.compose(Nprime)) - twN.compose(A.phiA.apply_endo(Nprime))
     results = [
@@ -186,8 +187,8 @@ def deformed_algebroid(ctx: CartanContext, N: EndoMap, probe_degree: int = 2) ->
 def d_n_props(ctx: CartanContext, N: EndoMap, probe_degree: int = 3) -> CheckResult:
     """The deformed differential acts on functions through the
     transpose, and anticommutes with the original differential there."""
-    deformed_algebroid(ctx, N, min(probe_degree, 2))  # refuses an invalid N first
-    ctxN = _deformed_context(ctx, N)
+    # refuses an invalid N first
+    ctxN = CartanContext(deformed_algebroid(ctx, N, min(probe_degree, 2)))
     Nt = N.transpose()
 
     def on_functions():
@@ -233,10 +234,8 @@ def _transposed_bracket(ctx: CartanContext, pi: Bivector, Nt: EndoMap, alpha: Fo
 
 def _sharp_commutation_residual(ctx, pi, N):
     """N . sharp - sharp . transpose as a matrix residual."""
-    lhs = poly_mat_mul([list(r) for r in N.matrix], [list(r) for r in pi.sharp.matrix])
-    rhs = poly_mat_mul(
-        [list(r) for r in pi.sharp.matrix], [list(r) for r in N.transpose().matrix]
-    )
+    lhs = poly_mat_mul(N.matrix, pi.sharp.matrix)
+    rhs = poly_mat_mul(pi.sharp.matrix, N.transpose().matrix)
     return [
         [lhs[i][j] - rhs[i][j] for j in range(ctx.rank)] for i in range(ctx.rank)
     ]
@@ -253,16 +252,10 @@ def compat_Cprime(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, bet
     s_beta = pi.sharp_apply(beta)
     LN_alpha = lie_derivative_tensor(ctx, s_alpha, N).transpose()
     LN_beta = lie_derivative_tensor(ctx, s_beta, N).transpose()
-    out = LN_alpha.apply(ctx.dagger.apply(beta)) - LN_beta.apply(ctx.dagger.apply(alpha))
+    dag = ctx.dagger.apply_graded
+    out = LN_alpha.apply(dag(beta)) - LN_beta.apply(dag(alpha))
     out = out + Nt.apply(differential(ctx, pair(beta, s_alpha)))
     return out - differential(ctx, pair(beta, pi.sharp_apply(Nt.apply(alpha))))
-
-
-def bracket_Npi(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
-    """Covector bracket of the deformed structure driven by the original
-    sharp map."""
-    _require_invariant(ctx, N)
-    return bracket_pi(_deformed_context(ctx, N), pi, alpha, beta)
 
 
 def is_hpn(
@@ -277,12 +270,21 @@ def is_hpn(
     their agreement recorded."""
     ok_pi = is_hom_poisson(ctx, pi)
     ok_N = is_hom_nijenhuis(ctx, N, probe_degree)
-    return _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence=True)
+    merged = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree)
+    invariant = all(ok.details.get("twist-invariance") == "pass" for ok in (ok_pi, ok_N))
+    if invariant and merged.details["sharp-endo-commutation"] == "pass":
+        compat = merged.details["compatibility-tensor"] == "pass"
+        conds = _prop_conditions(ctx, pi, N, min(probe_degree, 1), compat)
+        merged.details.update(conds)
+        values = [conds[k] for k in sorted(conds)]
+        merged.details["prop-conditions-agree"] = all(values) or not any(values)
+    return merged
 
 
-def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence):
-    """is_hpn given the results of is_hom_poisson and is_hom_nijenhuis
-    on (pi, N) at probe_degree."""
+def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree):
+    """is_hpn's verdict without the equivalent formulations, given the
+    results of is_hom_poisson and is_hom_nijenhuis on (pi, N) at
+    probe_degree."""
     results = [ok_pi, ok_N]
     res_mat = _sharp_commutation_residual(ctx, pi, N)
     entries = (
@@ -297,19 +299,8 @@ def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence):
         for la, alpha in coforms
         for lb, beta in coforms
     )
-    compat = first_nonzero("compatibility-tensor", tensor)
-    results.append(compat)
-    merged = first_failure("is_hpn", results)
-
-    pi_invariant = results[0].details.get("twist-invariance") == "pass"
-    n_invariant = results[1].details.get("twist-invariance") == "pass"
-    kakansei_ok = results[2].passed
-    if check_equivalence and kakansei_ok and pi_invariant and n_invariant:
-        conds = _prop_conditions(ctx, pi, N, min(probe_degree, 1), compat.passed)
-        merged.details.update(conds)
-        values = [conds[k] for k in sorted(conds)]
-        merged.details["prop-conditions-agree"] = all(values) or not any(values)
-    return merged
+    results.append(first_nonzero("compatibility-tensor", tensor))
+    return first_failure("is_hpn", results)
 
 
 def _prop_conditions(ctx, pi, N, probe_degree, compat_tensor):
@@ -365,13 +356,13 @@ def hierarchy(ctx: CartanContext, pi: Bivector, N: EndoMap, depth: int, probe_de
         ok_N = nijenhuis_at.get((p, degree))
         if ok_N is None:
             ok_N = nijenhuis_at[p, degree] = is_hom_nijenhuis(ctx, powers[p], degree)
-        return _hpn(ctx, towers[k], powers[p], ok_pi, ok_N, degree, check_equivalence=False)
+        return _hpn(ctx, towers[k], powers[p], ok_pi, ok_N, degree)
 
     base_degree = max(probe_degree, 1)
     base = require(hpn(0, 1, base_degree), "hierarchy requires a compatible pair")
-    H = [list(r) for r in pi.sharp.matrix]
+    H = pi.sharp.matrix
     for _ in range(depth):
-        H = poly_mat_mul([list(r) for r in N.matrix], H)
+        H = poly_mat_mul(N.matrix, H)
         towers.append(Bivector.from_sharp(H, ctx.n))
     results = []
     for k in range(len(towers)):
@@ -390,17 +381,12 @@ def hierarchy(ctx: CartanContext, pi: Bivector, N: EndoMap, depth: int, probe_de
     return towers, first_failure("hierarchy", results)
 
 
-def bialgebroid_defect(ctx: CartanContext, pi: Bivector, N: EndoMap, xi1, xi2) -> Form:
-    """Graded defect measuring how far the deformed differential is from
-    being a twisted derivation of the dual graded bracket; the
-    undifferentiated slot carries the dagger twist so that the defect
-    vanishes exactly on compatible pairs."""
-    return _defect_operator(ctx, pi, N)(xi1, xi2)
-
-
-def _defect_operator(ctx: CartanContext, pi: Bivector, N: EndoMap):
-    """The map (xi1, xi2) -> bialgebroid_defect(ctx, pi, N, xi1, xi2),
-    built after refusing a non-Poisson pi and then a non-invariant N."""
+def bialgebroid_defect(ctx: CartanContext, pi: Bivector, N: EndoMap):
+    """The graded defect, as the map (xi1, xi2) -> defect: how far the
+    deformed differential is from being a twisted derivation of the dual
+    graded bracket.  The undifferentiated slot carries the dagger twist,
+    so that the defect vanishes exactly on compatible pairs.  Refuses a
+    non-Poisson pi, then a non-invariant N, before the map is built."""
     dual_schouten = BialgebroidPair.from_pi(ctx, pi).dual_schouten
     _require_invariant(ctx, N)
     ctxN = _deformed_context(ctx, N)
@@ -428,17 +414,13 @@ def bialgebroid_defect_checks(
     """The five displayed properties of the defect: values on function
     pairs, on differential-function pairs, the wedge rule with the
     doubly-twisted tail, and graded antisymmetry."""
-    defect = _defect_operator(ctx, pi, N)  # refuses before any probe runs
+    defect = bialgebroid_defect(ctx, pi, N)  # refuses before any probe runs
     A = ctx.algebroid
     Nt = N.transpose()
     funcs = monomials(ctx.n, probe_degree)
 
     def sharp_defect(form):
-        return MultiVector.from_vector(
-            ctx.rank,
-            ctx.n,
-            (N.apply(pi.sharp_apply(form)) - pi.sharp_apply(Nt.apply(form))).vector(),
-        )
+        return N.apply(pi.sharp_apply(form)) - pi.sharp_apply(Nt.apply(form))
 
     def on_functions():
         for f in funcs:
@@ -513,7 +495,7 @@ def hpn_bialgebroid_equiv(
     ok_N = require(
         is_hom_nijenhuis(ctx, N, probe_degree), "endomorphism is not a valid deformation"
     )
-    hpn = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree, check_equivalence=False)
+    hpn = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree)
     A_N = _deformed_context(ctx, N).algebroid
     dual = dual_algebroid(ctx, pi)
     pair_check = check_bialgebroid(BialgebroidPair(A_N, dual), probe_degree)

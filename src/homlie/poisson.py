@@ -33,6 +33,7 @@ from .polyring import AffineTwist, Poly
 from .report import (
     CheckResult,
     PreconditionError,
+    StructureError,
     TheoremViolation,
     Witness,
     first_failure,
@@ -90,7 +91,11 @@ class Bivector:
         return cls(MultiVector(rank, n, 2, coeffs))
 
     def sharp_apply(self, alpha: Form) -> MultiVector:
-        return self.sharp.apply_sharp(alpha)
+        """pi-sharp of a covector: the sharp matrix on its coefficients,
+        read as a section."""
+        if alpha.degree != 1:
+            raise StructureError("sharp application needs a degree-1 form")
+        return MultiVector.from_vector(self.rank, self.n, self.sharp._mat_apply(alpha.vector()))
 
     def render(self, names=None) -> str:
         return self.table.render(names)
@@ -116,8 +121,8 @@ def sharp_commutes(ctx: CartanContext, pi: Bivector, probe_degree: int = 3) -> C
 
     def cases():
         for label, alpha in probes.coframes(A, probe_degree):
-            lhs = A.phiA.apply(pi.sharp_apply(alpha))
-            rhs = pi.sharp_apply(ctx.dagger.apply(alpha))
+            lhs = A.phiA.apply_graded(pi.sharp_apply(alpha))
+            rhs = pi.sharp_apply(ctx.dagger.apply_graded(alpha))
             yield {"alpha": label}, lhs - rhs
 
     found = first_nonzero("sharp-twist-commutation", cases())
@@ -214,8 +219,8 @@ def pi_pi_cases(ctx: CartanContext, pi: Bivector, pairs):
     sq = schouten(ctx, pi.table, pi.table)
     half = Poly.const(ctx.n, "1/2")
     for alpha, beta in pairs:
-        d_alpha = ctx.dagger.apply(alpha)
-        d_beta = ctx.dagger.apply(beta)
+        d_alpha = ctx.dagger.apply_graded(alpha)
+        d_beta = ctx.dagger.apply_graded(beta)
         lhs_coeffs = []
         for k in range(ctx.rank):
             W = wedge_all(ctx.rank, ctx.n, [d_alpha, d_beta, A.coframe(k)], Form)

@@ -4,13 +4,22 @@ for the twisted engine on the classical tangent instance.
 Each operator is written from its coordinate formula and shares no code
 path with `homlie.calculus`: the differential uses the coordinate-sum
 formula, contraction the direct slot formula, and the Lie derivative
-the direct evaluation formula.  Only tests import this module.
+the direct evaluation formula.  Only tests import this module; it also
+holds the fixture lookup by name that several tests share.
 """
 
 from itertools import combinations
 
 from homlie.exterior import Form, MultiVector, _merge_sign, pair, wedge_all
+from homlie.fixtures import CATALOG, Fixture
 from homlie.polyring import Poly
+
+
+def get_fixture(name: str) -> Fixture:
+    for f in CATALOG:
+        if f.name == name:
+            return f
+    raise KeyError(f"unknown fixture {name!r}")
 
 
 def vf_apply(coeffs, f: Poly) -> Poly:

@@ -41,7 +41,6 @@ from homlie.fixtures import (
     algebroid_s1,
     algebroid_s2,
     algebroid_s3,
-    get_fixture,
     search_invariant_non_poisson_bivector,
     standard_pi,
 )
@@ -164,7 +163,7 @@ def test_criterion_2_axiom_suite(S1, S2):
     with criterion(2, "axiom suite passes on the twisted instances and flags the perturbation"):
         assert check_axioms(S1.algebroid, probe_degree=3).passed
         assert check_axioms(S2.algebroid, probe_degree=3).passed
-        bad = get_fixture("S1-perturbed-structure").build()["algebroid"]
+        bad = oracle.get_fixture("S1-perturbed-structure").build()["algebroid"]
         res = check_axioms(bad, probe_degree=3)
         assert not res.passed
         assert res.witness is not None
@@ -199,7 +198,7 @@ def test_criterion_4_poisson_suite(S1):
         assert check_axioms(dual).passed
         assert check_bialgebroid(BialgebroidPair.from_pi(S1, pi)).passed
 
-        bad = get_fixture("S1-noninvariant-pi").build()["pi"]
+        bad = oracle.get_fixture("S1-noninvariant-pi").build()["pi"]
         res = is_hom_poisson(S1, bad)
         assert not res.passed
         assert res.witness.identity == "twist-invariance"
@@ -244,7 +243,7 @@ def test_criterion_6_nijenhuis_suite(S1):
             assert check_axioms(A_N).passed
             assert d_n_props(S1, N).passed
 
-        bad = get_fixture("S1-noncommuting-endo").build()["N"]
+        bad = oracle.get_fixture("S1-noncommuting-endo").build()["N"]
         res = is_hom_nijenhuis(S1, bad)
         assert not res.passed
         assert res.details["twist-invariance"] == "FAIL"

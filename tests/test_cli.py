@@ -11,11 +11,11 @@ from homlie.calculus import CartanContext
 from homlie.cli import run_scenario
 from homlie.fixtures import (
     CATALOG,
-    get_fixture,
     list_fixtures,
     search_invariant_non_poisson_bivector,
 )
 from homlie.scenario import ScenarioError, load_scenario, parse_scenario
+from oracle import get_fixture
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"

@@ -267,6 +267,45 @@ class TestCourantAxioms:
         # function-multiplication rules
         assert len(calls) == 12 * 12 + 24 == 168
 
+    def test_pairing_once_per_pair_in_pairing_derivation(self, monkeypatch):
+        from homlie.fixtures import algebroid_s1
+
+        calls = []
+        original = CourantDouble.pairing
+
+        def counted(self, u, v):
+            calls.append(u)
+            return original(self, u, v)
+
+        monkeypatch.setattr(CourantDouble, "pairing", counted)
+        E = double(BialgebroidPair.trivial(algebroid_s1()))
+        assert check_courant_axioms(E, 2).passed
+        # the 4 x 4 Gram matrix once; 1 per mixed probe in
+        # square-is-metric-gradient and 2 per pair of the 24 mixed probes
+        # in pairing-twist-compatibility; in pairing-derivation <e1, e2>
+        # once per pair of the 12 pair probes, and the 2 right-side
+        # pairings per (e, e1, e2); 1 per (frame, frame, f) over the 5
+        # nonconstant monomials of the function-multiplication rules
+        assert len(calls) == 16 + 24 + 2 * 24 * 24 + (12 * 12 + 2 * 12**3) + 4 * 4 * 5 == 4872
+
+    def test_jacobiator_twists_each_cyclic_term_once(self, monkeypatch):
+        from homlie.courant import check_jacobiator
+        from homlie.fixtures import algebroid_s1
+
+        calls = []
+        original = CourantDouble.phiE
+
+        def counted(self, u):
+            calls.append(u)
+            return original(self, u)
+
+        monkeypatch.setattr(CourantDouble, "phiE", counted)
+        E = double(BialgebroidPair.trivial(algebroid_s1()))
+        assert check_jacobiator(E).passed
+        # phiE(c) once per cyclic term (a, b, c), for the bracket and the
+        # pairing alike, on each of the 4 x 4 x 4 frame triples
+        assert len(calls) == 3 * 4**3 == 192
+
     def test_s0_double(self, S0_pair):
         assert check_courant_axioms(double(S0_pair, verify=False)).passed
 

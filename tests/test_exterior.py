@@ -180,20 +180,20 @@ class TestSectionTwist:
     def test_function_linearity(self, s1_twist):
         f = x * y + 3
         X = e(1).scale(y) + e(2)
-        lhs = s1_twist.apply(X.scale(f))
-        rhs = s1_twist.apply(X).scale(s1_twist.base.pullback(f))
+        lhs = s1_twist.apply_graded(X.scale(f))
+        rhs = s1_twist.apply_graded(X).scale(s1_twist.base.pullback(f))
         assert lhs == rhs
 
     def test_inverse(self, s1_twist):
         X = e(1).scale(x * x) + e(2).scale(y)
-        assert s1_twist.inverse().apply(s1_twist.apply(X)) == X
-        assert s1_twist.apply(s1_twist.inverse().apply(X)) == X
+        assert s1_twist.inverse().apply_graded(s1_twist.apply_graded(X)) == X
+        assert s1_twist.apply_graded(s1_twist.inverse().apply_graded(X)) == X
 
     def test_wedge_respected(self, s1_twist):
         u = e(1).scale(x) + e(2)
         v = e(2).scale(y + 1)
         lhs = s1_twist.apply_graded(u.wedge(v))
-        rhs = s1_twist.apply(u).wedge(s1_twist.apply(v))
+        rhs = s1_twist.apply_graded(u).wedge(s1_twist.apply_graded(v))
         assert lhs == rhs
 
 
@@ -201,12 +201,12 @@ class TestDualTwist:
     def test_identity(self):
         t = SectionTwist.identity(2, AffineTwist.identity(N))
         d = t.dual()
-        assert d.apply(eps(1)) == eps(1)
+        assert d.apply_graded(eps(1)) == eps(1)
 
     def test_s1_dual_values(self, s1_twist):
         d = s1_twist.dual()
-        assert d.apply(eps(1)) == eps(1).scale(2)
-        assert d.apply(eps(2)) == eps(2).scale(Fraction(1, 2))
+        assert d.apply_graded(eps(1)) == eps(1).scale(2)
+        assert d.apply_graded(eps(2)) == eps(2).scale(Fraction(1, 2))
 
     def test_involution(self, s1_twist):
         dd = s1_twist.dual().dual()
@@ -230,15 +230,15 @@ class TestDualTwist:
         probes_xi = [eps(1), eps(2), eps(1).scale(y), eps(2).scale(x)]
         for xi in probes_xi:
             for X in probes_x:
-                lhs = pair(d.apply(xi), X)
-                rhs = s1_twist.base.pullback(pair(xi, inv.apply(X)))
+                lhs = pair(d.apply_graded(xi), X)
+                rhs = s1_twist.base.pullback(pair(xi, inv.apply_graded(X)))
                 assert lhs == rhs
 
     def test_pairing_compatibility(self, s1_twist):
         d = s1_twist.dual()
         for xi in (eps(1).scale(x), eps(2)):
             for X in (e(1), e(2).scale(y)):
-                lhs = pair(d.apply(xi), s1_twist.apply(X))
+                lhs = pair(d.apply_graded(xi), s1_twist.apply_graded(X))
                 rhs = s1_twist.base.pullback(pair(xi, X))
                 assert lhs == rhs
 

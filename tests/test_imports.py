@@ -190,12 +190,6 @@ def test_detects_an_unreferenced_public_function():
 # public functions that no code in src calls and `homlie.__all__` does
 # not export, each with the reason it stays
 UNCALLED_PUBLIC = {
-    "calculus.differential_at": "test helper, to move to tests/ (ROADMAP item 15)",
-    "dirac.solve_membership": "test helper, to move to tests/ (ROADMAP item 15)",
-    "fixtures.get_fixture": "test helper, to move to tests/ (ROADMAP item 15)",
-    "homalg.ad_twist_inverse": "test helper, to move to tests/ (ROADMAP item 15)",
-    "nijenhuis.bialgebroid_defect": "the graded defect alone; only tests call it (ROADMAP item 15)",
-    "nijenhuis.bracket_Npi": "the deformed covector bracket; only tests call it (ROADMAP item 15)",
     "courant.check_closed_bracket_formula": "paper result, to become a task (ROADMAP item 10)",
     "dirac.dirac_to_algebroid": "paper result, to become a task (ROADMAP item 10)",
     "poisson.classical_poisson_lift": "paper correspondence, to become a task (ROADMAP item 10)",

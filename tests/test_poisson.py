@@ -6,7 +6,6 @@ from homlie import classical, probes
 from homlie.calculus import CartanContext, schouten
 from homlie.courant import BialgebroidPair, check_bialgebroid
 from homlie.exterior import MultiVector, pair, reinterpret
-from homlie.fixtures import get_fixture
 from homlie.homalg import check_axioms, make_pullback_tangent
 from homlie.poisson import (
     Bivector,
@@ -21,6 +20,7 @@ from homlie.poisson import (
 )
 from homlie.polyring import AffineTwist, Poly
 from homlie.report import PreconditionError, TheoremViolation, first_nonzero
+from oracle import get_fixture
 
 
 def s1_base():
@@ -119,8 +119,8 @@ class TestSharpCommutes:
     def test_s1_worked_values(self, S1):
         pi = std_pi(S1)
         A = S1.algebroid
-        lhs = A.phiA.apply(pi.sharp_apply(A.coframe(0)))
-        rhs = pi.sharp_apply(S1.dagger.apply(A.coframe(0)))
+        lhs = A.phiA.apply_graded(pi.sharp_apply(A.coframe(0)))
+        rhs = pi.sharp_apply(S1.dagger.apply_graded(A.coframe(0)))
         assert lhs == A.frame(1).scale(2)
         assert lhs == rhs
 
