@@ -30,7 +30,6 @@ from .homalg import (
     check_axioms,
     make_pullback_tangent,
     make_tm_r,
-    pullback_section,
 )
 from .polyring import AffineTwist, Poly, monomials
 from .report import CheckResult, PreconditionError, StructureError, TheoremViolation, Witness
@@ -68,7 +67,6 @@ __all__ = [
     "make_tm_r",
     "monomials",
     "pair",
-    "pullback_section",
     "schouten",
     "twist_tensor",
 ]

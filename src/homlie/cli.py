@@ -1,5 +1,5 @@
 """Command-line entry point: run verification tasks from a scenario
-file, or list the built-in fixture catalog.
+file.
 
 Exit status: 0 when every task passes, 1 when any identity fails (or a
 task errors, or the reader closes stdout early), 2 on malformed input.
@@ -24,7 +24,6 @@ from .courant import (
 )
 from .dirac import Subbundle, check_maurer_cartan, dirac_checks, graph, graph_theorem_check
 from .exterior import EndoMap
-from .fixtures import fixture_tags, list_fixtures
 from .homalg import check_axioms
 from .kernels import ExponentOverflow
 from .nijenhuis import (
@@ -313,21 +312,6 @@ def cmd_check(args) -> int:
     return 0 if report["verdict"] == "pass" else 1
 
 
-def cmd_fixtures(args) -> int:
-    fixtures = list_fixtures(args.tag)
-    if args.format == "json":
-        payload = [
-            {"name": f.name, "description": f.description, "tags": sorted(f.tags)}
-            for f in fixtures
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for f in fixtures:
-            print(f"{f.name} [{', '.join(sorted(f.tags))}]")
-            print(f"    {f.description}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homlie",
@@ -348,13 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true", help="include wall times (breaks byte-identical output)"
     )
     check.set_defaults(func=cmd_check)
-
-    fixtures = sub.add_parser("fixtures", help="list the built-in fixture catalog")
-    fixtures.add_argument("--format", choices=("text", "json"), default="text")
-    fixtures.add_argument(
-        "--tag", choices=fixture_tags(), default=None, help="only fixtures carrying this tag"
-    )
-    fixtures.set_defaults(func=cmd_fixtures)
     return parser
 
 

@@ -329,22 +329,6 @@ class EndoMap:
     def zero(cls, rank: int, n: int, kind: str = "multivector") -> "EndoMap":
         return cls([[Poly.zero(n)] * rank for _ in range(rank)], kind=kind)
 
-    @classmethod
-    def diagonal(cls, n: int, entries, kind: str = "multivector") -> "EndoMap":
-        r = len(entries)
-        return cls(
-            [
-                [
-                    (entries[i] if isinstance(entries[i], Poly) else Poly.const(n, entries[i]))
-                    if i == j
-                    else Poly.zero(n)
-                    for j in range(r)
-                ]
-                for i in range(r)
-            ],
-            kind=kind,
-        )
-
     def _mat_apply(self, coeffs):
         return [sum_products(self.n, zip(row, coeffs)) for row in self.matrix]
 

@@ -113,13 +113,6 @@ def _same_base(phi: AffineTwist, *fields) -> None:
             raise StructureError("pullback vector fields over different base maps")
 
 
-def pullback_section(phi: AffineTwist, coeffs) -> PullbackVectorField:
-    """Pullback of a classical vector field with Poly coefficients: each
-    coefficient is pulled back, matching the pointwise definition of the
-    pullback section."""
-    return PullbackVectorField(phi, [phi.pullback(c) for c in coeffs])
-
-
 def ad_twist(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:
     """Conjugation pullback . X . inverse-pullback.  Its k-th
     coefficient is the operator applied to x_k, and X(g) = X~(phi*g)

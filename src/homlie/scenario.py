@@ -347,8 +347,9 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioError("$", f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer literal longer than the
-        # interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer literal longer than the
+        # interpreter's digit limit, or arrays or objects nested deeper
+        # than the decoder's recursion limit
         raise ScenarioError("$", f"invalid JSON: {exc}") from None
     return parse_scenario(data)

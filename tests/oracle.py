@@ -5,21 +5,47 @@ Each operator is written from its coordinate formula and shares no code
 path with `homlie.calculus`: the differential uses the coordinate-sum
 formula, contraction the direct slot formula, and the Lie derivative
 the direct evaluation formula.  Only tests import this module; it also
-holds the fixture lookup by name that several tests share.
+holds two instance builders that several tests share: a diagonal
+endomorphism and the search that derives s3_nonpoisson_pi.json's
+bivector.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from homlie.exterior import Form, MultiVector, _merge_sign, pair, wedge_all
-from homlie.fixtures import CATALOG, Fixture
-from homlie.polyring import Poly
+from homlie.calculus import CartanContext, schouten
+from homlie.exterior import EndoMap, Form, MultiVector, _merge_sign, pair, twist_tensor, wedge_all
+from homlie.poisson import Bivector
+from homlie.polyring import Poly, monomials
 
 
-def get_fixture(name: str) -> Fixture:
-    for f in CATALOG:
-        if f.name == name:
-            return f
-    raise KeyError(f"unknown fixture {name!r}")
+def diagonal(n: int, entries) -> EndoMap:
+    """The endomorphism with the rational `entries` on its diagonal,
+    over n variables."""
+    r = len(entries)
+    return EndoMap([[Poly.const(n, entries[i] if i == j else 0) for j in range(r)] for i in range(r)])
+
+
+def search_invariant_non_poisson_bivector(ctx: CartanContext, coeff_degree: int = 1) -> Bivector:
+    """Deterministic enumeration over bivectors with monomial
+    coefficients, returning the first twist-invariant one whose graded
+    square does not vanish."""
+    r, n = ctx.rank, ctx.n
+    slots = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    options = [Poly.zero(n)] + monomials(n, coeff_degree)
+    for combo in product(range(len(options)), repeat=len(slots)):
+        if not any(combo):
+            continue
+        coeffs = {}
+        for slot, pick in zip(slots, combo):
+            c = options[pick]
+            if not c.is_zero():
+                coeffs[slot] = c
+        table = MultiVector(r, n, 2, coeffs)
+        if not (twist_tensor(table, ctx.algebroid.phiA) - table).is_zero():
+            continue
+        if not schouten(ctx, table, table).is_zero():
+            return Bivector(table)
+    raise LookupError("no invariant bivector with nonzero square in the search space")
 
 
 def vf_apply(coeffs, f: Poly) -> Poly:

@@ -41,7 +41,6 @@ from homlie.fixtures import (
     algebroid_s1,
     algebroid_s2,
     algebroid_s3,
-    search_invariant_non_poisson_bivector,
     standard_pi,
 )
 from homlie.homalg import check_axioms
@@ -63,8 +62,13 @@ from homlie.poisson import (
     sharp_commutes,
 )
 from homlie.polyring import AffineTwist, Poly, monomials
+from homlie.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def scenario(name):
+    return load_scenario(str(ROOT / "scenarios" / f"{name}.json"))
 
 
 @contextmanager
@@ -163,7 +167,7 @@ def test_criterion_2_axiom_suite(S1, S2):
     with criterion(2, "axiom suite passes on the twisted instances and flags the perturbation"):
         assert check_axioms(S1.algebroid, probe_degree=3).passed
         assert check_axioms(S2.algebroid, probe_degree=3).passed
-        bad = oracle.get_fixture("S1-perturbed-structure").build()["algebroid"]
+        bad = scenario("s1_perturbed_structure").algebroid
         res = check_axioms(bad, probe_degree=3)
         assert not res.passed
         assert res.witness is not None
@@ -198,7 +202,7 @@ def test_criterion_4_poisson_suite(S1):
         assert check_axioms(dual).passed
         assert check_bialgebroid(BialgebroidPair.from_pi(S1, pi)).passed
 
-        bad = oracle.get_fixture("S1-noninvariant-pi").build()["pi"]
+        bad = scenario("s1_bad_pi").pi
         res = is_hom_poisson(S1, bad)
         assert not res.passed
         assert res.witness.identity == "twist-invariance"
@@ -226,7 +230,7 @@ def test_criterion_5_correspondence(S3):
         assert not res.details["classical-invariant"]
         assert not res.details["hom-invariant"]
 
-        bad_pi = search_invariant_non_poisson_bivector(S3)
+        bad_pi = oracle.search_invariant_non_poisson_bivector(S3)
         res = classical_poisson_lift(AffineTwist.identity(3), bad_pi.table.coeffs)
         assert res.passed
         assert not res.details["classical-poisson"]
@@ -236,14 +240,14 @@ def test_criterion_5_correspondence(S3):
 def test_criterion_6_nijenhuis_suite(S1):
     with criterion(6, "deformation suite holds for diagonal fixtures and flags the non-commuting one"):
         for entries in ([1, 2], [3, Fraction(1, 5)]):
-            N = EndoMap.diagonal(2, entries)
-            assert lemma_checks(S1, N, EndoMap.diagonal(2, [2, 7])).passed
+            N = oracle.diagonal(2, entries)
+            assert lemma_checks(S1, N, oracle.diagonal(2, [2, 7])).passed
             assert is_hom_nijenhuis(S1, N).passed
             A_N = deformed_algebroid(S1, N)
             assert check_axioms(A_N).passed
             assert d_n_props(S1, N).passed
 
-        bad = oracle.get_fixture("S1-noncommuting-endo").build()["N"]
+        bad = scenario("s1_noncommuting_endo").endo
         res = is_hom_nijenhuis(S1, bad)
         assert not res.passed
         assert res.details["twist-invariance"] == "FAIL"
@@ -255,7 +259,7 @@ def test_criterion_6_nijenhuis_suite(S1):
 def test_criterion_7_hpn_equivalence_and_hierarchy(S1):
     with criterion(7, "compatibility conditions, equivalence verdicts and the bivector tower line up"):
         pi = standard_pi(S1.algebroid)
-        good = EndoMap.diagonal(2, [Fraction(5), Fraction(5)])
+        good = oracle.diagonal(2, [Fraction(5), Fraction(5)])
         res = is_hpn(S1, pi, good)
         assert res.passed
         conds = [
@@ -277,7 +281,7 @@ def test_criterion_7_hpn_equivalence_and_hierarchy(S1):
             for l in range(4):
                 assert schouten(S1, towers[k].table, towers[l].table).is_zero()
 
-        bad = EndoMap.diagonal(2, [1, 2])
+        bad = oracle.diagonal(2, [1, 2])
         res_bad = is_hpn(S1, pi, bad)
         assert not res_bad.passed
         equiv_bad = hpn_bialgebroid_equiv(S1, pi, bad)
@@ -331,7 +335,7 @@ def test_criterion_9_dirac_maurer_cartan(S3):
         P1 = BialgebroidPair.trivial(s1)
         P3 = BialgebroidPair.trivial(algebroid_s3())
         pi1 = standard_pi(s1)
-        bad3 = search_invariant_non_poisson_bivector(CartanContext(algebroid_s3()))
+        bad3 = oracle.search_invariant_non_poisson_bivector(CartanContext(algebroid_s3()))
 
         checks = [
             (P1, pi1.sharp, True),

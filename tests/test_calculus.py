@@ -231,7 +231,7 @@ class TestLieDerivativeTensor:
 
     def test_composition_rule(self, S1):
         N1 = EndoMap([[x, Poly.zero(2)], [Poly.const(2, 1), y]])
-        N2 = EndoMap.diagonal(2, [3, Fraction(1, 2)])
+        N2 = untwisted.diagonal(2, [3, Fraction(1, 2)])
         X = e(S1, 2)
         tw = S1.algebroid.phiA.apply_endo
         lhs = lie_derivative_tensor(S1, X, N1.compose(N2))

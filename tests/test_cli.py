@@ -7,18 +7,28 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from homlie.calculus import CartanContext
 from homlie.cli import run_scenario
-from homlie.fixtures import (
-    CATALOG,
-    list_fixtures,
-    search_invariant_non_poisson_bivector,
-)
+from homlie.fixtures import algebroid_s2, algebroid_s3
 from homlie.scenario import ScenarioError, load_scenario, parse_scenario
-from oracle import get_fixture
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def golden_cases():
+    """(scenario file stem, --task value) for each JSON golden report:
+    <stem>.json of the file's own task list, which every file under
+    scenarios/ must have, and <stem>_full.json of --task full, where
+    one exists."""
+    cases = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        cases.append(pytest.param(path.stem, None, id=path.stem))
+        if (GOLDEN / f"{path.stem}_full.json").exists():
+            cases.append(pytest.param(path.stem, "full", id=f"{path.stem}_full"))
+    return cases
 
 
 def s1_scenario_dict(**overrides):
@@ -895,25 +905,20 @@ class TestCliProcess:
         assert "scenario error: $.probe_degree: " in out.stderr
         assert "Traceback" not in out.stderr
 
-    @pytest.mark.parametrize(
-        "name, task",
-        [
-            pytest.param(name, task, id=name + ("_full" if task else ""))
-            for task in (None, "full")
-            for name in ("s0_axioms", "s1_bad_pi", "s1_full")
-        ],
-    )
+    @pytest.mark.parametrize("name, task", golden_cases())
     def test_json_report_matches_golden(self, name, task):
+        path = GOLDEN / (name + ("_full" if task else "") + ".json")
+        assert path.exists(), f"scenarios/{name}.json has no golden report {path.name}"
+        golden = path.read_text()
         args = ["--task", task] if task else []
         out = self.run_cli("check", f"scenarios/{name}.json", "--format", "json", *args)
-        golden_name = name + ("_full" if task else "")
-        golden = (ROOT / "tests" / "golden" / f"{golden_name}.json").read_text()
         assert out.stdout == golden
-        assert out.returncode == (1 if name == "s1_bad_pi" else 0)
+        # a failing or erring task makes the verdict "fail", which exits 1
+        assert out.returncode == (0 if json.loads(golden)["verdict"] == "pass" else 1)
 
     def test_text_report_matches_golden(self):
         out = self.run_cli("check", "scenarios/s1_bad_pi.json", "--task", "full")
-        assert out.stdout == (ROOT / "tests" / "golden" / "s1_bad_pi_full.txt").read_text()
+        assert out.stdout == (GOLDEN / "s1_bad_pi_full.txt").read_text()
         assert out.returncode == 1
 
     def test_jacobiator_failure_reports_its_triple(self, tmp_path):
@@ -950,7 +955,7 @@ class TestCliProcess:
         # the read end is closed before the child writes, so every write
         # meets a broken pipe, as after `| head -c 100`
         proc = subprocess.Popen(
-            [sys.executable, "-m", "homlie", "fixtures", "--format", "json"],
+            [sys.executable, "-m", "homlie", "check", "scenarios/s0_axioms.json", "--format", "json"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             cwd=str(ROOT),
@@ -967,16 +972,22 @@ class TestCliProcess:
         payload = json.loads(out.stdout)
         assert payload["verdict"] == "pass"
 
-    def test_fixtures_listing(self):
+    def test_fixtures_is_not_a_subcommand(self):
+        # the instances are scenario files, which `check` runs
         out = self.run_cli("fixtures")
-        assert out.returncode == 0
-        for name in ("S0", "S1", "S2", "S3"):
-            assert name in out.stdout
+        assert out.returncode == 2
+        assert "invalid choice: 'fixtures'" in out.stderr
+        assert out.stdout == ""
 
-    def test_fixtures_tag_filter(self):
-        out = self.run_cli("fixtures", "--tag", "negative")
-        assert "S1-perturbed-structure" in out.stdout
-        assert "S0" not in out.stdout.split()
+    def test_exit_two_on_deeply_nested_json(self, tmp_path):
+        # the decoder recurses once per bracket and runs out of stack
+        p = tmp_path / "nested.json"
+        p.write_text("[" * 200_000 + "]" * 200_000)
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert "scenario error: $: " in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
 
     def test_exit_two_on_rational_outside_the_grammar(self, tmp_path):
         data = s1_scenario_dict()
@@ -989,46 +1000,17 @@ class TestCliProcess:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
-    def test_fixtures_unknown_tag_exits_two(self):
-        out = self.run_cli("fixtures", "--tag", "nosuch")
-        assert out.returncode == 2
-        assert out.stdout == ""
-        for tag in ("algebroid", "classical", "dirac", "negative", "nijenhuis", "poisson", "valid"):
-            assert repr(tag) in out.stderr
 
-    def test_fixtures_every_catalog_tag_is_accepted(self):
-        tags = sorted({t for f in CATALOG for t in f.tags})
-        for tag in tags:
-            out = self.run_cli("fixtures", "--tag", tag, "--format", "json")
-            assert out.returncode == 0
-            names = [f["name"] for f in json.loads(out.stdout)]
-            assert names == [f.name for f in list_fixtures(tag)] != []
+class TestScenarioFiles:
+    def test_search_derives_the_nonpoisson_pi(self):
+        scn = load_scenario(str(SCENARIOS / "s3_nonpoisson_pi.json"))
+        found = oracle.search_invariant_non_poisson_bivector(CartanContext(algebroid_s3()))
+        assert found.table == scn.pi.table
 
-    def test_fixtures_json(self):
-        out = self.run_cli("fixtures", "--format", "json")
-        payload = json.loads(out.stdout)
-        names = {f["name"] for f in payload}
-        assert {"S0", "S1", "S2", "S3"} <= names
-
-
-class TestFixtureCatalog:
-    def test_catalog_size(self):
-        assert len(CATALOG) >= 8
-        assert len(list_fixtures("negative")) >= 4
-
-    def test_all_fixtures_build(self):
-        for f in CATALOG:
-            data = f.build()
-            assert "algebroid" in data
-
-    def test_search_oracle_finds_nonpoisson(self):
-        from homlie.calculus import CartanContext, schouten
-        from homlie.fixtures import algebroid_s3
-
-        ctx = CartanContext(algebroid_s3())
-        pi = search_invariant_non_poisson_bivector(ctx)
-        assert not schouten(ctx, pi.table, pi.table).is_zero()
-
-    def test_unknown_fixture(self):
-        with pytest.raises(KeyError):
-            get_fixture("nope")
+    @pytest.mark.parametrize("name, build", [("s2_full", algebroid_s2), ("s3_full", algebroid_s3)])
+    def test_file_holds_the_benchmark_algebroid(self, name, build):
+        A, B = load_scenario(str(SCENARIOS / f"{name}.json")).algebroid, build()
+        assert A.phi == B.phi
+        assert A.phiA.matrix == B.phiA.matrix
+        assert A.anchor == B.anchor
+        assert A.structure == B.structure

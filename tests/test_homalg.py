@@ -18,7 +18,6 @@ from homlie.homalg import (
     check_axioms,
     make_pullback_tangent,
     make_tm_r,
-    pullback_section,
 )
 from homlie.polyring import AffineTwist, Poly, monomials
 from homlie.report import StructureError
@@ -26,6 +25,13 @@ from homlie.report import StructureError
 
 def s1_base():
     return AffineTwist([[2, 0], [0, Fraction(1, 2)]])
+
+
+def pullback_section(phi: AffineTwist, coeffs) -> PullbackVectorField:
+    """Pullback of a classical vector field with Poly coefficients: each
+    coefficient is pulled back, matching the pointwise definition of the
+    pullback section."""
+    return PullbackVectorField(phi, [phi.pullback(c) for c in coeffs])
 
 
 def ad_twist_inverse(phi: AffineTwist, X: PullbackVectorField) -> PullbackVectorField:

@@ -192,6 +192,11 @@ def test_detects_an_unreferenced_public_function():
 UNCALLED_PUBLIC = {
     "courant.check_closed_bracket_formula": "paper result, to become a task (ROADMAP item 10)",
     "dirac.dirac_to_algebroid": "paper result, to become a task (ROADMAP item 10)",
+    "fixtures.algebroid_s0": "builds a benchmark workload (`perfbench/workloads.py`)",
+    "fixtures.algebroid_s1": "builds a benchmark workload (`perfbench/workloads.py`)",
+    "fixtures.algebroid_s2": "builds a benchmark workload (`perfbench/workloads.py`)",
+    "fixtures.algebroid_s3": "builds a benchmark workload (`perfbench/workloads.py`)",
+    "fixtures.standard_pi": "builds a benchmark workload (`perfbench/workloads.py`)",
     "poisson.classical_poisson_lift": "paper correspondence, to become a task (ROADMAP item 10)",
     "poisson.d_pi": "paper result, to become a task (ROADMAP item 10)",
 }

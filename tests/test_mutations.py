@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 from homlie.calculus import CartanContext, check_differential_props, operator_cache
 from homlie.courant import (
     BialgebroidPair,
@@ -95,7 +96,7 @@ def mutant(base: str, kind: str, degree: int) -> dict:
     n, r = A.n, A.rank
     x = Poly.variable(n, 0) ** degree
     pi = standard_pi(A)
-    N = EndoMap.diagonal(r, [2] * r)
+    N = oracle.diagonal(r, [2] * r)
     if kind == "structure":
         table = dict(A.structure)
         table[(0, 1, 0)] = table.get((0, 1, 0), Poly.zero(n)) + x

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,9 @@ from homlie.poisson import (
 )
 from homlie.polyring import AffineTwist, Poly
 from homlie.report import PreconditionError, TheoremViolation, first_nonzero
-from oracle import get_fixture
+from homlie.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def s1_base():
@@ -202,8 +205,9 @@ class TestDPi:
         # the dual candidate's Koszul differential against [pi, D], on
         # every probe multivector of every degree; the S3 bivector is
         # invariant but not Poisson
-        data = get_fixture(name).build()
-        ctx, pi = CartanContext(data["algebroid"]), data["pi"]
+        path = {"S1": "s1_full.json", "S3-nonpoisson-pi": "s3_nonpoisson_pi.json"}[name]
+        scn = load_scenario(str(SCENARIOS / path))
+        ctx, pi = CartanContext(scn.algebroid), scn.pi
         assert is_hom_poisson(ctx, pi).passed == (name == "S1")
         probes_ = probes.forms(ctx.algebroid, 1)
         assert {om.degree for _, om in probes_} == set(range(ctx.rank + 1))

@@ -6,7 +6,7 @@ records compare by value and repr as `Name(field=value, ...)`."""
 
 import pytest
 
-from homlie.exterior import EndoMap
+import oracle
 from homlie.polyring import Poly
 from homlie.report import (
     CheckResult,
@@ -47,7 +47,7 @@ def test_poly_inputs_render_like_render():
 
 
 def test_other_renderable_inputs_render_on_failure():
-    N = EndoMap.diagonal(2, [1, 2])
+    N = oracle.diagonal(2, [1, 2])
     res = first_nonzero("twist-invariance", [({"N": N}, N)])
     assert res.witness.inputs == {"N": N.render()}
     assert res.witness.residual == N.render()

@@ -1,6 +1,6 @@
-"""Witness snapshot: every negative fixture, run through the checkers
-its tags name, must render the same verdict and witness as recorded in
-tests/golden/witnesses.json.
+"""Witness snapshot: every negative scenario file, run through the
+checkers named for it, must render the same verdict and witness as
+recorded in tests/golden/witnesses.json under the instance's name.
 
 Regenerate the reference (only when a witness is meant to change) with
     PYTHONPATH=src python tests/test_witness_snapshot.py
@@ -12,55 +12,60 @@ from pathlib import Path
 from homlie.calculus import CartanContext, check_differential_props
 from homlie.courant import BialgebroidPair, CourantDouble, check_bialgebroid, check_courant_axioms
 from homlie.dirac import dirac_checks, graph
-from homlie.fixtures import list_fixtures
 from homlie.homalg import check_axioms
 from homlie.nijenhuis import is_hom_nijenhuis, is_hpn, lemma_checks
 from homlie.poisson import is_hom_poisson, sharp_commutes
-from homlie.report import PreconditionError, TheoremViolation
+from homlie.report import CheckResult, PreconditionError, TheoremViolation, Witness
+from homlie.scenario import load_scenario
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "witnesses.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "witnesses.json"
 
-# tag -> [(checker name, scenario keys it needs, call)]; every checker
-# runs at its own default probe degree.
+# checker name -> call on the scenario, its context and its trivial
+# double; every checker runs at its own default probe degree.
 CHECKERS = {
-    "algebroid": [
-        ("check_axioms", (), lambda d, ctx, E: check_axioms(d["algebroid"])),
-        ("check_differential_props", (), lambda d, ctx, E: check_differential_props(ctx)),
-        ("check_bialgebroid", (), lambda d, ctx, E: check_bialgebroid(E.pair)),
-        ("check_courant_axioms", (), lambda d, ctx, E: check_courant_axioms(E)),
-    ],
-    "poisson": [
-        ("is_hom_poisson", ("pi",), lambda d, ctx, E: is_hom_poisson(ctx, d["pi"])),
-        ("sharp_commutes", ("pi",), lambda d, ctx, E: sharp_commutes(ctx, d["pi"])),
-    ],
-    "nijenhuis": [
-        ("is_hom_nijenhuis", ("N",), lambda d, ctx, E: is_hom_nijenhuis(ctx, d["N"])),
-        ("lemma_checks", ("N",), lambda d, ctx, E: lemma_checks(ctx, d["N"], d["N"])),
-        ("is_hpn", ("pi", "N"), lambda d, ctx, E: is_hpn(ctx, d["pi"], d["N"])),
-    ],
-    "dirac": [
-        ("dirac_checks", ("H",), lambda d, ctx, E: dirac_checks(graph(E, d["H"]))),
-        ("dirac_checks", ("pi",), lambda d, ctx, E: dirac_checks(graph(E, d["pi"].sharp))),
-    ],
+    "check_axioms": lambda scn, ctx, E: check_axioms(scn.algebroid),
+    "check_differential_props": lambda scn, ctx, E: check_differential_props(ctx),
+    "check_bialgebroid": lambda scn, ctx, E: check_bialgebroid(E.pair),
+    "check_courant_axioms": lambda scn, ctx, E: check_courant_axioms(E),
+    "is_hom_poisson": lambda scn, ctx, E: is_hom_poisson(ctx, scn.pi),
+    "sharp_commutes": lambda scn, ctx, E: sharp_commutes(ctx, scn.pi),
+    "is_hom_nijenhuis": lambda scn, ctx, E: is_hom_nijenhuis(ctx, scn.endo),
+    "lemma_checks": lambda scn, ctx, E: lemma_checks(ctx, scn.endo, scn.endo),
+    "is_hpn": lambda scn, ctx, E: is_hpn(ctx, scn.pi, scn.endo),
+    "dirac_checks": lambda scn, ctx, E: dirac_checks(graph(E, scn.dirac)),
+}
+
+NIJENHUIS = ["is_hom_nijenhuis", "lemma_checks"]
+POISSON = ["is_hom_poisson", "sharp_commutes"]
+
+# instance name -> (scenario file under scenarios/, checkers run on it)
+NEGATIVE = {
+    "S1-incompatible-endo": ("s1_incompatible_endo", NIJENHUIS + ["is_hpn"] + POISSON),
+    "S1-noncommuting-endo": ("s1_noncommuting_endo", NIJENHUIS),
+    "S1-noninvariant-pi": ("s1_bad_pi", POISSON),
+    "S1-perturbed-structure": (
+        "s1_perturbed_structure",
+        ["check_axioms", "check_differential_props", "check_bialgebroid", "check_courant_axioms"],
+    ),
+    "S1-symmetric-graph": ("s1_symmetric_graph", ["dirac_checks"]),
+    "S3-nonpoisson-pi": ("s3_nonpoisson_pi", POISSON + ["dirac_checks"]),
 }
 
 
 def snapshot() -> dict:
     out = {}
-    for fx in list_fixtures("negative"):
-        data = fx.build()
-        ctx = CartanContext(data["algebroid"])
-        E = CourantDouble(BialgebroidPair.trivial(data["algebroid"]))
+    for name, (stem, checkers) in NEGATIVE.items():
+        scn = load_scenario(str(ROOT / "scenarios" / f"{stem}.json"))
+        ctx = CartanContext(scn.algebroid)
+        E = CourantDouble(BialgebroidPair.trivial(scn.algebroid))
         entries = {}
-        for tag in fx.tags:
-            for name, needs, call in CHECKERS.get(tag, ()):
-                if not all(k in data for k in needs):
-                    continue
-                try:
-                    entries[name] = call(data, ctx, E).render()
-                except (PreconditionError, TheoremViolation) as exc:
-                    entries[name] = f"{type(exc).__name__}: {exc}"
-        out[fx.name] = entries
+        for checker in checkers:
+            try:
+                entries[checker] = CHECKERS[checker](scn, ctx, E).render()
+            except (PreconditionError, TheoremViolation) as exc:
+                entries[checker] = f"{type(exc).__name__}: {exc}"
+        out[name] = entries
     return out
 
 
@@ -74,9 +79,24 @@ def test_negative_fixture_witnesses_match_golden():
 
 def test_every_negative_fixture_fails_somewhere():
     golden = json.loads(GOLDEN.read_text())
-    assert set(golden) == {fx.name for fx in list_fixtures("negative")}
+    assert set(golden) == set(NEGATIVE)
     for name, entries in golden.items():
         assert any(": FAIL" in r for r in entries.values()), name
+
+
+def test_cli_reports_the_recorded_witnesses():
+    # `homlie check` on each negative file, pinned in its JSON golden,
+    # gives each checker the two share the verdict, witness and details
+    # recorded here
+    golden = json.loads(GOLDEN.read_text())
+    for name, (stem, _) in NEGATIVE.items():
+        report = json.loads((ROOT / "tests" / "golden" / f"{stem}.json").read_text())
+        shared = [e for e in report["tasks"] if e["task"] in golden[name]]
+        assert shared, name
+        for e in shared:
+            witness = Witness(**e["witness"]) if "witness" in e else None
+            result = CheckResult(e["task"], e["verdict"] == "pass", witness, e.get("details"))
+            assert golden[name][e["task"]] == result.render(), name
 
 
 if __name__ == "__main__":
