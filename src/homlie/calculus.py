@@ -55,7 +55,7 @@ class CartanContext:
             ctx.rank = algebroid.rank
             ctx.n = algebroid.n
             ctx._d_basis = {}
-            ctx._derived = []
+            ctx._once = []
             algebroid._context = ctx
         return ctx
 
@@ -72,16 +72,20 @@ class CartanContext:
             got = self._d_basis[J] = _koszul_differential(self, Form.basis(self.rank, self.n, J))
         return got
 
-    def derived(self, key, build) -> "CartanContext":
-        """The context of an algebroid derived from this one (a dual, a
-        deformation), looked up by key equality and built from build()
-        once, so that its tables survive across calls."""
-        for k, c in self._derived:
+    def once(self, key, build):
+        """build(), run on the first call whose key equals `key`; later
+        calls return the stored value.  It holds the facts checked on
+        this context and the contexts of algebroids derived from it (a
+        dual, a deformation), so they survive across calls.  A refusal
+        that build raises is not stored, so every call raises it anew.
+        A stored value is handed to every caller, so no caller may
+        mutate it."""
+        for k, value in self._once:
             if k == key:
-                return c
-        c = CartanContext(build())
-        self._derived.append((key, c))
-        return c
+                return value
+        value = build()
+        self._once.append((key, value))
+        return value
 
     def as_form(self, x) -> Form:
         if isinstance(x, Poly):

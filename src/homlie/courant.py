@@ -108,7 +108,13 @@ class BialgebroidPair:
 
 def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
     """The dual differential is a twisted derivation of the primal
-    bracket, and symmetrically with the roles exchanged."""
+    bracket, and symmetrically with the roles exchanged; computed once
+    per pair of algebroids and probe degree."""
+    key = ("check_bialgebroid", P.Astar, probe_degree)
+    return P.ctx.once(key, lambda: _bialgebroid_verdict(P, probe_degree))
+
+
+def _bialgebroid_verdict(P: BialgebroidPair, probe_degree: int) -> CheckResult:
     A, ctx = P.A, P.ctx
     sections = probes.sections(A, probe_degree)
 

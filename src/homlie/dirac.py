@@ -26,6 +26,7 @@ from .exterior import (
     SectionTwist,
     poly_mat_adjugate,
     poly_mat_det,
+    require_invariant,
     twist_invariance,
 )
 from .homalg import HomAlgebroid
@@ -206,11 +207,7 @@ def graph(E: CourantDouble, H: EndoMap) -> Subbundle:
 def maurer_cartan_defect(P: BialgebroidPair, pi: Bivector) -> MultiVector:
     """Dual differential of the bivector plus half its graded square."""
     ctx = P.ctx
-    inv = twist_invariance("pi", pi.table, P.A.phiA)
-    if not inv.passed:
-        raise PreconditionError(
-            "bivector is not twist-invariant: " + inv.witness.residual, inv.witness
-        )
+    require_invariant("pi", pi.table, P.A.phiA, "bivector is not twist-invariant:")
     half = Poly.const(ctx.n, "1/2")
     return P.dual_differential(pi.table) + schouten(ctx, pi.table, pi.table).scale(half)
 

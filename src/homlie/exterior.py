@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .polyring import AffineTwist, Poly, sum_products
-from .report import CheckResult, StructureError, first_nonzero
+from .report import CheckResult, PreconditionError, StructureError, first_nonzero
 
 
 def _merge_sign(I: tuple, J: tuple):
@@ -570,6 +570,14 @@ def twist_invariance(label: str, T, Phi: SectionTwist) -> CheckResult:
     """The residual twist_tensor(T) - T must vanish; a witness shows T
     under `label`."""
     return first_nonzero("twist-invariance", [({label: T}, twist_tensor(T, Phi) - T)])
+
+
+def require_invariant(label: str, T, Phi: SectionTwist, reason: str) -> None:
+    """Refuse a T that twist_invariance rejects: a PreconditionError
+    whose message is the reason, a space and the residual."""
+    inv = twist_invariance(label, T, Phi)
+    if not inv.passed:
+        raise PreconditionError(f"{reason} {inv.witness.residual}", inv.witness)
 
 
 def reinterpret(x: GradedElement, cls) -> GradedElement:

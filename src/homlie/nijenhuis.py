@@ -24,6 +24,7 @@ from .exterior import (
     MultiVector,
     pair,
     poly_mat_mul,
+    require_invariant,
     twist_invariance,
 )
 from .homalg import HomAlgebroid
@@ -75,9 +76,16 @@ def _commutes_with_twist(A: HomAlgebroid, N: EndoMap, sections) -> bool:
 
 def is_hom_nijenhuis(ctx: CartanContext, N: EndoMap, probe_degree: int = 2) -> CheckResult:
     """Vanishing torsion plus twist invariance; the invariance verdict
-    is cross-checked against twist commutation on probe sections."""
+    is cross-checked against twist commutation on probe sections.  The
+    probes stop at degree 1, so the verdict is computed once per
+    context, endomorphism and min(probe_degree, 1)."""
+    degree = min(probe_degree, 1)
+    return ctx.once(("is_hom_nijenhuis", N, degree), lambda: _nijenhuis_verdict(ctx, N, degree))
+
+
+def _nijenhuis_verdict(ctx: CartanContext, N: EndoMap, degree: int) -> CheckResult:
     A = ctx.algebroid
-    sections = probes.sections(A, min(probe_degree, 1))
+    sections = probes.sections(A, degree)
     frame_table = (
         ({"X": f"e{i + 1}", "Y": f"e{j + 1}"}, val)
         for (i, j), val in sorted(torsion(ctx, N).items())
@@ -164,17 +172,12 @@ def _deformed_context(ctx: CartanContext, N: EndoMap) -> CartanContext:
     """The context of the deformed algebroid, derived from ctx once.
     The deformation needs a twist-invariant endomorphism, which every
     caller establishes first (is_hom_nijenhuis or _require_invariant)."""
-    return ctx.derived(("deformed", N), lambda: _deformed_data(ctx, N))
+    return ctx.once(("deformed", N), lambda: CartanContext(_deformed_data(ctx, N)))
 
 
 def _require_invariant(ctx: CartanContext, N: EndoMap) -> None:
-    inv = twist_invariance("N", N, ctx.algebroid.phiA)
-    if not inv.passed:
-        raise PreconditionError(
-            "deformation requires a twist-invariant endomorphism: residual "
-            + inv.witness.residual,
-            inv.witness,
-        )
+    reason = "deformation requires a twist-invariant endomorphism: residual"
+    require_invariant("N", N, ctx.algebroid.phiA, reason)
 
 
 def deformed_algebroid(ctx: CartanContext, N: EndoMap, probe_degree: int = 2) -> HomAlgebroid:
@@ -268,10 +271,11 @@ def is_hpn(
     commutation, and the vanishing compatibility tensor.  When the
     hypotheses hold, the four equivalent formulations are evaluated and
     their agreement recorded."""
-    ok_pi = is_hom_poisson(ctx, pi)
-    ok_N = is_hom_nijenhuis(ctx, N, probe_degree)
-    merged = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree)
-    invariant = all(ok.details.get("twist-invariance") == "pass" for ok in (ok_pi, ok_N))
+    merged = _hpn(ctx, pi, N, probe_degree)
+    invariant = all(
+        ok.details.get("twist-invariance") == "pass"
+        for ok in (is_hom_poisson(ctx, pi), is_hom_nijenhuis(ctx, N, probe_degree))
+    )
     if invariant and merged.details["sharp-endo-commutation"] == "pass":
         compat = merged.details["compatibility-tensor"] == "pass"
         conds = _prop_conditions(ctx, pi, N, min(probe_degree, 1), compat)
@@ -281,11 +285,9 @@ def is_hpn(
     return merged
 
 
-def _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree):
-    """is_hpn's verdict without the equivalent formulations, given the
-    results of is_hom_poisson and is_hom_nijenhuis on (pi, N) at
-    probe_degree."""
-    results = [ok_pi, ok_N]
+def _hpn(ctx, pi, N, probe_degree):
+    """is_hpn's verdict without the equivalent formulations."""
+    results = [is_hom_poisson(ctx, pi), is_hom_nijenhuis(ctx, N, probe_degree)]
     res_mat = _sharp_commutation_residual(ctx, pi, N)
     entries = (
         ({"entry": f"({i + 1},{j + 1})"}, res_mat[i][j])
@@ -341,34 +343,19 @@ def hierarchy(ctx: CartanContext, pi: Bivector, N: EndoMap, depth: int, probe_de
     is checked to be antisymmetric; every pair of stages must commute
     under the graded bracket and stay compatible with every power of the
     endomorphism."""
-    towers = [pi]
-    powers = {1: N}
-    # is_hom_poisson per stage and is_hom_nijenhuis per (power, degree),
-    # each run once, in the order of first use
-    poisson_at, nijenhuis_at = {}, {}
-
-    def hpn(k, p, degree):
-        if p not in powers:
-            powers[p] = N.power(p)
-        ok_pi = poisson_at.get(k)
-        if ok_pi is None:
-            ok_pi = poisson_at[k] = is_hom_poisson(ctx, towers[k])
-        ok_N = nijenhuis_at.get((p, degree))
-        if ok_N is None:
-            ok_N = nijenhuis_at[p, degree] = is_hom_nijenhuis(ctx, powers[p], degree)
-        return _hpn(ctx, towers[k], powers[p], ok_pi, ok_N, degree)
-
     base_degree = max(probe_degree, 1)
-    base = require(hpn(0, 1, base_degree), "hierarchy requires a compatible pair")
+    base = require(_hpn(ctx, pi, N, base_degree), "hierarchy requires a compatible pair")
+    towers = [pi]
     H = pi.sharp.matrix
     for _ in range(depth):
         H = poly_mat_mul(N.matrix, H)
         towers.append(Bivector.from_sharp(H, ctx.n))
+    powers = [N.power(p) for p in range(depth + 1)]
     results = []
     for k in range(len(towers)):
         for p in range(depth + 1):
             same_as_base = (k, p, probe_degree) == (0, 1, base_degree)
-            sub = base if same_as_base else hpn(k, p, probe_degree)
+            sub = base if same_as_base else _hpn(ctx, towers[k], powers[p], probe_degree)
             results.append(
                 CheckResult(f"stage-{k}-power-{p}", sub.passed, sub.witness)
             )
@@ -491,11 +478,9 @@ def hpn_bialgebroid_equiv(
     """Three verdicts that must coincide: the compatibility of the pair,
     and the bialgebroid identity for the deformed algebroid against the
     dual structure, in both orders."""
-    ok_pi = require(is_hom_poisson(ctx, pi), "bivector is not Poisson")
-    ok_N = require(
-        is_hom_nijenhuis(ctx, N, probe_degree), "endomorphism is not a valid deformation"
-    )
-    hpn = _hpn(ctx, pi, N, ok_pi, ok_N, probe_degree)
+    require(is_hom_poisson(ctx, pi), "bivector is not Poisson")
+    require(is_hom_nijenhuis(ctx, N, probe_degree), "endomorphism is not a valid deformation")
+    hpn = _hpn(ctx, pi, N, probe_degree)
     A_N = _deformed_context(ctx, N).algebroid
     dual = dual_algebroid(ctx, pi)
     pair_check = check_bialgebroid(BialgebroidPair(A_N, dual), probe_degree)

@@ -25,6 +25,7 @@ from .exterior import (
     pair,
     poly_mat_mul,
     reinterpret,
+    require_invariant,
     twist_invariance,
     wedge_all,
 )
@@ -106,12 +107,11 @@ class Bivector:
 
 def is_hom_poisson(ctx: CartanContext, pi: Bivector) -> CheckResult:
     """Vanishing self-bracket plus twist invariance, both as exact
-    residuals."""
-    results = [
+    residuals; computed once per context and bivector."""
+    return ctx.once(("is_hom_poisson", pi.table), lambda: first_failure("is_hom_poisson", [
         twist_invariance("pi", pi.table, ctx.algebroid.phiA),
         first_nonzero("self-bracket", [({"pi": pi}, schouten(ctx, pi.table, pi.table))]),
-    ]
-    return first_failure("is_hom_poisson", results)
+    ]))
 
 
 def sharp_commutes(ctx: CartanContext, pi: Bivector, probe_degree: int = 3) -> CheckResult:
@@ -161,7 +161,7 @@ def dual_algebroid(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
 def _dual_context(ctx: CartanContext, pi: Bivector) -> CartanContext:
     """The context of the dual algebroid, derived from ctx once; a
     refusal is not cached, so every caller raises it."""
-    return ctx.derived(("dual of", pi.table), lambda: _dual_data(ctx, pi))
+    return ctx.once(("dual of", pi.table), lambda: CartanContext(_dual_data(ctx, pi)))
 
 
 def _dual_data(ctx: CartanContext, pi: Bivector) -> HomAlgebroid:
@@ -193,13 +193,11 @@ def d_pi(ctx: CartanContext, pi: Bivector, D) -> MultiVector:
     the dual side), defined for every twist-invariant bivector.  The
     result is cross-checked against the graded bracket with the
     bivector on every call."""
-    inv = twist_invariance("pi", pi.table, ctx.algebroid.phiA)
-    if not inv.passed:
-        raise PreconditionError(
-            "bivector is not twist-invariant: residual " + inv.witness.residual, inv.witness
-        )
+    reason = "bivector is not twist-invariant: residual"
+    require_invariant("pi", pi.table, ctx.algebroid.phiA, reason)
     D = ctx.as_multivector(D)
-    dual_ctx = ctx.derived(("dual candidate of", pi.table), lambda: _dual_candidate(ctx, pi))
+    candidate = lambda: CartanContext(_dual_candidate(ctx, pi))
+    dual_ctx = ctx.once(("dual candidate of", pi.table), candidate)
     out = reinterpret(_koszul_differential(dual_ctx, reinterpret(D, Form)), MultiVector)
     bracket_route = schouten(ctx, pi.table, D)
     if out != bracket_route:

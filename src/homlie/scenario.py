@@ -63,17 +63,28 @@ def _is_int(value) -> bool:
 RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _shown(value) -> str:
+    """repr(value), cut to a prefix and its length when it is long."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _parse_rational(value, path):
     if _is_int(value):
         return Fraction(value)
     if not isinstance(value, str):
-        raise ScenarioError(path, f"expected a rational string or integer, got {value!r}")
+        raise ScenarioError(path, f"expected a rational string or integer, got {_shown(value)}")
     if not RATIONAL.fullmatch(value):
-        raise ScenarioError(path, f"bad rational {value!r}: expected [+-]p or [+-]p/q in decimal digits")
+        expected = "expected [+-]p or [+-]p/q in decimal digits"
+        raise ScenarioError(path, f"bad rational {_shown(value)}: {expected}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ScenarioError(path, f"bad rational {value!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ScenarioError(path, f"bad rational {_shown(value)}: zero denominator") from None
+    except ValueError:
+        # the grammar matched, so an integer is longer than the
+        # interpreter's int-to-str digit limit
+        raise ScenarioError(path, f"bad rational {_shown(value)}: too many digits") from None
 
 
 def check_probe_degree(value, path: str) -> int:
@@ -125,9 +136,11 @@ def _parse_matrix(n_vars, rows, cols, value, path):
 
 def _parse_structure(n, rank, spec, path) -> dict:
     """Structure-function items {i, j, k, coeff} with 1-based frame
-    indices, summed per (i, j, k)."""
+    indices, summed per (i, j, k).  A sum that breaks C[i,i] = 0, or
+    C[i,j] = -C[j,i] against an earlier (j, i, k), is reported at the
+    first item of its (i, j, k), in 1-based indices."""
     _require(isinstance(spec, list), path, "expected a list")
-    structure = {}
+    structure, first = {}, {}
     for k, item in enumerate(spec):
         ipath = f"{path}[{k}]"
         _require(isinstance(item, dict), ipath, "expected an object")
@@ -141,10 +154,19 @@ def _parse_structure(n, rank, spec, path) -> dict:
             )
         _require("coeff" in item, ipath, "missing coeff")
         c = _parse_poly(n, item["coeff"], f"{ipath}.coeff")
-        key = (item["i"] - 1, item["j"] - 1, item["k"] - 1)
+        key = (item["i"], item["j"], item["k"])
+        first.setdefault(key, ipath)
         prev = structure.get(key)
         structure[key] = c if prev is None else prev + c
-    return structure
+    seen = set()
+    for (i, j, k), c in structure.items():
+        at = first[i, j, k]
+        _require(i != j or c.is_zero(), at, f"structure constant C[{i},{i}] must vanish")
+        if (j, i, k) in seen:
+            clash = f"structure table is not antisymmetric at ({min(i, j)},{max(i, j)},{k})"
+            _require((c + structure[j, i, k]).is_zero(), at, clash)
+        seen.add((i, j, k))
+    return {(i - 1, j - 1, k - 1): c for (i, j, k), c in structure.items()}
 
 
 class Scenario:
@@ -156,7 +178,6 @@ class Scenario:
     def __init__(
         self,
         n: int,
-        vars: list,
         algebroid: HomAlgebroid,
         tasks: list,
         probe_degree: int = 3,
@@ -168,7 +189,6 @@ class Scenario:
         dirac_graph: EndoMap | None = None,
     ):
         self.n = n
-        self.vars = vars
         self.algebroid = algebroid
         self.tasks = tasks
         self.probe_degree = probe_degree
@@ -236,10 +256,7 @@ def parse_scenario(data: dict) -> Scenario:
     anchor = _parse_matrix(n, n, rank, data["anchor_matrix"], "$.anchor_matrix")
 
     structure = _parse_structure(n, rank, data.get("structure", []), "$.structure")
-    try:
-        algebroid = HomAlgebroid(phi, phiA, anchor, structure)
-    except ValueError as exc:
-        raise ScenarioError("$.structure", str(exc)) from None
+    algebroid = HomAlgebroid(phi, phiA, anchor, structure)
 
     pi = None
     if "pi" in data:
@@ -286,10 +303,7 @@ def parse_scenario(data: dict) -> Scenario:
                 d_twist = dual_section_twist(phiA)
             except ExponentOverflow as exc:
                 raise ScenarioError("$.dual", f"dual twist: {exc}") from None
-            try:
-                dual_spec = HomAlgebroid(phi, d_twist, d_anchor, d_struct)
-            except ValueError as exc:
-                raise ScenarioError("$.dual.structure", str(exc)) from None
+            dual_spec = HomAlgebroid(phi, d_twist, d_anchor, d_struct)
 
     dirac = dirac_graph = None if pi is None else pi.sharp
     if "dirac" in data:
@@ -328,7 +342,6 @@ def parse_scenario(data: dict) -> Scenario:
 
     return Scenario(
         n=n,
-        vars=list(vars_),
         algebroid=algebroid,
         tasks=list(tasks),
         probe_degree=probe_degree,

@@ -98,6 +98,49 @@ class TestScenarioParsing:
             parse_scenario(data)
         assert "$.phi.matrix[0][0]" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key, items, message",
+        [
+            (
+                "structure",
+                [{"i": 1, "j": 2, "k": 1, "coeff": "1"}, {"i": 2, "j": 2, "k": 1, "coeff": "1"}],
+                "$.structure[1]: structure constant C[2,2] must vanish",
+            ),
+            (
+                "structure",
+                [{"i": 2, "j": 1, "k": 2, "coeff": "1"}, {"i": 1, "j": 2, "k": 2, "coeff": "1"}],
+                "$.structure[1]: structure table is not antisymmetric at (1,2,2)",
+            ),
+            (
+                "dual",
+                [{"i": 1, "j": 1, "k": 1, "coeff": "1"}],
+                "$.dual.structure[0]: structure constant C[1,1] must vanish",
+            ),
+            (
+                "dual",
+                [{"i": 1, "j": 2, "k": 1, "coeff": "1"}, {"i": 2, "j": 1, "k": 1, "coeff": "1"}],
+                "$.dual.structure[1]: structure table is not antisymmetric at (1,2,1)",
+            ),
+        ],
+        ids=["diagonal", "antisymmetry", "dual-diagonal", "dual-antisymmetry"],
+    )
+    def test_bad_structure_item_reported_at_its_path(self, key, items, message):
+        # the item's own path and the file's 1-based indices
+        value = {"structure": items} if key == "dual" else items
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(s1_scenario_dict(**{key: value}))
+        assert str(err.value) == message
+
+    def test_structure_items_that_cancel_are_accepted(self):
+        items = [
+            {"i": 1, "j": 1, "k": 1, "coeff": "1"},
+            {"i": 1, "j": 1, "k": 1, "coeff": "-1"},
+            {"i": 1, "j": 2, "k": 1, "coeff": "1"},
+            {"i": 2, "j": 1, "k": 1, "coeff": "-1"},
+        ]
+        A = parse_scenario(s1_scenario_dict(structure=items)).algebroid
+        assert list(A.structure) == [(0, 1, 0)]
+
     @pytest.mark.parametrize("text", ["2.5", "1e3", " 2 ", "1_000", "1e4000000", "1/2/3", "0x10", "", "½"])
     def test_rational_outside_the_grammar_rejected(self, text):
         data = s1_scenario_dict()
@@ -126,6 +169,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(data)
         assert "$.phiA_matrix" in str(err.value)
+
+    def test_determinant_error_renders_the_declared_names(self):
+        data = s1_scenario_dict(vars=["u", "v"])
+        data["phiA_matrix"] = [[[{"exp": [0, 1], "coeff": "1"}], "0"], ["0", "1"]]
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(data)
+        assert str(err.value) == "$.phiA_matrix: determinant v is not a nonzero rational constant"
+        assert not hasattr(parse_scenario(s1_scenario_dict()), "vars")
 
     def test_singular_base_map_rejected(self):
         data = s1_scenario_dict()
@@ -251,6 +302,27 @@ class TestRepeatedWork:
         return calls
 
     @staticmethod
+    def computations(monkeypatch):
+        """The (context, key, build) of every CartanContext.once value
+        computed from now on, in the order computed."""
+        done = []
+        original = CartanContext.once
+
+        def once(ctx, key, build):
+            def recorded():
+                done.append((ctx, key, build))
+                return build()
+
+            return original(ctx, key, recorded)
+
+        monkeypatch.setattr(CartanContext, "once", once)
+        return done
+
+    @staticmethod
+    def count(done, name):
+        return sum(key[0] == name for _, key, _ in done)
+
+    @staticmethod
     def hierarchy(nijenhuis, scn):
         """The hierarchy task's call: probe degree 1, the result only."""
         ctx = CartanContext(scn.algebroid)
@@ -268,13 +340,12 @@ class TestRepeatedWork:
         from homlie import nijenhuis
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
-        poisson_calls = self.counted(monkeypatch, nijenhuis, "is_hom_poisson")
-        nijenhuis_calls = self.counted(monkeypatch, nijenhuis, "is_hom_nijenhuis")
+        done = self.computations(monkeypatch)
         res = nijenhuis.hpn_bialgebroid_equiv(CartanContext(scn.algebroid), scn.pi, scn.endo, 1)
         assert res.passed
         assert res.details == {"is-hpn": True, "deformed-dual": True, "dual-deformed": True}
-        assert len(poisson_calls) == 1
-        assert len(nijenhuis_calls) == 1
+        assert self.count(done, "is_hom_poisson") == 1
+        assert self.count(done, "is_hom_nijenhuis") == 1
 
     DUAL_TASKS = [
         "check_dual_algebroid",
@@ -305,14 +376,13 @@ class TestRepeatedWork:
         from homlie import nijenhuis
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
-        poisson_calls = self.counted(monkeypatch, nijenhuis, "is_hom_poisson")
-        nijenhuis_calls = self.counted(monkeypatch, nijenhuis, "is_hom_nijenhuis")
+        done = self.computations(monkeypatch)
         assert self.hierarchy(nijenhuis, scn).passed
         # stages 0..3 and powers 0..3 at depth 3; the base check at
         # degree 1 is the stage-0 and power-1 check of the sweep
         assert scn.hierarchy_depth == 3
-        assert len(poisson_calls) == 4
-        assert len(nijenhuis_calls) == 4
+        assert self.count(done, "is_hom_poisson") == 4
+        assert self.count(done, "is_hom_nijenhuis") == 4
 
     def test_hierarchy_reuses_its_base_check(self, monkeypatch):
         from homlie import nijenhuis
@@ -322,6 +392,63 @@ class TestRepeatedWork:
         assert self.hierarchy(nijenhuis, scn).passed
         # 4 stages by 4 powers; the base check is stage 0, power 1
         assert len(hpn_calls) == 16
+
+    # verdicts a full run computes: the four hierarchy stages and the
+    # four powers of N, each at degree 1 (d_n_props, is_hom_nijenhuis,
+    # is_hpn and the hierarchy base share (N, 1)), and check_bialgebroid
+    # on (A, A*_pi), (A_N, A*_pi) and the task's pair, which from_pi
+    # makes (A, A*_pi) again
+    @pytest.mark.parametrize(
+        "name, bialgebroid", [("s1_full", 3), ("s1_from_pi", 2)], ids=["trivial", "from_pi"]
+    )
+    def test_full_run_computes_each_verdict_once(self, monkeypatch, name, bialgebroid):
+        scn = load_scenario(str(SCENARIOS / f"{name}.json"))
+        done = self.computations(monkeypatch)
+        assert run_scenario(scn, ["full"])["verdict"] == "pass"
+        assert self.count(done, "is_hom_poisson") == 4
+        assert self.count(done, "is_hom_nijenhuis") == 4
+        assert self.count(done, "check_bialgebroid") == bialgebroid
+
+    @pytest.mark.parametrize("name", ["s1_full", "s1_from_pi", "s3_nonpoisson_pi"])
+    def test_stored_verdicts_equal_fresh_ones(self, monkeypatch, name):
+        # a caller that mutated a stored CheckResult would show here
+        done = self.computations(monkeypatch)
+        run_scenario(load_scenario(str(SCENARIOS / f"{name}.json")), ["full"])
+        checked = 0
+        for ctx, key, build in done:
+            if key[0] in ("is_hom_poisson", "is_hom_nijenhuis", "check_bialgebroid"):
+                stored = ctx.once(key, lambda: pytest.fail(f"{key[0]} not stored"))
+                assert stored == build(), key[0]
+                checked += 1
+        assert checked
+
+    def test_a_refusal_is_not_stored(self, monkeypatch):
+        from homlie import nijenhuis
+        from homlie.report import PreconditionError, TheoremViolation
+
+        ctx = CartanContext(load_scenario(str(SCENARIOS / "s1_full.json")).algebroid)
+        builds = []
+
+        def refuse(error):
+            builds.append(error)
+            raise error("refused")
+
+        for error in (PreconditionError, TheoremViolation):
+            for _ in range(2):
+                with pytest.raises(error):
+                    ctx.once(("refusal", error), lambda: refuse(error))
+        assert builds == [PreconditionError] * 2 + [TheoremViolation] * 2
+
+        # a checker that raises is recomputed on the next call; the
+        # context is new, so no verdict stored before the patch is read
+        scn = load_scenario(str(SCENARIOS / "s1_full.json"))
+        ctx = CartanContext(scn.algebroid)
+        monkeypatch.setattr(nijenhuis, "_commutes_with_twist", lambda *args: False)
+        for _ in range(2):
+            with pytest.raises(TheoremViolation, match="disagrees with invariance"):
+                nijenhuis.is_hom_nijenhuis(ctx, scn.endo)
+        monkeypatch.undo()
+        assert nijenhuis.is_hom_nijenhuis(ctx, scn.endo).passed
 
     def test_is_hpn_evaluates_the_compatibility_tensor_once(self, monkeypatch):
         from homlie import nijenhuis, probes
@@ -730,6 +857,16 @@ class TestCliProcess:
         assert out.returncode == 2
         assert f"scenario error: {path}: " in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("entry", ["1" * 6000, "1" * 3000 + "/0", "1" * 6000 + ".5"])
+    def test_exit_two_on_a_long_bad_rational_shows_a_prefix(self, tmp_path, entry):
+        p = tmp_path / "long_rational.json"
+        p.write_text(json.dumps(s1_scenario_dict(N=[[entry, "0"], ["0", "1"]])))
+        out = self.run_cli("check", str(p))
+        assert out.returncode == 2
+        assert out.stderr.startswith("scenario error: $.N[0][0]: bad rational '1111")
+        assert f"({len(repr(entry))} characters)" in out.stderr
+        assert len(out.stderr.encode()) < 200
 
     def test_exit_two_on_exponent_at_the_limit(self, tmp_path):
         from homlie.kernels import LIMIT
