@@ -117,14 +117,17 @@ def check_bialgebroid(P: BialgebroidPair, probe_degree: int = 2) -> CheckResult:
 def _bialgebroid_verdict(P: BialgebroidPair, probe_degree: int) -> CheckResult:
     A, ctx = P.A, P.ctx
     sections = probes.sections(A, probe_degree)
+    # (dual d X, phi_A X) once per probe section, (d xi, dagger xi) once
+    # per probe covector, each on its first lookup
+    section = by_label(lambda X: (P.dual_differential(X), A.phiA.apply_graded(X)))
+    covector = by_label(lambda xi: (differential(ctx, xi), ctx.dagger.apply_graded(xi)))
 
     def direction_primal():
         for lx, X in sections:
             for ly, Y in sections:
                 lhs = P.dual_differential(A.bracket(X, Y))
-                rhs = schouten(ctx, P.dual_differential(X), A.phiA.apply_graded(Y)) + schouten(
-                    ctx, A.phiA.apply_graded(X), P.dual_differential(Y)
-                )
+                (dX, tX), (dY, tY) = section(lx, X), section(ly, Y)
+                rhs = schouten(ctx, dX, tY) + schouten(ctx, tX, dY)
                 yield {"X": lx, "Y": ly}, lhs - rhs
 
     def direction_dual():
@@ -132,9 +135,8 @@ def _bialgebroid_verdict(P: BialgebroidPair, probe_degree: int) -> CheckResult:
         for lx, xi in co:
             for ly, eta in co:
                 lhs = differential(ctx, P.dual_bracket(xi, eta))
-                rhs = P.dual_schouten(
-                    differential(ctx, xi), ctx.dagger.apply_graded(eta)
-                ) + P.dual_schouten(ctx.dagger.apply_graded(xi), differential(ctx, eta))
+                (d_xi, t_xi), (d_eta, t_eta) = covector(lx, xi), covector(ly, eta)
+                rhs = P.dual_schouten(d_xi, t_eta) + P.dual_schouten(t_xi, d_eta)
                 yield {"xi": lx, "eta": ly}, lhs - rhs
 
     results = [
@@ -463,21 +465,28 @@ def check_courant_axioms(E: CourantDouble, probe_degree: int = 2) -> CheckResult
     def function_rules():
         frames = probes.double_sections(E, 0)
         scalars = probes.nonconstant_monomials(E.n, probe_degree)
+        # keyed by the index of f and of the frames: phi*f and D f once
+        # per f, rho(phiE E_a)(f) once per (a, f), and phi*<E_a, E_b>
+        # once per (a, b), each on its first lookup
+        pulled_f = by_label(pb)
+        gradient = by_label(E.script_D)
+        derivative = by_label(lambda af: E.rho_twisted_frame(af[0]).apply(af[1]))
+        pulled_pairing = by_label(lambda uv: pb(E.pairing(*uv)) * 2)
         for a, (la, u) in enumerate(frames):
             for b, (lb, v) in enumerate(frames):
                 base = E.product(u, v)
-                for f in scalars:
+                for i, f in enumerate(scalars):
                     left = E.product(u, v.scale(f))
-                    right1 = base.scale(pb(f)) + phiE(lb, v).scale(
-                        E.rho_twisted_frame(a).apply(f)
+                    right1 = base.scale(pulled_f(i, f)) + phiE(lb, v).scale(
+                        derivative((a, i), (a, f))
                     )
                     slots = {"u": la, "v": lb, "f": f}
                     yield {"rule": "right-slot", **slots}, left - right1
                     left2 = E.product(u.scale(f), v)
                     right2 = (
-                        base.scale(pb(f))
-                        - phiE(la, u).scale(E.rho_twisted_frame(b).apply(f))
-                        + E.script_D(f).scale(pb(E.pairing(u, v)) * 2)
+                        base.scale(pulled_f(i, f))
+                        - phiE(la, u).scale(derivative((b, i), (b, f)))
+                        + gradient(i, f).scale(pulled_pairing((a, b), (u, v)))
                     )
                     yield {"rule": "left-slot", **slots}, left2 - right2
 

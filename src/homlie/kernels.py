@@ -104,6 +104,15 @@ def poly_mul(a, b):
     return out
 
 
+def mono_mul(ka, kb):
+    """The key of the product of the monomials of keys ka and kb; a
+    guarded key raises as in poly_mul."""
+    k = ka + kb
+    if k & GUARD:
+        raise ExponentOverflow(f"a product has an exponent of {LIMIT} or more")
+    return k
+
+
 def poly_sum_products(triples):
     """sum s * a * b over (s, a, b) triples of a scalar and two term
     maps, accumulated into one fresh dict; zeros are dropped once at

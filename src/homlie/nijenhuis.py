@@ -7,13 +7,13 @@ and the endomorphism as an EndoMap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 
 from . import probes
 from .calculus import (
     CartanContext,
     differential,
-    lie_derivative_form,
     lie_derivative_tensor,
     schouten,
 )
@@ -27,10 +27,10 @@ from .exterior import (
     require_invariant,
     twist_invariance,
 )
-from .homalg import HomAlgebroid
+from .homalg import HomAlgebroid, by_label
 from .poisson import (
     Bivector,
-    bracket_pi,
+    _sharp_bracket,
     dual_algebroid,
     is_hom_poisson,
 )
@@ -212,26 +212,38 @@ def d_n_props(ctx: CartanContext, N: EndoMap, probe_degree: int = 3) -> CheckRes
     return first_failure("d_n_props", results)
 
 
+# The values of a covector alpha that the compatibility tensors read,
+# computed once per covector of a sweep: alpha, N* alpha, pi# alpha,
+# pi# N* alpha and N pi# alpha.
+_Covector = namedtuple("_Covector", "form Nt sharp sharp_Nt N_sharp")
+
+
+def _covector(pi: Bivector, N: EndoMap, Nt: EndoMap, alpha: Form) -> _Covector:
+    Nt_alpha = Nt.apply(alpha)
+    s_alpha = pi.sharp_apply(alpha)
+    return _Covector(alpha, Nt_alpha, s_alpha, pi.sharp_apply(Nt_alpha), N.apply(s_alpha))
+
+
 def compat_C(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
     """Difference of the two deformed covector brackets."""
     Nt = N.transpose()
-    s_alpha = N.apply(pi.sharp_apply(alpha))
-    s_beta = N.apply(pi.sharp_apply(beta))
-    first = (
-        lie_derivative_form(ctx, s_alpha, beta)
-        - lie_derivative_form(ctx, s_beta, alpha)
-        - differential(ctx, pair(beta, s_alpha))
-    )
-    return first - _transposed_bracket(ctx, pi, Nt, alpha, beta)
+    return _compat_tensor(ctx, Nt, _covector(pi, N, Nt, alpha), _covector(pi, N, Nt, beta))
 
 
-def _transposed_bracket(ctx: CartanContext, pi: Bivector, Nt: EndoMap, alpha: Form, beta: Form) -> Form:
+def _compat_tensor(ctx: CartanContext, Nt: EndoMap, a: _Covector, b: _Covector) -> Form:
+    """The tensor at the covectors of a and b: the bracket of the
+    composed sharp N pi# minus the transposed bracket."""
+    first = _sharp_bracket(ctx, a.form, a.N_sharp, b.form, b.N_sharp)
+    return first - _transposed_bracket(ctx, Nt, a, b)
+
+
+def _transposed_bracket(ctx: CartanContext, Nt: EndoMap, a: _Covector, b: _Covector) -> Form:
     """[Nt alpha, beta]_pi + [alpha, Nt beta]_pi - Nt [alpha, beta]_pi for
-    the transpose Nt of the endomorphism."""
+    the transpose Nt of the endomorphism, at the covectors of a and b."""
     return (
-        bracket_pi(ctx, pi, Nt.apply(alpha), beta)
-        + bracket_pi(ctx, pi, alpha, Nt.apply(beta))
-        - Nt.apply(bracket_pi(ctx, pi, alpha, beta))
+        _sharp_bracket(ctx, a.Nt, a.sharp_Nt, b.form, b.sharp)
+        + _sharp_bracket(ctx, a.form, a.sharp, b.Nt, b.sharp_Nt)
+        - Nt.apply(_sharp_bracket(ctx, a.form, a.sharp, b.form, b.sharp))
     )
 
 
@@ -244,21 +256,26 @@ def _sharp_commutation_residual(ctx, pi, N):
     ]
 
 
-def compat_Cprime(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
-    """Equivalent compatibility tensor built from Lie derivatives of the
-    endomorphism; requires the sharp commutation."""
+def _require_sharp_commutation(ctx, pi, N) -> None:
     res = _sharp_commutation_residual(ctx, pi, N)
     if any(not x.is_zero() for row in res for x in row):
         raise PreconditionError("sharp commutation fails; the tensor is undefined")
-    Nt = N.transpose()
-    s_alpha = pi.sharp_apply(alpha)
-    s_beta = pi.sharp_apply(beta)
-    LN_alpha = lie_derivative_tensor(ctx, s_alpha, N).transpose()
-    LN_beta = lie_derivative_tensor(ctx, s_beta, N).transpose()
-    dag = ctx.dagger.apply_graded
-    out = LN_alpha.apply(dag(beta)) - LN_beta.apply(dag(alpha))
-    out = out + Nt.apply(differential(ctx, pair(beta, s_alpha)))
-    return out - differential(ctx, pair(beta, pi.sharp_apply(Nt.apply(alpha))))
+
+
+def _derivative_values(ctx: CartanContext, N: EndoMap, a: _Covector):
+    """The dual twist of alpha and the transposed Lie derivative of N
+    along pi# alpha, which the derivative tensor reads."""
+    return ctx.dagger.apply_graded(a.form), lie_derivative_tensor(ctx, a.sharp, N).transpose()
+
+
+def _derivative_tensor(ctx: CartanContext, Nt: EndoMap, a: _Covector, b: _Covector, da, db) -> Form:
+    """The equivalent compatibility tensor built from Lie derivatives of
+    the endomorphism, at the covectors of a and b with their
+    `_derivative_values` da and db; defined when the sharp commutes."""
+    (dag_alpha, LN_alpha), (dag_beta, LN_beta) = da, db
+    out = LN_alpha.apply(dag_beta) - LN_beta.apply(dag_alpha)
+    out = out + Nt.apply(differential(ctx, pair(b.form, a.sharp)))
+    return out - differential(ctx, pair(b.form, a.sharp_Nt))
 
 
 def is_hpn(
@@ -271,7 +288,8 @@ def is_hpn(
     commutation, and the vanishing compatibility tensor.  When the
     hypotheses hold, the four equivalent formulations are evaluated and
     their agreement recorded."""
-    merged = _hpn(ctx, pi, N, probe_degree)
+    fact = _hpn(ctx, pi, N, probe_degree)
+    merged = CheckResult(fact.name, fact.passed, fact.witness, dict(fact.details))
     invariant = all(
         ok.details.get("twist-invariance") == "pass"
         for ok in (is_hom_poisson(ctx, pi), is_hom_nijenhuis(ctx, N, probe_degree))
@@ -286,8 +304,15 @@ def is_hpn(
 
 
 def _hpn(ctx, pi, N, probe_degree):
-    """is_hpn's verdict without the equivalent formulations."""
-    results = [is_hom_poisson(ctx, pi), is_hom_nijenhuis(ctx, N, probe_degree)]
+    """is_hpn's verdict without the equivalent formulations.  Its probes
+    stop at degree 1, so it is computed once per context, bivector,
+    endomorphism and min(probe_degree, 1)."""
+    degree = min(probe_degree, 1)
+    return ctx.once(("hpn", pi.table, N, degree), lambda: _hpn_verdict(ctx, pi, N, degree))
+
+
+def _hpn_verdict(ctx, pi, N, degree):
+    results = [is_hom_poisson(ctx, pi), is_hom_nijenhuis(ctx, N, degree)]
     res_mat = _sharp_commutation_residual(ctx, pi, N)
     entries = (
         ({"entry": f"({i + 1},{j + 1})"}, res_mat[i][j])
@@ -295,9 +320,14 @@ def _hpn(ctx, pi, N, probe_degree):
         for j in range(ctx.rank)
     )
     results.append(first_nonzero("sharp-endo-commutation", entries))
-    coforms = probes.coframes(ctx.algebroid, min(probe_degree, 1))
+    coforms = probes.coframes(ctx.algebroid, degree)
+    Nt = N.transpose()
+    covector = by_label(lambda alpha: _covector(pi, N, Nt, alpha))
     tensor = (
-        ({"alpha": la, "beta": lb}, compat_C(ctx, pi, N, alpha, beta))
+        (
+            {"alpha": la, "beta": lb},
+            _compat_tensor(ctx, Nt, covector(la, alpha), covector(lb, beta)),
+        )
         for la, alpha in coforms
         for lb, beta in coforms
     )
@@ -307,13 +337,15 @@ def _hpn(ctx, pi, N, probe_degree):
 
 def _prop_conditions(ctx, pi, N, probe_degree, compat_tensor):
     """The four equivalent compatibility formulations, each evaluated on
-    probe covector pairs.  is_hpn calls it only for a twist-invariant N,
-    passing its own compatibility-tensor verdict on the same pairs as
-    compat_tensor."""
+    probe covector pairs.  is_hpn calls it only for a twist-invariant N
+    whose sharp commutation holds, passing its own compatibility-tensor
+    verdict on the same pairs as compat_tensor."""
     coforms = probes.coframes(ctx.algebroid, probe_degree)
     ctxN = _deformed_context(ctx, N)
     Nt = N.transpose()
-    pi_N = Bivector.from_sharp(poly_mat_mul(N.matrix, pi.sharp.matrix), ctx.n)
+    _require_sharp_commutation(ctx, pi, N)
+    covector = by_label(lambda alpha: _covector(pi, N, Nt, alpha))
+    derivative = by_label(lambda a: _derivative_values(ctx, N, a))
     cond = {
         "cond-compat-tensor": compat_tensor,
         "cond-deformed-vs-composed": True,
@@ -321,20 +353,24 @@ def _prop_conditions(ctx, pi, N, probe_degree, compat_tensor):
         "cond-derivative-tensor": True,
     }
     for la, alpha in coforms:
+        a = covector(la, alpha)
         for lb, beta in coforms:
-            base = bracket_pi(ctxN, pi, alpha, beta)
+            b = covector(lb, beta)
+            # [alpha, beta]_pi on the deformed algebroid
+            base = _sharp_bracket(ctxN, alpha, a.sharp, beta, b.sharp)
             if cond["cond-deformed-vs-composed"]:
-                other = bracket_pi(ctx, pi_N, alpha, beta)
+                # the bracket of the bivector whose sharp is N pi#
+                other = _sharp_bracket(ctx, alpha, a.N_sharp, beta, b.N_sharp)
                 if not (base - other).is_zero():
                     cond["cond-deformed-vs-composed"] = False
             if cond["cond-deformed-vs-transposed"]:
-                other = _transposed_bracket(ctx, pi, Nt, alpha, beta)
+                other = _transposed_bracket(ctx, Nt, a, b)
                 if not (base - other).is_zero():
                     cond["cond-deformed-vs-transposed"] = False
-            if cond["cond-derivative-tensor"] and not compat_Cprime(
-                ctx, pi, N, alpha, beta
-            ).is_zero():
-                cond["cond-derivative-tensor"] = False
+            if cond["cond-derivative-tensor"]:
+                value = _derivative_tensor(ctx, Nt, a, b, derivative(la, a), derivative(lb, b))
+                if not value.is_zero():
+                    cond["cond-derivative-tensor"] = False
     return cond
 
 
@@ -343,8 +379,7 @@ def hierarchy(ctx: CartanContext, pi: Bivector, N: EndoMap, depth: int, probe_de
     is checked to be antisymmetric; every pair of stages must commute
     under the graded bracket and stay compatible with every power of the
     endomorphism."""
-    base_degree = max(probe_degree, 1)
-    base = require(_hpn(ctx, pi, N, base_degree), "hierarchy requires a compatible pair")
+    require(_hpn(ctx, pi, N, max(probe_degree, 1)), "hierarchy requires a compatible pair")
     towers = [pi]
     H = pi.sharp.matrix
     for _ in range(depth):
@@ -354,8 +389,7 @@ def hierarchy(ctx: CartanContext, pi: Bivector, N: EndoMap, depth: int, probe_de
     results = []
     for k in range(len(towers)):
         for p in range(depth + 1):
-            same_as_base = (k, p, probe_degree) == (0, 1, base_degree)
-            sub = base if same_as_base else _hpn(ctx, towers[k], powers[p], probe_degree)
+            sub = _hpn(ctx, towers[k], powers[p], probe_degree)
             results.append(
                 CheckResult(f"stage-{k}-power-{p}", sub.passed, sub.witness)
             )
@@ -441,15 +475,20 @@ def bialgebroid_defect_checks(
                 yield {"f": f, "g": g}, lhs - rhs
 
     coforms = probes.coframes(ctx.algebroid, probe_degree)
-    dagger2 = lambda w: ctx.dagger.apply_graded(ctx.dagger.apply_graded(w))
+    # the values that depend on fewer coforms than a case, each computed
+    # on its first lookup: the defect of a pair, keyed by both labels,
+    # the wedge of a pair and the double dagger twist of a coform
+    pair_defect = by_label(lambda xi_eta: defect(*xi_eta))
+    wedge = by_label(lambda xi_eta: xi_eta[0].wedge(xi_eta[1]))
+    dagger2 = by_label(lambda w: ctx.dagger.apply_graded(ctx.dagger.apply_graded(w)))
 
     def wedge_rule():
         for la, alpha in coforms:
             for lb, beta in coforms:
                 for lc, gamma in coforms:
-                    lhs = defect(alpha, beta.wedge(gamma))
-                    first = defect(alpha, beta).wedge(dagger2(gamma))
-                    second = dagger2(beta).wedge(defect(alpha, gamma))
+                    lhs = defect(alpha, wedge((lb, lc), (beta, gamma)))
+                    first = pair_defect((la, lb), (alpha, beta)).wedge(dagger2(lc, gamma))
+                    second = dagger2(lb, beta).wedge(pair_defect((la, lc), (alpha, gamma)))
                     even = (alpha.degree * beta.degree) % 2 == 0
                     rhs = first + second if even else first - second
                     yield {"alpha": la, "beta": lb, "gamma": lc}, lhs - rhs
@@ -457,8 +496,8 @@ def bialgebroid_defect_checks(
     def graded_antisymmetry():
         for la, alpha in coforms:
             for lb, beta in coforms:
-                lhs = defect(alpha, beta)
-                rhs = defect(beta, alpha)
+                lhs = pair_defect((la, lb), (alpha, beta))
+                rhs = pair_defect((lb, la), (beta, alpha))
                 sign = -1 if ((alpha.degree - 1) * (beta.degree - 1)) % 2 == 0 else 1
                 yield {"alpha": la, "beta": lb}, lhs - rhs.scale(sign)
 

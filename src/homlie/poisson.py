@@ -144,8 +144,14 @@ def sharp_commutes(ctx: CartanContext, pi: Bivector, probe_degree: int = 3) -> C
 
 def bracket_pi(ctx: CartanContext, pi: Bivector, xi: Form, eta: Form) -> Form:
     """Covector bracket induced by the bivector."""
-    s_xi = pi.sharp_apply(xi)
-    s_eta = pi.sharp_apply(eta)
+    return _sharp_bracket(ctx, xi, pi.sharp_apply(xi), eta, pi.sharp_apply(eta))
+
+
+def _sharp_bracket(
+    ctx: CartanContext, xi: Form, s_xi: MultiVector, eta: Form, s_eta: MultiVector
+) -> Form:
+    """L_{s_xi} eta - L_{s_eta} xi - d<eta, s_xi>: the covector bracket
+    of the sharp map that sends xi to s_xi and eta to s_eta."""
     out = lie_derivative_form(ctx, s_xi, eta) - lie_derivative_form(ctx, s_eta, xi)
     return out - differential(ctx, pair(eta, s_xi))
 

@@ -135,6 +135,15 @@ class Poly:
                 return _reduced(self.n, num, self.den * other.denominator)
         other = self._coerce(other)
         a, b = self.num, other.num
+        if len(a) == 1 and len(b) == 1:
+            # one term by one term: one key add and one product, reduced
+            # by a gcd only over a denominator
+            [(ka, va)], [(kb, vb)] = a.items(), b.items()
+            c, den = va * vb, self.den * other.den
+            if den != 1:
+                g = gcd(c, den)
+                c, den = c // g, den // g
+            return _poly(self.n, {kernels.mono_mul(ka, kb): c}, den)
         if len(b) == 1 and len(a) > 1:
             a, b = b, a
         if len(a) == 1 and len(b) > 1:

@@ -388,10 +388,10 @@ class TestRepeatedWork:
         from homlie import nijenhuis
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
-        hpn_calls = self.counted(monkeypatch, nijenhuis, "_hpn")
+        done = self.computations(monkeypatch)
         assert self.hierarchy(nijenhuis, scn).passed
         # 4 stages by 4 powers; the base check is stage 0, power 1
-        assert len(hpn_calls) == 16
+        assert self.count(done, "hpn") == 16
 
     # verdicts a full run computes: the four hierarchy stages and the
     # four powers of N, each at degree 1 (d_n_props, is_hom_nijenhuis,
@@ -416,7 +416,7 @@ class TestRepeatedWork:
         run_scenario(load_scenario(str(SCENARIOS / f"{name}.json")), ["full"])
         checked = 0
         for ctx, key, build in done:
-            if key[0] in ("is_hom_poisson", "is_hom_nijenhuis", "check_bialgebroid"):
+            if key[0] in ("is_hom_poisson", "is_hom_nijenhuis", "check_bialgebroid", "hpn"):
                 stored = ctx.once(key, lambda: pytest.fail(f"{key[0]} not stored"))
                 assert stored == build(), key[0]
                 checked += 1
@@ -454,10 +454,75 @@ class TestRepeatedWork:
         from homlie import nijenhuis, probes
 
         scn = load_scenario(str(SCENARIOS / "s1_full.json"))
-        calls = self.counted(monkeypatch, nijenhuis, "compat_C")
+        calls = self.counted(monkeypatch, nijenhuis, "_compat_tensor")
         res = nijenhuis.is_hpn(CartanContext(scn.algebroid), scn.pi, scn.endo, 2)
         assert res.passed and res.details["cond-compat-tensor"] is True
         assert len(calls) == len(probes.coframes(scn.algebroid, 1)) ** 2
+
+    def full_run(self, name="s1_full"):
+        scn = load_scenario(str(SCENARIOS / f"{name}.json"))
+        assert run_scenario(scn, ["full"])["verdict"] == "pass"
+        return scn
+
+    def test_full_run_computes_each_hpn_fact_once(self, monkeypatch):
+        done = self.computations(monkeypatch)
+        self.full_run()
+        # the 4 stages by 4 powers of the hierarchy at degree 1; is_hpn
+        # (degree 2, whose probes stop at 1), the hierarchy's base check
+        # and hpn_bialgebroid_equiv read the stage-0, power-1 fact
+        assert self.count(done, "hpn") == 16
+
+    def test_sharp_commutation_residual_once_per_fact(self, monkeypatch):
+        from homlie import nijenhuis
+
+        calls = self.counted(monkeypatch, nijenhuis, "_sharp_commutation_residual")
+        self.full_run()
+        # one per computed hpn fact, and one for is_hpn's equivalent
+        # formulations
+        assert len(calls) == 16 + 1
+
+    def test_lie_derivative_tensor_once_per_covector(self, monkeypatch):
+        from homlie import nijenhuis, probes
+
+        calls = self.counted(monkeypatch, nijenhuis, "lie_derivative_tensor")
+        scn = self.full_run()
+        # the derivative tensor of is_hpn's equivalent formulations, on
+        # the 6 probe covectors at degree 1
+        assert len(calls) == len(probes.coframes(scn.algebroid, 1)) == 6
+
+    def test_wedge_rule_defect_once_per_triple_and_pair(self, monkeypatch):
+        from homlie import nijenhuis
+
+        # the identity whose cases are running, and the identity of each
+        # defect call
+        running, calls = [], []
+        original_cases = nijenhuis.first_nonzero
+        original_defect = nijenhuis.bialgebroid_defect
+
+        def labelled(identity, cases):
+            running.append(identity)
+            try:
+                return original_cases(identity, cases)
+            finally:
+                running.pop()
+
+        def counting(ctx, pi, N):
+            defect = original_defect(ctx, pi, N)
+
+            def counted(xi1, xi2):
+                calls.append(running[-1] if running else None)
+                return defect(xi1, xi2)
+
+            return counted
+
+        monkeypatch.setattr(nijenhuis, "first_nonzero", labelled)
+        monkeypatch.setattr(nijenhuis, "bialgebroid_defect", counting)
+        self.full_run()
+        # 6 probe covectors at degree 1: the left side once per triple,
+        # and D(alpha, beta) once per ordered pair; graded antisymmetry
+        # reads the same pairs
+        assert calls.count("defect-wedge-rule") == 6**3 + 6**2 == 252
+        assert calls.count("defect-graded-antisymmetry") == 0
 
     def test_d_n_props_checks_twist_invariance_once(self, monkeypatch):
         from homlie import nijenhuis

@@ -7,12 +7,15 @@ from homlie.calculus import CartanContext, differential
 from homlie.exterior import EndoMap, Form, MultiVector
 from homlie.homalg import check_axioms, make_pullback_tangent
 from homlie.nijenhuis import (
+    _covector,
     _deformed_context,
+    _derivative_tensor,
+    _derivative_values,
     _require_invariant,
+    _require_sharp_commutation,
     bialgebroid_defect,
     bialgebroid_defect_checks,
     compat_C,
-    compat_Cprime,
     d_n_props,
     deformed_algebroid,
     deformed_bracket,
@@ -37,6 +40,17 @@ def bracket_Npi(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta:
     sharp map."""
     _require_invariant(ctx, N)
     return bracket_pi(_deformed_context(ctx, N), pi, alpha, beta)
+
+
+def compat_Cprime(ctx: CartanContext, pi: Bivector, N: EndoMap, alpha: Form, beta: Form) -> Form:
+    """The compatibility tensor built from Lie derivatives of the
+    endomorphism, on one covector pair; requires the sharp commutation.
+    is_hpn sweeps the same formula over its probe pairs."""
+    _require_sharp_commutation(ctx, pi, N)
+    Nt = N.transpose()
+    a, b = _covector(pi, N, Nt, alpha), _covector(pi, N, Nt, beta)
+    da, db = _derivative_values(ctx, N, a), _derivative_values(ctx, N, b)
+    return _derivative_tensor(ctx, Nt, a, b, da, db)
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +264,28 @@ class TestIsHpn:
         with pytest.raises(PreconditionError, match="requires a twist-invariant endomorphism"):
             bracket_Npi(S1, std_pi(S1), noncommuting(S1), A.coframe(0), A.coframe(1))
 
+    def test_compatibility_tensor_witness_of_an_incompatible_pair(self, S1, monkeypatch):
+        from homlie import nijenhuis
+
+        # sharp-endo-commutation fails first on this pair, so no report
+        # shows the tensor's own witness; it is pinned here
+        found = {}
+        original = nijenhuis.first_nonzero
+
+        def recorded(identity, cases):
+            found[identity] = original(identity, cases)
+            return found[identity]
+
+        monkeypatch.setattr(nijenhuis, "first_nonzero", recorded)
+        ctx = CartanContext(make_pullback_tangent(AffineTwist([[2, 0], [0, Fraction(1, 2)]])))
+        res = is_hpn(ctx, std_pi(ctx), diag(ctx, 1, 2))
+        assert res.witness.identity == "sharp-endo-commutation"
+        assert found["compatibility-tensor"].witness.to_json() == {
+            "identity": "compatibility-tensor",
+            "inputs": {"alpha": "eps1", "beta": "(x)*eps2"},
+            "residual": "(-1) eps[1]",
+        }
+
     def test_kakansei_worked_values(self, S1):
         pi = std_pi(S1)
         N = diag(S1, 1, 2)
@@ -305,6 +341,40 @@ class TestBialgebroidDefect:
     def test_five_properties_incompatible_endo(self, S1):
         # the structural identities hold even when the defect is nonzero
         assert bialgebroid_defect_checks(S1, std_pi(S1), diag(S1, 1, 2)).passed
+
+    def test_wedge_rule_witness_of_a_mutant_defect(self, monkeypatch):
+        from homlie import nijenhuis
+        from homlie.fixtures import algebroid_s2
+
+        # rank 3, so that D(alpha, beta ^ gamma) is not a form of degree
+        # 3 over rank 2, which vanishes; the pair passes unmutated
+        ctx = CartanContext(algebroid_s2())
+        pi, N = std_pi(ctx), oracle.diagonal(ctx.n, [3, 3, 3])
+        assert bialgebroid_defect_checks(ctx, pi, N).passed
+        original = nijenhuis.bialgebroid_defect
+
+        def mutant(ctx, pi, N):
+            # adds xi1 ^ xi2 when the second argument has degree 2, which
+            # only the left side of the wedge rule passes
+            defect = original(ctx, pi, N)
+
+            def mutated(xi1, xi2):
+                out = defect(xi1, xi2)
+                if ctx.as_form(xi2).degree == 2:
+                    out = out + ctx.as_form(xi1).wedge(xi2)
+                return out
+
+            return mutated
+
+        monkeypatch.setattr(nijenhuis, "bialgebroid_defect", mutant)
+        res = bialgebroid_defect_checks(ctx, pi, N)
+        assert res.details["defect-wedge-rule"] == "FAIL"
+        assert [k for k, v in res.details.items() if v == "FAIL"] == ["defect-wedge-rule"]
+        assert res.witness.to_json() == {
+            "identity": "defect-wedge-rule",
+            "inputs": {"alpha": "eps1", "beta": "eps2", "gamma": "eps3"},
+            "residual": "(1) eps[1,2,3]",
+        }
 
 
 class TestHpnBialgebroidEquiv:

@@ -55,6 +55,14 @@ def polys(draw, n=2, max_degree=3, max_terms=4):
     return Poly(n, terms)
 
 
+@st.composite
+def edge_monomials(draw):
+    """One term in two variables, with exponents at both ends of the
+    range and a nonzero coefficient, often over a non-unit denominator."""
+    exps = tuple(draw(st.sampled_from([0, 1, LIMIT - 2, LIMIT - 1])) for _ in range(2))
+    return Poly.monomial(2, exps, draw(rationals.filter(bool)))
+
+
 class TestPolyArithmetic:
     def test_canonical_form_add_negate(self):
         f = x * x + y
@@ -78,14 +86,23 @@ class TestPolyArithmetic:
     def test_pow(self):
         assert (x + y) ** 2 == x * x + 2 * x * y + y * y
 
-    @given(polys(), rationals)
+    @given(polys(), rationals, edge_monomials(), edge_monomials())
     @settings(max_examples=60)
-    def test_constant_factor_matches_full_product(self, f, c):
+    def test_constant_factor_matches_full_product(self, f, c, m1, m2):
+        # a constant factor, and one term by one term, against the
+        # kernel product of the Fraction terms, which raises past the limit
         k = Poly.const(2, c)
-        want = Poly(2, unpacked(kernels.poly_mul(packed(f.terms), packed(k.terms))))
-        for got in (k * f, f * k):
-            assert (got.num, got.den) == (want.num, want.den)
-            assert_canonical(got)
+        for a, b in ((k, f), (m1, m2)):
+            try:
+                want = Poly(2, unpacked(kernels.poly_mul(packed(a.terms), packed(b.terms))))
+            except ExponentOverflow:
+                for left, right in ((a, b), (b, a)):
+                    with pytest.raises(ExponentOverflow):
+                        left * right
+                continue
+            for got in (a * b, b * a):
+                assert (got.num, got.den) == (want.num, want.den)
+                assert_canonical(got)
 
     @given(polys(), polys())
     @settings(max_examples=60)
