@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import probes
 from .exterior import Form, GradedElement, MultiVector, SectionTwist, _sum_each, combine
-from .polyring import AffineTwist, Poly, monomials, sum_products
+from .polyring import AffineTwist, DimensionMismatch, Poly, _poly, _table_sum, monomials, sum_products
 from .report import CheckResult, StructureError, until_first_failure
 
 # Pairwise-scaled probes grow quadratically, so they use a reduced
@@ -28,9 +28,13 @@ class PullbackVectorField:
         X(f) = X~(phi*f),   X~ = M^-1 c,
 
     where X~ is the ordinary vector field `flat`, computed once per
-    field.  So one application is one pullback followed by partials."""
+    field.  The field keeps a table from a monomial key m to
+    X(x^m) = X~(phi*x^m), each entry filled on its first use, and applies
+    itself to f as the sum of f's scaled entries, as the base map does
+    for its pullback (`polyring._table_sum`).  Fields are immutable; `+`,
+    `-` and `scale` return fresh fields with empty tables."""
 
-    __slots__ = ("phi", "coeffs", "_flat")
+    __slots__ = ("phi", "coeffs", "_flat", "_table")
 
     def __init__(self, phi: AffineTwist, coeffs):
         self.phi = phi
@@ -38,6 +42,7 @@ class PullbackVectorField:
         if len(self.coeffs) != phi.n:
             raise StructureError("coefficient count must match the base dimension")
         self._flat = None
+        self._table = {}
 
     @classmethod
     def coordinate(cls, phi: AffineTwist, i: int) -> "PullbackVectorField":
@@ -59,7 +64,14 @@ class PullbackVectorField:
         return self._flat
 
     def apply(self, f: Poly) -> Poly:
-        return derive(self.flat, self.phi.pullback(f))
+        if f.n != self.phi.n:
+            raise DimensionMismatch("polynomial and base map dimensions differ")
+        return _table_sum(f, self._table, self._image)
+
+    def _image(self, k: int) -> tuple:
+        """The table entry of the monomial of key k: X~(phi*x^k)."""
+        image = derive(self.flat, self.phi.pullback(_poly(self.phi.n, {k: 1}, 1)))
+        return image.num, image.den
 
     def __add__(self, other: "PullbackVectorField") -> "PullbackVectorField":
         _same_base(self.phi, other)
@@ -243,17 +255,16 @@ class HomAlgebroid:
                              + phi*(f) rho(phiA e_i)(g) phiA(e_j)
                              - phi*(g) rho(phiA e_j)(f) phiA(e_i).
 
-        Each coefficient is pulled back once and each of its partials
-        taken at most once; rho(phiA e_i)(g) is the flat field of
-        rho(phiA e_i) applied to phi*(g) (see PullbackVectorField).
-        The products are collected per output index and each
-        coefficient is summed once."""
+        Each coefficient is pulled back once, and rho(phiA e_i)(g) is
+        read from the monomial table of the field rho(phiA e_i) (see
+        PullbackVectorField).  The products are collected per output
+        index and each coefficient is summed once."""
         pb = self.phi.pullback
-        xs = [(i, pb(f), {}) for (i,), f in X.coeffs.items()]
-        ys = [(j, pb(g), {}) for (j,), g in Y.coeffs.items()]
+        xs = [(i, f, pb(f)) for (i,), f in X.coeffs.items()]
+        ys = [(j, g, pb(g)) for (j,), g in Y.coeffs.items()]
         pairs = {}
-        for i, pf, dpf in xs:
-            for j, pg, dpg in ys:
+        for i, f, pf in xs:
+            for j, g, pg in ys:
                 if i != j:
                     lo, hi = min(i, j), max(i, j)
                     fg = None
@@ -263,12 +274,12 @@ class HomAlgebroid:
                             if fg is None:
                                 fg = pf * pg if i < j else -(pf * pg)
                             pairs.setdefault((k,), []).append((c, fg))
-                df = derive(self.anchor_after_twist(i).flat, pg, dpg)
+                df = self.anchor_after_twist(i).apply(g)
                 if not df.is_zero():
                     w = pf * df
                     for K, a in self.phiA_frame(j).coeffs.items():
                         pairs.setdefault(K, []).append((a, w))
-                dg = derive(self.anchor_after_twist(j).flat, pf, dpf)
+                dg = self.anchor_after_twist(j).apply(f)
                 if not dg.is_zero():
                     w = -(pg * dg)
                     for K, a in self.phiA_frame(i).coeffs.items():
@@ -393,10 +404,12 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
             yield {"X": lx, "Y": ly, "Z": lz}, total
 
     def leibniz():
-        # [X, fY] once per distinct section fY, and rho(phiA X) once,
-        # while X stays the same; each residual
+        # [X, fY] once per distinct section fY while X stays the same,
+        # and the field rho(phiA X) once per label, applied to f through
+        # its table; each residual
         # [X, fY] - phi*f [X, Y] - rho(phiA X)(f) phiA(Y) is one sum
-        last_x, brackets, rho_x = None, {}, None
+        last_x, brackets = None, {}
+        rho = by_label(A.anchor_field)
 
         def bracket_x(X, Z):
             key = Z.key()
@@ -408,13 +421,13 @@ def check_axioms(A: HomAlgebroid, probe_degree: int = 3) -> CheckResult:
         for (lx, X), (ly, Y) in pairs:
             if X is not last_x:
                 last_x, brackets = X, {}
-                rho_x = A.anchor_field(twisted(lx, X)).flat
+            rho_x = rho(lx, twisted(lx, X))
             br = bracket_x(X, Y)
-            for f, pf, dpf in pulled:
+            for f, pf, _ in pulled:
                 terms = [
                     (one, bracket_x(X, Y.scale(f))),
                     (-pf, br),
-                    (-derive(rho_x, pf, dpf), twisted(ly, Y)),
+                    (-rho_x.apply(f), twisted(ly, Y)),
                 ]
                 yield {"X": lx, "Y": ly, "f": f}, combine(terms)
 

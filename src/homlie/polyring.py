@@ -293,6 +293,33 @@ def monomials(n: int, max_degree: int) -> list[Poly]:
 _ONE = {0: 1}
 
 
+def _table_sum(f: Poly, table: dict, fill) -> Poly:
+    """The linear map given on monomials by `table`, applied to f: the
+    sum of the terms' coefficients times their entries, over f's
+    denominator.  An entry is the (numerators, denominator) pair of a
+    monomial's image; a key not yet in the table gets fill(key), once.
+    One term is its entry scaled into a fresh dict; more terms are the
+    scaled entries summed in one `kernels.poly_sum_products` call, with
+    the constant 1 as left factor.  No entry is handed out or mutated."""
+    n = f.n
+    if len(f.num) == 1:
+        [(k, v)] = f.num.items()
+        entry = table.get(k)
+        if entry is None:
+            entry = table[k] = fill(k)
+        num, d = entry
+        return _reduced(n, {t: v * w for t, w in num.items()}, d * f.den)
+    entries = []
+    for k in f.num:
+        entry = table.get(k)
+        if entry is None:
+            entry = table[k] = fill(k)
+        entries.append(entry)
+    den = lcm(*(d for _, d in entries))
+    triples = ((v * (den // d), _ONE, num) for v, (num, d) in zip(f.num.values(), entries))
+    return _reduced(n, kernels.poly_sum_products(triples), den * f.den)
+
+
 def _mat_inverse(matrix):
     """Exact inverse of a square Fraction matrix via Gauss-Jordan."""
     n = len(matrix)
@@ -323,11 +350,10 @@ class AffineTwist:
     by the substitution kernel.  The inverse map, built once by
     `inverse()` and pointing back at this one, keeps the table of
     `inverse_pullback`.  A pullback is the sum of the scaled table
-    entries of its terms, one `kernels.poly_sum_products` call; a
-    constant is returned as it is, and one term already in the table is
-    its entry scaled into a fresh dict.  A table is never handed out, so
-    its entries are never mutated; it is bounded by the number of
-    monomials of the inputs' degree, C(n + d, d).
+    entries of its terms (`_table_sum`); a constant is returned as it
+    is.  A table is never handed out, so its entries are never mutated;
+    it is bounded by the number of monomials of the inputs' degree,
+    C(n + d, d).
     """
 
     __slots__ = (
@@ -396,33 +422,24 @@ class AffineTwist:
             raise DimensionMismatch("polynomial and base map dimensions differ")
         if self._is_id or not f.num:
             return f
-        if len(f.num) == 1:
-            [(k, v)] = f.num.items()
-            if not k:
-                return f  # the pullback fixes constants
-            entry = self._table.get(k)
-            if entry is not None:
-                num, d = entry
-                return _reduced(self.n, {t: v * w for t, w in num.items()}, d * f.den)
-        entries = []
-        table, powers = self._table, self._pow
-        for k in f.num:
-            entry = table.get(k)
-            if entry is None:
-                exps = unpack(k, self.n)
-                need = max(exps, default=0)
-                for col in powers:
-                    while len(col) <= need:
-                        col.append(kernels.poly_mul(col[-1], col[1]))
-                den = 1
-                for img, e in zip(self._images, exps):
-                    den *= img.den**e
-                image = _reduced(self.n, kernels.poly_substitute({k: 1}, powers, self.n), den)
-                entry = table[k] = (image.num, image.den)
-            entries.append(entry)
-        den = lcm(*(d for _, d in entries))
-        triples = ((v * (den // d), _ONE, num) for v, (num, d) in zip(f.num.values(), entries))
-        return _reduced(self.n, kernels.poly_sum_products(triples), den * f.den)
+        if len(f.num) == 1 and not next(iter(f.num)):
+            return f  # the pullback fixes constants
+        return _table_sum(f, self._table, self._image)
+
+    def _image(self, k: int) -> tuple:
+        """The table entry of the monomial of key k: its image under the
+        substitution kernel, over the product of the images' denominators."""
+        exps = unpack(k, self.n)
+        need = max(exps, default=0)
+        powers = self._pow
+        for col in powers:
+            while len(col) <= need:
+                col.append(kernels.poly_mul(col[-1], col[1]))
+        den = 1
+        for img, e in zip(self._images, exps):
+            den *= img.den**e
+        image = _reduced(self.n, kernels.poly_substitute({k: 1}, powers, self.n), den)
+        return image.num, image.den
 
     def pullback(self, f: Poly) -> Poly:
         """f composed with the map (substitute each variable's image)."""

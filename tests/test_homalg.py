@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_differential_tables import dense_tangent, invalid_candidate
 
-from homlie import probes
+from homlie import homalg, probes
 from homlie.exterior import Form, MultiVector, SectionTwist
 from homlie.fixtures import algebroid_s0, algebroid_s1, algebroid_s2, algebroid_s3
 from homlie.homalg import (
@@ -16,6 +16,7 @@ from homlie.homalg import (
     ad_twist,
     bracket_phistar,
     check_axioms,
+    derive,
     make_pullback_tangent,
     make_tm_r,
 )
@@ -549,19 +550,27 @@ class TestWorkCounts:
         # back every coefficient of its two arguments.  The identities
         # share one pullback per probe function and one twist per probe
         # section, so before the first identity: the 10 probe functions
-        # of degree <= 3 and the 20 probe sections.
+        # of degree <= 3 and the 20 probe sections.  Each anchor-table
+        # fill X(x^m) = X~(phi*x^m) is one more pullback, of the one
+        # term x^m, once per (field, monomial).
         counts = self.identity_counts(monkeypatch, dense_tangent(), 3, AffineTwist, "pullback")
         assert counts == {
             None: 10 + 20,
             # f*X once per (X, f), and the 2 frame images on first use
             "phiA-function-linearity": 20 * 10 + 2,
             # per pair, [X, Y] (2) and [phiA X, phiA Y] (4), and phiA of
-            # the 316 nonzero coefficients of the 176 brackets [X, Y]
-            "phiA-bracket-homomorphism": 176 * (2 + 4) + 316,
+            # the 316 nonzero coefficients of the 176 brackets [X, Y];
+            # the tables of the 2 frame fields rho(phiA e_i) first meet
+            # coefficients here: the 10 monomials of degree <= 3
+            "phiA-bracket-homomorphism": 176 * (2 + 4) + 316 + 2 * 10,
             # per rotation class, 3 inner brackets (2 each) and 3 outer
             # ones (2, and the 288 coefficients of the 228 inner ones)
             "hom-jacobi": 76 * 3 * (2 + 2) + 288,
-            "leibniz-rule": 908 * 2,
+            # [X, fY] and [X, Y] (2 each) for the 908 brackets; the field
+            # rho(phiA X) of each of the 20 probe labels meets the 10
+            # functions f, and the 2 frame fields meet the 18 monomials
+            # of degree 4 to 6 that the coefficients of fY reach
+            "leibniz-rule": 908 * 2 + 20 * 10 + 2 * 18,
             # per section, the conjugate ad_twist(phi, rho(X)), whose
             # k-th coefficient is phi*(X~_k) for each of the 2 coordinates
             # x_k: 1 pullback each; see
@@ -571,7 +580,46 @@ class TestWorkCounts:
             # commutator; see test_anchor_bracket_pulls_no_probe_function_back
             "anchor-bracket-compatibility": 176 * (2 + 2),
         }
-        assert sum(counts.values()) == 5364
+        assert sum(counts.values()) == 5620
+
+    def test_anchor_tables_fill_once_and_the_bracket_derives_only_to_fill(self, monkeypatch):
+        # both checks of the dense_twist workload at its probe degree:
+        # each field fills its table at most once per monomial, and
+        # every derive that a bracket makes is the one of a table fill
+        from homlie.calculus import CartanContext, check_differential_props
+
+        A = dense_tangent()
+        fills, depth, loose = [], {"bracket": 0, "fill": 0}, []
+        image, bracket, derive_ = PullbackVectorField._image, HomAlgebroid.bracket, homalg.derive
+
+        def counted_image(self, k):
+            fills.append((self, k))  # keeps each field alive, so ids stay distinct
+            depth["fill"] += 1
+            try:
+                return image(self, k)
+            finally:
+                depth["fill"] -= 1
+
+        def counted_bracket(self, X, Y):
+            depth["bracket"] += 1
+            try:
+                return bracket(self, X, Y)
+            finally:
+                depth["bracket"] -= 1
+
+        def counted_derive(flat, g, partials=None):
+            if depth["bracket"] and not depth["fill"]:
+                loose.append(g)
+            return derive_(flat, g, partials)
+
+        monkeypatch.setattr(PullbackVectorField, "_image", counted_image)
+        monkeypatch.setattr(HomAlgebroid, "bracket", counted_bracket)
+        monkeypatch.setattr(homalg, "derive", counted_derive)
+        assert check_axioms(A, 3).passed
+        assert len(fills) == 2 * 10 + 20 * 10 + 2 * 18  # see the pullback counts above
+        assert check_differential_props(CartanContext(A), 3).passed
+        assert len({(id(X), k) for X, k in fills}) == len(fills)
+        assert loose == []
 
     def test_axioms_twist_each_probe_section_once(self, monkeypatch):
         # phiA of each of the 20 probe sections (2 frame, 18 scaled) once,
@@ -655,6 +703,144 @@ class TestWorkCounts:
         # triples, and one per scaled probe and frame pair), 6 brackets
         # each
         assert counts["hom-jacobi"] == 456
+
+
+# -- anchor tables against the derivation they tabulate --------------------
+
+# the dense_twist family: the dense map S M S^-1 with offset S b, for a
+# signed permutation S of the two coordinates
+DENSE_M = ((Fraction(3, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)))
+DENSE_B = (Fraction(1, 3), Fraction(1, 2))
+SIGNED_PERMUTATIONS = [
+    [[sx if cols[i] == j else 0 for j in range(2)] for i, sx in enumerate(signs)]
+    for cols in ((0, 1), (1, 0))
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+]
+
+
+def dense_family_map(S):
+    # a signed permutation is orthogonal, so S^-1 is its transpose
+    SM = [[sum(S[i][k] * DENSE_M[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    matrix = [[sum(SM[i][k] * S[j][k] for k in range(2)) for j in range(2)] for i in range(2)]
+    return AffineTwist(matrix, [sum(S[i][k] * DENSE_B[k] for k in range(2)) for i in range(2)])
+
+
+@st.composite
+def table_functions(draw, n=2):
+    """0, a constant, or 1 to 4 terms of degree <= 4 with coefficients
+    over denominators 2 to 7."""
+    kind = draw(st.sampled_from(["zero", "constant", "terms"]))
+    if kind == "zero":
+        return Poly.zero(n)
+    if kind == "constant":
+        return Poly.const(n, Fraction(draw(st.integers(1, 9)), draw(st.integers(2, 7))))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = tuple(draw(st.integers(0, 4)) for _ in range(n))
+        terms[exps] = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(2, 7)))
+    return Poly(n, terms)
+
+
+@st.composite
+def dense_field_functions(draw):
+    """A pullback vector field over a map of the dense_twist family,
+    the zero field among them, and functions to apply it to."""
+    phi = dense_family_map(draw(st.sampled_from(SIGNED_PERMUTATIONS)))
+    if draw(st.booleans()):
+        X = PullbackVectorField.zero(phi)
+    else:
+        X = PullbackVectorField(phi, [draw(polys(2, 2)) for _ in range(2)])
+    return X, draw(st.lists(table_functions(), min_size=1, max_size=4))
+
+
+def substitute(phi, f):
+    """f composed with phi by Poly arithmetic, with no monomial table:
+    each term times the powers of the coordinates' images."""
+    n = phi.n
+    images = [
+        sum((Poly.variable(n, j) * phi.matrix[i][j] for j in range(n)), Poly.const(n, phi.offset[i]))
+        for i in range(n)
+    ]
+    out = Poly.zero(n)
+    for exps, c in f.terms.items():
+        term = Poly.const(n, c)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        out = out + term
+    return out
+
+
+def derive_bracket(A, X, Y):
+    """The bracket as it was before the anchor tables: each anchor term
+    the flat field of rho(phiA e_i) derived on the pulled-back
+    coefficient, with its partials kept per call.  The pullback is
+    `substitute`, so that no table is shared with the bracket."""
+    def pb(f):
+        return substitute(A.phi, f)
+
+    xs = [(i, pb(f), {}) for (i,), f in X.coeffs.items()]
+    ys = [(j, pb(g), {}) for (j,), g in Y.coeffs.items()]
+    out = MultiVector.zero(A.rank, A.n, 1)
+    for i, pf, dpf in xs:
+        for j, pg, dpg in ys:
+            if i != j:
+                lo, hi = min(i, j), max(i, j)
+                sign = 1 if i < j else -1
+                for k in range(A.rank):
+                    c = A.structure.get((lo, hi, k))
+                    if c is not None:
+                        out = out + A.frame(k).scale(c * pf * pg * sign)
+            df = derive(A.anchor_field(A.phiA_frame(i)).flat, pg, dpg)
+            out = out + A.phiA_frame(j).scale(pf * df)
+            dg = derive(A.anchor_field(A.phiA_frame(j)).flat, pf, dpf)
+            out = out - A.phiA_frame(i).scale(pg * dg)
+    return out
+
+
+@st.composite
+def dense_algebroid_sections(draw):
+    """An algebroid, a fresh pullback tangent of the dense_twist family
+    or the invalid candidate with its polynomial anchor, and sections of
+    it with polynomial coefficients."""
+    if draw(st.booleans()):
+        A = make_pullback_tangent(dense_family_map(draw(st.sampled_from(SIGNED_PERMUTATIONS))))
+    else:
+        A = invalid_candidate()
+    sections = [
+        MultiVector.from_vector(A.rank, A.n, [draw(polys(A.n, 3)) for _ in range(A.rank)])
+        for _ in range(draw(st.integers(2, 4)))
+    ]
+    return A, sections
+
+
+class TestAnchorTables:
+    @given(dense_field_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_derive_on_fill_and_on_read(self, case):
+        X, funcs = case
+        for f in funcs + funcs:  # the second pass reads what the first filled
+            assert X.apply(f) == derive(X.flat, substitute(X.phi, f))
+
+    @given(dense_algebroid_sections())
+    @settings(max_examples=30, deadline=None)
+    def test_bracket_matches_the_derive_based_bracket(self, case):
+        A, sections = case
+        for X in sections:
+            for Y in sections:
+                assert A.bracket(X, Y) == derive_bracket(A, X, Y)
+
+    def test_sums_fresh_fields_start_with_empty_tables(self):
+        phi = dense_family_map(SIGNED_PERMUTATIONS[0])
+        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+        X = PullbackVectorField(phi, [x, y * y])
+        Y = PullbackVectorField(phi, [y, x])
+        f = x * x * y + Fraction(1, 3) * y
+        for Z in (X, Y):
+            Z.apply(f)
+        for Z, W in ((X + Y, X), (X - Y, Y), (X.scale(x), X)):
+            assert Z.apply(f) == derive(Z.flat, phi.pullback(f))
+            assert Z.apply(f) != W.apply(f)
 
 
 # -- a rank-3 dense tangent and two perturbations of it -------------------
