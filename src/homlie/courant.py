@@ -3,8 +3,8 @@ bundle, the symmetric pairing with its metric-dual derivative, the
 antisymmetrized bracket, and the full axiom verifier.
 
 Hand-built instances with an explicit product table on the frame are
-accepted through the same container so negative fixtures can exercise
-every failure path.
+accepted through the same container; only tests build them, pending
+ROADMAP item 6.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .calculus import (
     schouten,
 )
 from .exterior import Form, MultiVector, dual_section_twist, reinterpret
+from .exterior import pair as duality
 from .homalg import (
     HomAlgebroid,
     PullbackVectorField,
@@ -214,7 +215,8 @@ class CourantDouble:
     algebroids of the pair: its twist is phiA on A and the dual twist on
     A*, and its anchor is the sum of the two anchors.  The product comes
     either from the bialgebroid formula or from an explicit frame table
-    {(a, b): ESection} extended by the function-multiplication rules."""
+    {(a, b): ESection} extended by the function-multiplication rules;
+    only tests build a double from a table, pending ROADMAP item 6."""
 
     def __init__(self, pair: BialgebroidPair, product_table=None):
         self.pair = pair
@@ -376,8 +378,6 @@ def check_closed_bracket_formula(E: CourantDouble, probe_degree: int = 1) -> Che
     P = E.pair
     ctx = P.ctx
     half = Fraction(1, 2)
-    from .exterior import pair as duality
-
     sections = probes.double_sections(E, probe_degree)
 
     def cases():

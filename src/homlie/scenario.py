@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial
 
 from .exterior import EndoMap, MultiVector, SectionTwist, dual_section_twist
 from .homalg import HomAlgebroid
@@ -51,6 +52,14 @@ TOP_KEYS = {
 def _require(cond, path, message):
     if not cond:
         raise ScenarioError(path, message)
+
+
+def _object(value, path, keys, what="expected an object"):
+    """`value`, once it is a JSON object with no key outside `keys`."""
+    _require(isinstance(value, dict), path, what)
+    extra = set(value) - keys
+    _require(not extra, path, f"unknown keys {sorted(extra)}")
+    return value
 
 
 def _is_int(value) -> bool:
@@ -104,9 +113,7 @@ def _parse_poly(n, value, path) -> Poly:
     terms = {}
     for k, item in enumerate(value):
         ipath = f"{path}[{k}]"
-        _require(isinstance(item, dict), ipath, "expected a term object")
-        extra = set(item) - {"exp", "coeff"}
-        _require(not extra, ipath, f"unknown keys {sorted(extra)}")
+        _object(item, ipath, {"exp", "coeff"}, "expected a term object")
         _require("exp" in item and "coeff" in item, ipath, "term needs exp and coeff")
         exp = item["exp"]
         _require(
@@ -121,17 +128,17 @@ def _parse_poly(n, value, path) -> Poly:
     return Poly(n, terms)
 
 
-def _parse_matrix(n_vars, rows, cols, value, path):
-    _require(isinstance(value, list) and len(value) == rows, path, f"expected {rows} rows")
-    out = []
-    for i, row in enumerate(value):
-        _require(
-            isinstance(row, list) and len(row) == cols,
-            f"{path}[{i}]",
-            f"expected {cols} entries",
-        )
-        out.append([_parse_poly(n_vars, x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    return out
+def _parse_row(cols, value, path, entry, noun="entries"):
+    """A list of `cols` values, each read by entry(value, path)."""
+    _require(isinstance(value, list) and len(value) == cols, path, f"expected {cols} {noun}")
+    return [entry(x, f"{path}[{j}]") for j, x in enumerate(value)]
+
+
+def _parse_matrix(rows, cols, value, path, entry, nouns=("rows", "entries")):
+    """A list of `rows` rows of `cols` values each; `nouns` names the
+    rows and the values in the messages."""
+    row = partial(_parse_row, cols, entry=entry, noun=nouns[1])
+    return _parse_row(rows, value, path, row, nouns[0])
 
 
 def _parse_structure(n, rank, spec, path) -> dict:
@@ -143,9 +150,7 @@ def _parse_structure(n, rank, spec, path) -> dict:
     structure, first = {}, {}
     for k, item in enumerate(spec):
         ipath = f"{path}[{k}]"
-        _require(isinstance(item, dict), ipath, "expected an object")
-        extra = set(item) - {"i", "j", "k", "coeff"}
-        _require(not extra, ipath, f"unknown keys {sorted(extra)}")
+        _object(item, ipath, {"i", "j", "k", "coeff"})
         for key in ("i", "j", "k"):
             _require(
                 _is_int(item.get(key)) and 1 <= item[key] <= rank,
@@ -180,13 +185,13 @@ class Scenario:
         n: int,
         algebroid: HomAlgebroid,
         tasks: list,
-        probe_degree: int = 3,
-        hierarchy_depth: int = 3,
-        pi: Bivector | None = None,
-        endo: EndoMap | None = None,
-        dual_spec: object = "trivial",
-        dirac: EndoMap | list | None = None,
-        dirac_graph: EndoMap | None = None,
+        probe_degree: int,
+        hierarchy_depth: int,
+        pi: Bivector | None,
+        endo: EndoMap | None,
+        dual_spec: object,
+        dirac: EndoMap | list | None,
+        dirac_graph: EndoMap | None,
     ):
         self.n = n
         self.algebroid = algebroid
@@ -202,9 +207,7 @@ class Scenario:
 
 
 def parse_scenario(data: dict) -> Scenario:
-    _require(isinstance(data, dict), "$", "scenario must be a JSON object")
-    extra = set(data) - TOP_KEYS
-    _require(not extra, "$", f"unknown keys {sorted(extra)}")
+    _object(data, "$", TOP_KEYS, "scenario must be a JSON object")
     for key in ("n", "vars", "phi", "rank", "phiA_matrix", "anchor_matrix", "tasks"):
         _require(key in data, "$", f"missing required key {key!r}")
 
@@ -217,24 +220,13 @@ def parse_scenario(data: dict) -> Scenario:
         f"expected {n} variable names",
     )
 
-    phi_spec = data["phi"]
-    _require(isinstance(phi_spec, dict), "$.phi", "expected an object")
-    extra = set(phi_spec) - {"matrix", "offset"}
-    _require(not extra, "$.phi", f"unknown keys {sorted(extra)}")
+    poly = partial(_parse_poly, n)
+    phi_spec = _object(data["phi"], "$.phi", {"matrix", "offset"})
     _require("matrix" in phi_spec, "$.phi", "missing matrix")
-    mat = phi_spec["matrix"]
-    _require(isinstance(mat, list) and len(mat) == n, "$.phi.matrix", f"expected {n} rows")
-    matrix = []
-    for i, row in enumerate(mat):
-        _require(
-            isinstance(row, list) and len(row) == n, f"$.phi.matrix[{i}]", f"expected {n} entries"
-        )
-        matrix.append([_parse_rational(x, f"$.phi.matrix[{i}][{j}]") for j, x in enumerate(row)])
+    matrix = _parse_matrix(n, n, phi_spec["matrix"], "$.phi.matrix", _parse_rational)
     offset = [0] * n
     if "offset" in phi_spec:
-        off = phi_spec["offset"]
-        _require(isinstance(off, list) and len(off) == n, "$.phi.offset", f"expected {n} entries")
-        offset = [_parse_rational(x, f"$.phi.offset[{i}]") for i, x in enumerate(off)]
+        offset = _parse_row(n, phi_spec["offset"], "$.phi.offset", _parse_rational)
     try:
         phi = AffineTwist(matrix, offset)
     except ValueError as exc:
@@ -243,7 +235,7 @@ def parse_scenario(data: dict) -> Scenario:
     rank = data["rank"]
     _require(_is_int(rank) and rank >= 1, "$.rank", "rank must be a positive integer")
 
-    phiA_matrix = _parse_matrix(n, rank, rank, data["phiA_matrix"], "$.phiA_matrix")
+    phiA_matrix = _parse_matrix(rank, rank, data["phiA_matrix"], "$.phiA_matrix", poly)
     try:
         phiA = SectionTwist(phiA_matrix, phi, "multivector")
     except ExponentOverflow as exc:
@@ -253,7 +245,7 @@ def parse_scenario(data: dict) -> Scenario:
             "$.phiA_matrix",
             f"determinant {phiA.det.render(vars_)} is not a nonzero rational constant",
         )
-    anchor = _parse_matrix(n, n, rank, data["anchor_matrix"], "$.anchor_matrix")
+    anchor = _parse_matrix(n, rank, data["anchor_matrix"], "$.anchor_matrix", poly)
 
     structure = _parse_structure(n, rank, data.get("structure", []), "$.structure")
     algebroid = HomAlgebroid(phi, phiA, anchor, structure)
@@ -265,9 +257,7 @@ def parse_scenario(data: dict) -> Scenario:
         coeffs = {}
         for k, item in enumerate(spec):
             path = f"$.pi[{k}]"
-            _require(isinstance(item, dict), path, "expected an object")
-            extra = set(item) - {"i", "j", "coeff"}
-            _require(not extra, path, f"unknown keys {sorted(extra)}")
+            _object(item, path, {"i", "j", "coeff"})
             i, j = item.get("i"), item.get("j")
             _require(
                 _is_int(i) and _is_int(j) and 1 <= i < j <= rank,
@@ -275,29 +265,29 @@ def parse_scenario(data: dict) -> Scenario:
                 f"expected indices with 1 <= i < j <= {rank}",
             )
             _require("coeff" in item, path, "missing coeff")
-            c = _parse_poly(n, item["coeff"], f"{path}.coeff")
+            c = poly(item["coeff"], f"{path}.coeff")
             key = (i - 1, j - 1)
             coeffs[key] = coeffs.get(key, Poly.zero(n)) + c
         pi = Bivector(MultiVector(rank, n, 2, coeffs))
 
     endo = None
     if "N" in data:
-        endo = EndoMap(_parse_matrix(n, rank, rank, data["N"], "$.N"))
+        endo = EndoMap(_parse_matrix(rank, rank, data["N"], "$.N", poly))
 
     dual_spec = "trivial"
     if "dual" in data:
         spec = data["dual"]
+        what = "expected 'trivial', 'from_pi' or an object"
         if isinstance(spec, str):
-            _require(spec in ("trivial", "from_pi"), "$.dual", "expected 'trivial', 'from_pi' or an object")
+            _require(spec in ("trivial", "from_pi"), "$.dual", what)
             if spec == "from_pi":
                 _require(pi is not None, "$.dual", "'from_pi' needs a pi key")
             dual_spec = spec
         else:
-            _require(isinstance(spec, dict), "$.dual", "expected 'trivial', 'from_pi' or an object")
-            extra = set(spec) - {"structure", "anchor"}
-            _require(not extra, "$.dual", f"unknown keys {sorted(extra)}")
+            _object(spec, "$.dual", {"structure", "anchor"}, what)
             d_struct = _parse_structure(n, rank, spec.get("structure", []), "$.dual.structure")
-            d_anchor = _parse_matrix(n, n, rank, spec.get("anchor", [[0] * rank] * n), "$.dual.anchor")
+            zero = [[0] * rank] * n
+            d_anchor = _parse_matrix(n, rank, spec.get("anchor", zero), "$.dual.anchor", poly)
             # the dual side carries the dagger of the section twist
             try:
                 d_twist = dual_section_twist(phiA)
@@ -312,20 +302,14 @@ def parse_scenario(data: dict) -> Scenario:
         kind = spec.get("type")
         _require(kind in ("graph", "span"), "$.dirac.type", "expected 'graph' or 'span'")
         if kind == "graph":
-            extra = set(spec) - {"type", "H"}
-            _require(not extra, "$.dirac", f"unknown keys {sorted(extra)}")
+            _object(spec, "$.dirac", {"type", "H"})
             _require("H" in spec, "$.dirac", "graph needs an H matrix")
-            dirac = dirac_graph = EndoMap(_parse_matrix(n, rank, rank, spec["H"], "$.dirac.H"))
+            dirac = dirac_graph = EndoMap(_parse_matrix(rank, rank, spec["H"], "$.dirac.H", poly))
         else:
-            extra = set(spec) - {"type", "generators"}
-            _require(not extra, "$.dirac", f"unknown keys {sorted(extra)}")
+            _object(spec, "$.dirac", {"type", "generators"})
             gens = spec.get("generators")
-            _require(isinstance(gens, list) and len(gens) == rank, "$.dirac.generators", f"expected {rank} generators")
-            dirac = []
-            for g, row in enumerate(gens):
-                path = f"$.dirac.generators[{g}]"
-                _require(isinstance(row, list) and len(row) == 2 * rank, path, f"expected {2 * rank} coefficients")
-                dirac.append([_parse_poly(n, x, f"{path}[{i}]") for i, x in enumerate(row)])
+            nouns = ("generators", "coefficients")
+            dirac = _parse_matrix(rank, 2 * rank, gens, "$.dirac.generators", poly, nouns)
 
     probe_degree = check_probe_degree(data.get("probe_degree", 3), "$.probe_degree")
     hierarchy_depth = data.get("hierarchy_depth", 3)

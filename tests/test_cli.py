@@ -193,6 +193,264 @@ class TestScenarioParsing:
         assert not scn.pi.table.is_zero()
 
 
+X20000 = [{"exp": [20000, 0], "coeff": "1"}]
+S1_PHI = [["2", "0"], ["0", "1/2"]]
+S1_H = [["0", "1"], ["-1", "0"]]
+S1_SPAN = [["1", "0", "0", "0"], ["0", "1", "0", "0"]]
+TWIST_OVERFLOW = "a product has an exponent of 32768 or more"
+
+# (id, scenario JSON value, path, message): one malformed scenario per
+# refusal of the parser, plus cases where two checks could fire, to pin
+# which fires first
+REFUSALS = [
+    ("not-an-object", [], "$", "scenario must be a JSON object"),
+    ("top-unknown-keys", s1_scenario_dict(bogus=1, other=2), "$", "unknown keys ['bogus', 'other']"),
+    ("top-unknown-before-missing", {"bogus": 1}, "$", "unknown keys ['bogus']"),
+    (
+        "top-missing-key",
+        {k: v for k, v in s1_scenario_dict().items() if k != "rank"},
+        "$",
+        "missing required key 'rank'",
+    ),
+    ("n", s1_scenario_dict(n=0), "$.n", "n must be a positive integer"),
+    ("vars", s1_scenario_dict(vars=["x"]), "$.vars", "expected 2 variable names"),
+    ("phi-not-an-object", s1_scenario_dict(phi=[]), "$.phi", "expected an object"),
+    ("phi-unknown-keys", s1_scenario_dict(phi={"matrix": S1_PHI, "scale": 1}), "$.phi", "unknown keys ['scale']"),
+    ("phi-unknown-before-missing", s1_scenario_dict(phi={"scale": 1}), "$.phi", "unknown keys ['scale']"),
+    ("phi-missing-matrix", s1_scenario_dict(phi={"offset": ["0", "0"]}), "$.phi", "missing matrix"),
+    ("phi-rows", s1_scenario_dict(phi={"matrix": [["2", "0"]]}), "$.phi.matrix", "expected 2 rows"),
+    ("phi-row-length", s1_scenario_dict(phi={"matrix": [["2", "0"], ["0"]]}), "$.phi.matrix[1]", "expected 2 entries"),
+    (
+        "phi-offset-length",
+        s1_scenario_dict(phi={"matrix": S1_PHI, "offset": ["0"]}),
+        "$.phi.offset",
+        "expected 2 entries",
+    ),
+    (
+        "phi-singular",
+        s1_scenario_dict(phi={"matrix": [["1", "1"], ["1", "1"]]}),
+        "$.phi.matrix",
+        "matrix is singular over the rationals",
+    ),
+    (
+        "rational-type",
+        s1_scenario_dict(phi={"matrix": [[2.5, "0"], ["0", "1"]]}),
+        "$.phi.matrix[0][0]",
+        "expected a rational string or integer, got 2.5",
+    ),
+    (
+        "rational-grammar",
+        s1_scenario_dict(phi={"matrix": S1_PHI, "offset": ["0", "2.5"]}),
+        "$.phi.offset[1]",
+        "bad rational '2.5': expected [+-]p or [+-]p/q in decimal digits",
+    ),
+    (
+        "rational-zero-denominator",
+        s1_scenario_dict(phi={"matrix": [["2/0", "0"], ["0", "1"]]}),
+        "$.phi.matrix[0][0]",
+        "bad rational '2/0': zero denominator",
+    ),
+    (
+        "rational-too-many-digits",
+        s1_scenario_dict(phi={"matrix": [["1", "1" * 5000], ["0", "1"]]}),
+        "$.phi.matrix[0][1]",
+        f"bad rational '{'1' * 39}... (5002 characters): too many digits",
+    ),
+    ("rank", s1_scenario_dict(rank=0), "$.rank", "rank must be a positive integer"),
+    ("matrix-rows", s1_scenario_dict(phiA_matrix=[["1/2", "0"]]), "$.phiA_matrix", "expected 2 rows"),
+    (
+        "matrix-row-length",
+        s1_scenario_dict(anchor_matrix=[["1", "0"], ["1"]]),
+        "$.anchor_matrix[1]",
+        "expected 2 entries",
+    ),
+    (
+        "poly-type",
+        s1_scenario_dict(anchor_matrix=[[{"exp": [0, 0]}, "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0]",
+        "expected a rational or a list of terms",
+    ),
+    (
+        "term-not-an-object",
+        s1_scenario_dict(anchor_matrix=[[["1"], "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0][0]",
+        "expected a term object",
+    ),
+    (
+        "term-unknown-keys",
+        s1_scenario_dict(anchor_matrix=[[[{"exp": [0, 0], "coeff": "1", "deg": 0}], "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0][0]",
+        "unknown keys ['deg']",
+    ),
+    (
+        "term-unknown-before-missing",
+        s1_scenario_dict(anchor_matrix=[[[{"deg": 0}], "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0][0]",
+        "unknown keys ['deg']",
+    ),
+    (
+        "term-missing-coeff",
+        s1_scenario_dict(anchor_matrix=[[[{"exp": [0, 0]}], "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0][0]",
+        "term needs exp and coeff",
+    ),
+    (
+        "term-exponent-count",
+        s1_scenario_dict(anchor_matrix=[[[{"exp": [0], "coeff": "1"}], "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0][0].exp",
+        "expected 2 non-negative integer exponents",
+    ),
+    (
+        "term-exponent-limit",
+        s1_scenario_dict(anchor_matrix=[[[{"exp": [0, 32768], "coeff": "1"}], "0"], ["0", "1"]]),
+        "$.anchor_matrix[0][0][0].exp",
+        "exponents must be below 32768",
+    ),
+    (
+        "determinant-overflow",
+        s1_scenario_dict(phiA_matrix=[[X20000, "0"], ["0", X20000]]),
+        "$.phiA_matrix",
+        f"determinant: {TWIST_OVERFLOW}",
+    ),
+    ("structure-not-a-list", s1_scenario_dict(structure={}), "$.structure", "expected a list"),
+    ("structure-not-an-object", s1_scenario_dict(structure=[1]), "$.structure[0]", "expected an object"),
+    (
+        "structure-unknown-keys",
+        s1_scenario_dict(structure=[{"i": 1, "j": 2, "k": 1, "coeff": "1", "l": 1}]),
+        "$.structure[0]",
+        "unknown keys ['l']",
+    ),
+    (
+        "structure-unknown-before-index",
+        s1_scenario_dict(structure=[{"l": 1}]),
+        "$.structure[0]",
+        "unknown keys ['l']",
+    ),
+    (
+        "structure-index",
+        s1_scenario_dict(structure=[{"i": 3, "j": 2, "k": 1, "coeff": "1"}]),
+        "$.structure[0].i",
+        "expected a frame index in 1..2",
+    ),
+    (
+        "structure-missing-coeff",
+        s1_scenario_dict(structure=[{"i": 1, "j": 2, "k": 1}]),
+        "$.structure[0]",
+        "missing coeff",
+    ),
+    ("pi-not-a-list", s1_scenario_dict(pi={}), "$.pi", "expected a list of bivector terms"),
+    ("pi-not-an-object", s1_scenario_dict(pi=[1]), "$.pi[0]", "expected an object"),
+    (
+        "pi-unknown-keys",
+        s1_scenario_dict(pi=[{"i": 1, "j": 2, "k": 1, "coeff": "1"}]),
+        "$.pi[0]",
+        "unknown keys ['k']",
+    ),
+    (
+        "pi-indices",
+        s1_scenario_dict(pi=[{"i": 2, "j": 1, "coeff": "1"}]),
+        "$.pi[0]",
+        "expected indices with 1 <= i < j <= 2",
+    ),
+    ("pi-missing-coeff", s1_scenario_dict(pi=[{"i": 1, "j": 2}]), "$.pi[0]", "missing coeff"),
+    ("N-rows", s1_scenario_dict(N=[["1", "0"]]), "$.N", "expected 2 rows"),
+    ("dual-name", s1_scenario_dict(dual="other"), "$.dual", "expected 'trivial', 'from_pi' or an object"),
+    ("dual-type", s1_scenario_dict(dual=1), "$.dual", "expected 'trivial', 'from_pi' or an object"),
+    ("dual-from-pi-without-pi", s1_scenario_dict(dual="from_pi"), "$.dual", "'from_pi' needs a pi key"),
+    ("dual-unknown-keys", s1_scenario_dict(dual={"structure": [], "x": 1}), "$.dual", "unknown keys ['x']"),
+    ("dual-anchor-rows", s1_scenario_dict(dual={"anchor": [["0", "0"]]}), "$.dual.anchor", "expected 2 rows"),
+    (
+        "dual-twist-overflow",
+        s1_scenario_dict(
+            rank=3,
+            phiA_matrix=[["1", X20000, "0"], ["0", "1", X20000], ["0", "0", "1"]],
+            anchor_matrix=[["1", "0", "0"], ["0", "1", "0"]],
+            dual={"structure": []},
+        ),
+        "$.dual",
+        f"dual twist: {TWIST_OVERFLOW}",
+    ),
+    ("dirac-not-an-object", s1_scenario_dict(dirac=[]), "$.dirac", "expected an object"),
+    ("dirac-type", s1_scenario_dict(dirac={"type": "cone"}), "$.dirac.type", "expected 'graph' or 'span'"),
+    ("dirac-type-before-unknown", s1_scenario_dict(dirac={"x": 1}), "$.dirac.type", "expected 'graph' or 'span'"),
+    (
+        "graph-unknown-keys",
+        s1_scenario_dict(dirac={"type": "graph", "H": S1_H, "x": 1}),
+        "$.dirac",
+        "unknown keys ['x']",
+    ),
+    (
+        "graph-with-generators",
+        s1_scenario_dict(dirac={"type": "graph", "generators": S1_SPAN}),
+        "$.dirac",
+        "unknown keys ['generators']",
+    ),
+    ("graph-missing-H", s1_scenario_dict(dirac={"type": "graph"}), "$.dirac", "graph needs an H matrix"),
+    ("graph-H-rows", s1_scenario_dict(dirac={"type": "graph", "H": [["0", "1"]]}), "$.dirac.H", "expected 2 rows"),
+    (
+        "span-unknown-keys",
+        s1_scenario_dict(dirac={"type": "span", "generators": S1_SPAN, "x": 1}),
+        "$.dirac",
+        "unknown keys ['x']",
+    ),
+    (
+        "span-with-H",
+        s1_scenario_dict(dirac={"type": "span", "H": S1_H}),
+        "$.dirac",
+        "unknown keys ['H']",
+    ),
+    ("span-missing-generators", s1_scenario_dict(dirac={"type": "span"}), "$.dirac.generators", "expected 2 generators"),
+    (
+        "span-generator-count",
+        s1_scenario_dict(dirac={"type": "span", "generators": S1_SPAN[:1]}),
+        "$.dirac.generators",
+        "expected 2 generators",
+    ),
+    (
+        "span-row-length",
+        s1_scenario_dict(dirac={"type": "span", "generators": [["1", "0", "0"], S1_SPAN[1]]}),
+        "$.dirac.generators[0]",
+        "expected 4 coefficients",
+    ),
+    (
+        "span-entry",
+        s1_scenario_dict(dirac={"type": "span", "generators": [S1_SPAN[0], ["0", "1", "0", "x"]]}),
+        "$.dirac.generators[1][3]",
+        "bad rational 'x': expected [+-]p or [+-]p/q in decimal digits",
+    ),
+    (
+        "probe-degree-zero",
+        s1_scenario_dict(probe_degree=0),
+        "$.probe_degree",
+        "expected an integer >= 1 (the x_j*e_i probes are needed)",
+    ),
+    (
+        "probe-degree-limit",
+        s1_scenario_dict(probe_degree=32768),
+        "$.probe_degree",
+        "expected an integer below 32768 (x_1^d must fit a monomial key)",
+    ),
+    ("hierarchy-depth", s1_scenario_dict(hierarchy_depth=-1), "$.hierarchy_depth", "expected a non-negative integer"),
+    ("tasks-empty", s1_scenario_dict(tasks=[]), "$.tasks", "expected a non-empty list"),
+    ("task-name", s1_scenario_dict(tasks=["check_axioms", 1]), "$.tasks[1]", "expected a task name"),
+]
+
+
+class TestParserMessages:
+    @pytest.mark.parametrize(
+        "data, path, message", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS]
+    )
+    def test_refusal_prints_its_path_and_message(self, tmp_path, capsys, data, path, message):
+        from homlie.cli import main
+
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        assert main(["check", str(p)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"scenario error: {path}: {message}\n"
+
+
 class TestRunScenario:
     def test_s0_passes(self):
         scn = load_scenario(str(SCENARIOS / "s0_axioms.json"))

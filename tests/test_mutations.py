@@ -12,6 +12,9 @@ probe degree.
 
 Regenerate the reference (only when a witness is meant to change) with
     PYTHONPATH=src python tests/test_mutations.py
+
+The rank-5 instance scenarios/s1_sl2_full.json has its own data
+mutants, each pinned to the witness it must fail with.
 """
 
 import json
@@ -41,9 +44,11 @@ from homlie.nijenhuis import (
 )
 from homlie.poisson import Bivector, d_pi, is_hom_poisson, pi_pi_identity, sharp_commutes
 from homlie.polyring import Poly
-from homlie.report import PreconditionError, TheoremViolation
+from homlie.report import PreconditionError, TheoremViolation, Witness
+from homlie.scenario import parse_scenario
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "mutations.json"
+SL2_FULL = Path(__file__).resolve().parent.parent / "scenarios" / "s1_sl2_full.json"
 
 BASES = {"S1": algebroid_s1, "S3": algebroid_s3}
 KINDS = ("structure", "anchor", "twist", "pi", "N", "dual_structure", "dual_anchor")
@@ -177,6 +182,57 @@ def test_mutant_matches_golden_inside_one_cache_scope(name, golden):
     with operator_cache():
         got = snapshot_one(name)
     assert _dump(got) == _dump(golden[name])
+
+
+def _sl2_structure(data):
+    # [h, e]_alpha = 2e becomes 3e
+    assert data["structure"][0] == {"i": 3, "j": 4, "k": 4, "coeff": "2"}
+    data["structure"][0]["coeff"] = "3"
+
+
+def _sl2_alpha(data):
+    # alpha(h) = h - 2e becomes h - e
+    assert data["phiA_matrix"][3][2] == "-2"
+    data["phiA_matrix"][3][2] = "-1"
+
+
+def _sl2_pi(data):
+    # r = h^e becomes h^e + e^f, which alpha does not fix
+    data["pi"].append({"i": 4, "j": 5, "coeff": "1"})
+
+
+SL2_MUTANTS = [
+    (
+        "structure",
+        _sl2_structure,
+        lambda scn: check_axioms(scn.algebroid, scn.probe_degree),
+        Witness("phiA-bracket-homomorphism", {"X": "e3", "Y": "e5"}, "(-1) e[4]"),
+    ),
+    (
+        "alpha",
+        _sl2_alpha,
+        lambda scn: check_axioms(scn.algebroid, scn.probe_degree),
+        Witness("phiA-bracket-homomorphism", {"X": "e3", "Y": "e5"}, "(-1) e[3] + (2) e[4]"),
+    ),
+    (
+        "r-matrix",
+        _sl2_pi,
+        lambda scn: is_hom_poisson(CartanContext(scn.algebroid), scn.pi),
+        Witness("twist-invariance", {"pi": "(1) e[1,2] + (1) e[3,4] + (1) e[4,5]"}, "(-1) e[3,4]"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, checker, witness", [m[1:] for m in SL2_MUTANTS], ids=[m[0] for m in SL2_MUTANTS]
+)
+def test_sl2_data_mutant_fails_with_its_witness(edit, checker, witness):
+    # the unedited file passes every task (its golden report pins that)
+    data = json.loads(SL2_FULL.read_text())
+    edit(data)
+    result = checker(parse_scenario(data))
+    assert not result.passed
+    assert result.witness == witness
 
 
 if __name__ == "__main__":
